@@ -8,23 +8,18 @@ from .affine import (
     FundamentalGroup,
     affine_point,
     f_map,
-    fold_to_alcove,
     fundamental_group,
     hyperplane_containment,
     invariant_space,
-    marks,
     minuscule_nodes,
     standard_symmetry,
-    z_element,
 )
 from .brauer import (
     FrobeniusConfig,
     SubAlcove,
-    base_subalcove,
     enumerate_subalcoves,
     fixed_point,
     m_alpha,
-    m_of,
     theta,
 )
 from .census import (
@@ -48,7 +43,6 @@ from .rootdata import (
     TypeLabel,
     build_root_system,
     longest_element,
-    simple_reflection,
     subdiagram_type,
 )
 

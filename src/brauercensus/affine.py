@@ -65,12 +65,6 @@ def point_from_affine(datum: RootDatum, affine: tuple) -> AffinePoint:
     return AffinePoint(coords_from_affine(datum, affine), tuple(affine))
 
 
-def in_closed_alcove(datum: RootDatum, coords: Vec) -> bool:
-    if any(c < 0 for c in coords):
-        return False
-    return vec_dot(datum.highest_root, coords) <= 1
-
-
 # ---------------------------------------------------------------------------
 # diagram symmetries
 
@@ -158,12 +152,7 @@ def standard_symmetry(datum: RootDatum, kind: str) -> DiagramSymmetry:
 
 
 # ---------------------------------------------------------------------------
-# marks, minuscule nodes, fundamental group
-
-
-def marks(datum: RootDatum) -> tuple[dict[int, int], Vec]:
-    """Marks per extended node and the highest root."""
-    return dict(datum.marks), datum.highest_root
+# minuscule nodes, fundamental group
 
 
 def minuscule_nodes(datum: RootDatum) -> tuple[int, ...]:
@@ -286,14 +275,6 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
     )
 
 
-def z_element(datum: RootDatum, node: int) -> tuple[AffineMap, DiagramSymmetry]:
-    """The linear alcove-stabilizer element of a minuscule node."""
-    group = fundamental_group(datum)
-    if node not in group.elements:
-        raise ValueError(f"node {node} is not minuscule in {datum.label}")
-    return group.weyl[node], group.perm[node]
-
-
 def f_map(datum: RootDatum, node: int) -> AffineMap:
     """The alcove-stabilizing affine map ``z_node + coweight(node)``."""
     group = fundamental_group(datum)
@@ -306,29 +287,8 @@ def f_map(datum: RootDatum, node: int) -> AffineMap:
 # folding into the fundamental alcove
 
 
-@lru_cache(maxsize=None)
-def affine_reflection_generators(datum: RootDatum) -> dict[int, AffineMap]:
-    """Wall reflections of the alcove, keyed by the node of the violated wall."""
-    n = datum.rank
-    gens = {}
-    for i in datum.nodes:
-        col = datum.coroot_coords[i - 1]
-        linear = tuple(
-            tuple((1 if k == j else 0) - (col[k] if j == i - 1 else 0) for j in range(n))
-            for k in range(n)
-        )
-        gens[i] = AffineMap(linear, (0,) * n)
-    hr = datum.highest_root
-    hrv = datum.highest_coroot_coweight
-    linear = tuple(
-        tuple((1 if k == j else 0) - hrv[k] * hr[j] for j in range(n)) for k in range(n)
-    )
-    gens[0] = AffineMap(linear, tuple(hrv))
-    return gens
-
-
 def fold_coords(datum: RootDatum, coords: Vec) -> Vec:
-    """Move a point into the closed alcove by wall reflections (fast path)."""
+    """Move a point into the closed alcove by wall reflections."""
     n = datum.rank
     cur = list(coords)
     hr = datum.highest_root
@@ -348,40 +308,6 @@ def fold_coords(datum: RootDatum, coords: Vec) -> Vec:
             return tuple(cur)
         for k in range(n):
             cur[k] -= excess * hrv[k]
-    raise InvariantViolation("folding did not terminate within the iteration cap")
-
-
-def fold_to_alcove(datum: RootDatum, point) -> tuple[AffinePoint, list[AffineMap]]:
-    """Fold a point into the closed alcove, returning the reflection word.
-
-    The word lists the applied wall reflections in application order, so
-    composing them right-to-left over the input reproduces the output.
-    The wall to reflect in is always the first violated one in the node
-    order 1, ..., rank, 0.
-    """
-    coords = point.coords if isinstance(point, AffinePoint) else tuple(point)
-    gens = affine_reflection_generators(datum)
-    cur = list(coords)
-    word: list[AffineMap] = []
-    n = datum.rank
-    hr = datum.highest_root
-    hrv = datum.highest_coroot_coweight
-    for _ in range(FOLD_ITERATION_CAP):
-        i = next((i for i in range(n) if cur[i] < 0), None)
-        if i is not None:
-            c = cur[i]
-            col = datum.coroot_coords[i]
-            for k in range(n):
-                if col[k]:
-                    cur[k] -= c * col[k]
-            word.append(gens[i + 1])
-            continue
-        excess = vec_dot(hr, cur) - 1
-        if excess <= 0:
-            return affine_point(datum, tuple(cur)), word
-        for k in range(n):
-            cur[k] -= excess * hrv[k]
-        word.append(gens[0])
     raise InvariantViolation("folding did not terminate within the iteration cap")
 
 

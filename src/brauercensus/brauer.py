@@ -68,6 +68,12 @@ class FrobeniusConfig:
     def is_split(self) -> bool:
         return self.rho.is_identity
 
+    def congruence_holds(self, order: int) -> bool:
+        """The congruence hypothesis for a subgroup of the given order:
+        q = 1 mod the order when split, q = -1 mod the order when twisted."""
+        sign = 1 if self.is_split else -1
+        return (self.q - sign) % order == 0
+
 
 def validate_frobenius(datum: RootDatum, config: FrobeniusConfig) -> None:
     validate_symmetry(datum, config.rho)
@@ -215,11 +221,6 @@ def enumerate_subalcoves(
     return tuple(sorted(seen.values(), key=lambda s: s.key))
 
 
-def base_subalcove(subalcoves: Iterable[SubAlcove]) -> SubAlcove:
-    """The translate whose map is the identity (the small alcove itself)."""
-    return next(s for s in subalcoves if s.map.is_identity)
-
-
 @lru_cache(maxsize=None)
 def _stabilizer_composite(
     datum: RootDatum, config: FrobeniusConfig, node: int
@@ -275,66 +276,6 @@ def m_alpha(
     return stable
 
 
-@lru_cache(maxsize=None)
-def q_stabilizer_catalogue(
-    datum: RootDatum, config: FrobeniusConfig
-) -> dict[int, AffineMap]:
-    """The small-alcove stabilizer maps, keyed by minuscule node."""
-    q = config.q
-    out = {}
-    group = fundamental_group(datum)
-    for b in group.elements:
-        rb = config.rho(b)
-        out[b] = AffineMap(
-            group.weyl[rb].linear,
-            tuple(Fraction(x, q) for x in group.lift[rb]),
-        )
-    return out
-
-
-def _point_in_s_q(datum: RootDatum, config: FrobeniusConfig, coords: Vec, cap: int) -> bool:
-    """Whether a point is a base-stabilizer fixed point of some sub-alcove."""
-    mu = frobenius_inverse(datum, config).apply(coords)
-    target = tuple(coords)
-    return any(
-        sub.map.apply(mu) == target for sub in enumerate_subalcoves(datum, config, cap)
-    )
-
-
-def m_of(
-    datum: RootDatum,
-    config: FrobeniusConfig,
-    node: int,
-    cap: int = DEFAULT_SUBALCOVE_CAP,
-) -> int:
-    """The minuscule node whose small-alcove stabilizer matches the
-    conjugated stabilizer of ``node``.
-
-    The image of the small alcove under ``f_node`` is some sub-alcove
-    with map r; the composite r-inverse after f_node must equal one of
-    the catalogued small-alcove stabilizers exactly.  Consistency with
-    the direct membership test (the coweight of ``node`` is a
-    base-stabilizer fixed point iff the answer is ``node`` itself) is
-    asserted.
-    """
-    subalcoves = enumerate_subalcoves(datum, config, cap)
-    fam = f_map(datum, node)
-    base = base_subalcove(subalcoves)
-    target_key = fam.apply(base.key)
-    r = next((s.map for s in subalcoves if s.key == target_key), None)
-    if r is None:
-        raise InvariantViolation("stabilizer image of the small alcove left the alcove")
-    composite = r.inverse().compose(fam)
-    catalogue = q_stabilizer_catalogue(datum, config)
-    match = next((b for b, g in catalogue.items() if g == composite), None)
-    if match is None:
-        raise InvariantViolation("conjugated stabilizer not in the catalogue")
-    lift = fundamental_group(datum).lift[node]
-    if (match == node) != _point_in_s_q(datum, config, lift, cap):
-        raise InvariantViolation("fixed-node test disagrees with the membership test")
-    return match
-
-
 @dataclass(frozen=True)
 class ThetaReport:
     """Fixed points over all stabilizer nodes of a subgroup, with orbits.
@@ -363,10 +304,7 @@ def theta(
     nodes = frozenset(subgroup)
     if not group.is_subgroup(nodes):
         raise ValueError("the given node set is not a subgroup of the fundamental group")
-    order = len(nodes)
-    hyp = (config.is_split and (config.q - 1) % order == 0) or (
-        not config.is_split and (config.q + 1) % order == 0
-    )
+    hyp = config.congruence_holds(len(nodes))
     subalcoves = enumerate_subalcoves(datum, config, cap)
     points: set = set()
     for sub in subalcoves:

@@ -203,7 +203,13 @@ class ClassRecord:
     comp_group: tuple[int, ...]
     f_action: tuple[tuple[int, int], ...]
     fixed_count: int
-    h1_count: int
+
+    @property
+    def h1_count(self) -> int:
+        """Size of the first cohomology of the Frobenius action on the
+        component group, which for a finite abelian group equals the
+        number of fixed elements."""
+        return self.fixed_count
 
     @property
     def comp_group_order(self) -> int:
@@ -222,12 +228,10 @@ class ClassRecord:
 
 def component_F_action(
     config: GroupConfig, subgroup: Iterable[int]
-) -> tuple[dict[int, int], int, int]:
+) -> tuple[dict[int, int], int]:
     """Frobenius action on a subgroup of the isogeny group.
 
-    Returns the action map, the number of fixed elements, and the size
-    of the first cohomology of the action, which coincides with the
-    fixed count for a finite abelian group.
+    Returns the action map and the number of fixed elements.
     """
     nodes = frozenset(subgroup)
     group = fundamental_group(config.datum)
@@ -237,7 +241,7 @@ def component_F_action(
     if set(action.values()) != set(nodes):
         raise ValueError("subgroup is not Frobenius-stable")
     fixed = sum(1 for z, w in action.items() if z == w)
-    return action, fixed, fixed
+    return action, fixed
 
 
 def _classify(config: GroupConfig, rep: AffinePoint) -> ClassRecord:
@@ -252,7 +256,7 @@ def _classify(config: GroupConfig, rep: AffinePoint) -> ClassRecord:
     )
     if not group.is_subgroup(comp_group):
         raise InvariantViolation("point stabilizer is not a subgroup")
-    action, fixed, h1 = component_F_action(config, comp_group)
+    action, fixed = component_F_action(config, comp_group)
     return ClassRecord(
         rep=rep,
         i_lambda=zeros,
@@ -261,7 +265,6 @@ def _classify(config: GroupConfig, rep: AffinePoint) -> ClassRecord:
         comp_group=tuple(sorted(comp_group)),
         f_action=tuple(sorted(action.items())),
         fixed_count=fixed,
-        h1_count=h1,
     )
 
 
@@ -271,10 +274,8 @@ def enumerate_classes(
     """All F-stable semisimple classes, exactly ``q**rank`` of them.
 
     Candidates are the stabilizer fixed points of every sub-alcove over
-    the subgroup's nodes, plus the minuscule alcove vertices (the one
-    family the fixed-point argument does not cover).  Candidates are
-    grouped by canonical orbit key, each orbit is tested once for
-    Frobenius stability, and the survivors are classified.
+    the subgroup's nodes.  They are grouped by canonical orbit key, and
+    every orbit is asserted to be Frobenius-stable and classified.
     """
     datum = config.datum
     q = config.q
@@ -282,24 +283,23 @@ def enumerate_classes(
     if expected > cap:
         raise ResourceCapExceeded(f"census of {expected} classes exceeds the cap {cap}")
     subalcoves = enumerate_subalcoves(datum, config.frob, cap)
-    group = fundamental_group(datum)
 
     candidates: dict[tuple, None] = {}
     for sub in subalcoves:
         for a in sorted(config.a_g):
             candidates[fixed_point(datum, config.frob, sub, a).affine] = None
-    vertex_affines = []
-    for b in minuscule_nodes(datum):
-        aff = affine_point(datum, datum.alcove_vertices[b]).affine
-        vertex_affines.append(aff)
-        candidates[aff] = None
 
     orbits: dict[tuple, None] = {}
     for aff in candidates:
         orbits[orbit_key(config, aff)] = None
 
     # The canonical keys must agree with the pairwise orbit relation on
-    # the vertex candidates, where the key shortcut is least obvious.
+    # the minuscule alcove vertices, where the key shortcut is least
+    # obvious.
+    vertex_affines = [
+        affine_point(datum, datum.alcove_vertices[b]).affine
+        for b in minuscule_nodes(datum)
+    ]
     for i, aff_a in enumerate(vertex_affines):
         pa = point_from_affine(datum, aff_a)
         for aff_b in vertex_affines[i + 1 :]:
@@ -311,8 +311,16 @@ def enumerate_classes(
     records = []
     for key in sorted(orbits):
         rep = point_from_affine(datum, key)
+        # Stable by construction.  A candidate solves x = w(F^-1(f_a(x)))
+        # with w in the q-refined affine Weyl group and a in the isogeny
+        # subgroup, so F(x) = (F w F^-1)(f_a(x)) with F w F^-1 in W_aff:
+        # F(x) folds onto f_a(x), a point of the orbit of x.  Stability
+        # is a property of the orbit, so its key is stable too.
         if f_stable(config, rep) is None:
-            continue
+            raise InvariantViolation(
+                f"{datum.label} {config.isogeny_name()} q={q}: "
+                f"orbit {key} is not F-stable"
+            )
         records.append(_classify(config, rep))
     if len(records) != expected:
         raise InvariantViolation(
@@ -367,13 +375,6 @@ def counts(
     )
 
 
-@dataclass(frozen=True)
-class DisconnectedCheck:
-    family_rule: str
-    expected: int
-    actual: int
-
-
 def expected_disconnected_count(config: GroupConfig) -> tuple[str, int]:
     """The closed-form disconnected-class count for prime-order adjoint
     isogeny groups, per family."""
@@ -402,8 +403,8 @@ def expected_disconnected_count(config: GroupConfig) -> tuple[str, int]:
 
 def disconnected_census_check(
     config: GroupConfig, cap: int = DEFAULT_SUBALCOVE_CAP
-) -> DisconnectedCheck:
-    """Assert the disconnected-class count against its closed form."""
+) -> int:
+    """The disconnected-class count, asserted against its closed form."""
     rule, expected = expected_disconnected_count(config)
     actual = counts(config, cap=cap).n_disconnected
     if actual != expected:
@@ -411,7 +412,7 @@ def disconnected_census_check(
             f"{config.datum.label} q={config.q}: {actual} disconnected classes, "
             f"expected {expected} ({rule})"
         )
-    return DisconnectedCheck(family_rule=rule, expected=expected, actual=actual)
+    return actual
 
 
 @dataclass(frozen=True)
@@ -427,7 +428,8 @@ class DOddComparison:
     q_mod_4: int
 
 
-def d_odd_comparison(config: GroupConfig, cap: int = DEFAULT_SUBALCOVE_CAP) -> DOddComparison:
+def d_odd_comparison(config: GroupConfig, census_counts: CensusCounts) -> DOddComparison:
+    """Compare the counts of this configuration's census with the closed form."""
     datum = config.datum
     if datum.label.family != "D" or datum.rank % 2 == 0:
         raise ValueError("requires an odd-rank D type")
@@ -437,11 +439,10 @@ def d_odd_comparison(config: GroupConfig, cap: int = DEFAULT_SUBALCOVE_CAP) -> D
     n = (datum.rank - 1) // 2
     q = config.q
     closed = q ** (2 * n + 1) + q ** (2 * n - 1) + 2 * q**n
-    c = counts(config, cap=cap)
     return DOddComparison(
-        rational_total=c.rational_total,
+        rational_total=census_counts.rational_total,
         closed_form=closed,
-        agree=c.rational_total == closed,
-        by_component_order=c.by_component_order,
+        agree=census_counts.rational_total == closed,
+        by_component_order=census_counts.by_component_order,
         q_mod_4=q % 4,
     )

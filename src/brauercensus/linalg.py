@@ -115,14 +115,6 @@ def solve_linear(matrix: Mat, rhs: Vec) -> Vec:
     return tuple(sol)
 
 
-def mat_inv(m: Mat) -> Mat:
-    n = len(m)
-    rows, pivots = rref([list(row) + list(unit_vec(n, i)) for i, row in enumerate(m)])
-    if pivots != list(range(n)):
-        raise SingularMatrixError("matrix is not invertible")
-    return tuple(tuple(row[n:]) for row in rows)
-
-
 def nullspace(matrix: Mat) -> tuple[Vec, ...]:
     """Basis of the kernel, as reduced-echelon rows over the rationals."""
     rows, pivots = rref(matrix)
@@ -183,10 +175,6 @@ class AffineMap:
             mat_mul(self.linear, other.linear),
             vec_add(mat_vec(self.linear, other.translation), self.translation),
         )
-
-    def inverse(self) -> "AffineMap":
-        inv = mat_inv(self.linear)
-        return AffineMap(inv, vec_scale(-1, mat_vec(inv, self.translation)))
 
     def fixed_points(self) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
         """The affine subspace of fixed points, or None if there is none."""

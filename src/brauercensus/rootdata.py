@@ -26,7 +26,6 @@ from .linalg import (
     Vec,
     mat_identity,
     mat_transpose,
-    solve_linear,
     vec_dot,
 )
 
@@ -182,10 +181,6 @@ class RootDatum:
         """Coefficients of the coroot in the simple-coroot basis."""
         return self._coroot_of[tuple(root)]
 
-    def pairing(self, root: Vec, coords: Vec):
-        """``<root, x>`` for a point x of V in coweight coordinates."""
-        return vec_dot(root, coords)
-
     @lru_cache(maxsize=None)
     def coroot_coweight(self, root: Vec) -> Vec:
         """Coordinates of the coroot of ``root`` in the coweight basis."""
@@ -198,11 +193,6 @@ class RootDatum:
     def root_pairing(self, root: Vec, other: Vec) -> int:
         """The integer ``<root, other^vee>``."""
         return vec_dot(root, self.coroot_coweight(tuple(other)))
-
-    def reflect_root(self, root: Vec, mirror: Vec) -> Vec:
-        """Image of ``root`` under the reflection in ``mirror``."""
-        k = self.root_pairing(root, mirror)
-        return tuple(r - k * m for r, m in zip(root, mirror))
 
     # -- highest root, marks, extended diagram -------------------------
 
@@ -273,19 +263,6 @@ def build_root_system(label: TypeLabel | str) -> RootDatum:
     return _build(label)
 
 
-def simple_reflection(datum: RootDatum, i: int) -> AffineMap:
-    """The simple reflection ``s_i`` as a linear map on coweight coordinates."""
-    if i not in datum.nodes:
-        raise ValueError(f"node {i} out of range for {datum.label}")
-    n = datum.rank
-    col = datum.coroot_coords[i - 1]
-    linear = tuple(
-        tuple((1 if k == j else 0) - (col[k] if j == i - 1 else 0) for j in range(n))
-        for k in range(n)
-    )
-    return AffineMap(linear, (0,) * n)
-
-
 def longest_element(datum: RootDatum, subset: Iterable[int]) -> AffineMap:
     """Longest element of the parabolic Weyl subgroup on the given nodes.
 
@@ -315,24 +292,6 @@ def longest_element(datum: RootDatum, subset: Iterable[int]) -> AffineMap:
             if ck:
                 mat[k] = [x - ck * y for x, y in zip(mat[k], row_i)]
     return AffineMap(tuple(tuple(r) for r in mat), (0,) * n)
-
-
-def root_action(datum: RootDatum, wmap: AffineMap, root: Vec) -> Vec:
-    """Image of a root under the linear part of a Weyl-group element.
-
-    The linear part acts on V; the induced action on roots is the inverse
-    transpose, which stays integral for Weyl elements.
-    """
-    sol = solve_linear(mat_transpose(wmap.linear), tuple(root))
-    out = []
-    for x in sol:
-        if Fraction(x).denominator != 1:
-            raise InvariantViolation("root image is not integral")
-        out.append(int(x))
-    image = tuple(out)
-    if not datum.is_root(image):
-        raise InvariantViolation("Weyl action did not preserve the root system")
-    return image
 
 
 def _classify_component(datum: RootDatum, comp: list[int]) -> TypeLabel:

@@ -6,12 +6,10 @@ import pytest
 from brauercensus.affine import minuscule_nodes, standard_symmetry
 from brauercensus.brauer import (
     FrobeniusConfig,
-    base_subalcove,
     enumerate_subalcoves,
     fixed_point,
     frobenius_map,
     m_alpha,
-    m_of,
     prime_power,
     theta,
 )
@@ -28,6 +26,11 @@ def split(label, q):
 def twisted(label, q):
     datum = build_root_system(label)
     return datum, FrobeniusConfig(q, standard_symmetry(datum, "twisted"))
+
+
+def base_subalcove(subalcoves):
+    """The translate whose map is the identity (the small alcove itself)."""
+    return next(s for s in subalcoves if s.map.is_identity)
 
 
 def test_prime_power():
@@ -149,17 +152,6 @@ def test_m_alpha_nonzero_and_zero_branches():
     assert len(m_alpha(datum, config, 1)) == 25
     datum, config = split("A2", 3)
     assert m_alpha(datum, config, 1) == ()
-
-
-def test_m_of_values():
-    datum, config = split("A1", 3)
-    assert m_of(datum, config, 0) == 0
-    assert m_of(datum, config, 1) == 1
-    datum, config = split("A2", 2)
-    # q = 2 is not 1 mod 3, so node 1 cannot be fixed by the matching map
-    assert m_of(datum, config, 1) != 1
-    datum, config = split("A2", 7)
-    assert m_of(datum, config, 1) == 1
 
 
 def test_theta_trivial_subgroup():

@@ -15,7 +15,8 @@ from brauercensus.census import (
     make_group_config,
     orbit_equal,
 )
-from brauercensus.errors import ResourceCapExceeded
+from brauercensus import census
+from brauercensus.errors import InvariantViolation, ResourceCapExceeded
 
 
 def point(config, *coords):
@@ -103,15 +104,15 @@ def test_enumerate_classes_a1():
 
 def test_component_f_action_split_and_twisted():
     split = make_group_config("E6", "ad", 2)
-    action, fixed, h1 = component_F_action(split, split.a_g)
-    assert fixed == 1 and h1 == 1
+    action, fixed = component_F_action(split, split.a_g)
+    assert fixed == 1
     assert action[1] == 6  # inversion: q = 2 squares the order-3 element
     tw = make_group_config("E6", "ad", 2, twisted=True)
-    action, fixed, h1 = component_F_action(tw, tw.a_g)
+    action, fixed = component_F_action(tw, tw.a_g)
     assert fixed == 3
     assert action[1] == 1
     q7 = make_group_config("A2", "ad", 7)
-    _, fixed, _ = component_F_action(q7, q7.a_g)
+    _, fixed = component_F_action(q7, q7.a_g)
     assert fixed == 3  # q = 1 mod 3: trivial action
 
 
@@ -178,9 +179,9 @@ def test_d4_triality_census():
 
 
 def test_disconnected_check_families():
-    assert disconnected_census_check(make_group_config("A2", "ad", 5)).actual == 1
-    assert disconnected_census_check(make_group_config("C4", "ad", 3)).actual == 9
-    assert disconnected_census_check(make_group_config("E6", "ad", 2)).actual == 4
+    assert disconnected_census_check(make_group_config("A2", "ad", 5)) == 1
+    assert disconnected_census_check(make_group_config("C4", "ad", 3)) == 9
+    assert disconnected_census_check(make_group_config("E6", "ad", 2)) == 4
 
 
 def test_disconnected_check_preconditions():
@@ -192,6 +193,14 @@ def test_disconnected_check_preconditions():
         expected_disconnected_count(make_group_config("A1", "sc", 3))  # trivial
 
 
+def test_unstable_orbit_raises(monkeypatch):
+    # Stability is asserted, not filtered on: an orbit that fails the
+    # test stops the census and names the configuration.
+    monkeypatch.setattr(census, "f_stable", lambda config, rep: None)
+    with pytest.raises(InvariantViolation, match="A2 sc q=3: orbit .* is not F-stable"):
+        enumerate_classes(make_group_config("A2", "sc", 3))
+
+
 def test_enumeration_cap():
     cfg = make_group_config("E6", "ad", 3)
     with pytest.raises(ResourceCapExceeded):
@@ -200,11 +209,13 @@ def test_enumeration_cap():
 
 def test_d_odd_comparison_shape():
     cfg = make_group_config("D3", "ad", 3)
-    rep = d_odd_comparison(cfg)
+    c = counts(cfg)
+    rep = d_odd_comparison(cfg, c)
     assert rep.closed_form == 3**3 + 3 + 2 * 3
-    assert rep.rational_total == counts(cfg).rational_total
+    assert rep.rational_total == c.rational_total
+    d4 = make_group_config("D4", "ad", 3)
     with pytest.raises(ValueError):
-        d_odd_comparison(make_group_config("D4", "ad", 3))
+        d_odd_comparison(d4, counts(d4))
 
 
 def test_component_groups_are_subgroups():

@@ -2,9 +2,12 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+from brauercensus import cli
 from brauercensus.cli import (
+    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE,
+    Check,
     census_report,
     classical_invariant_dimension,
     main,
@@ -106,6 +109,42 @@ def test_usage_errors():
     assert run(["census", "--type", "B3", "--isogeny", "ad", "--q", "3", "--twisted"])[0] == EXIT_USAGE
     assert run(["verify", "--suite", "nope"])[0] == EXIT_USAGE
     assert run(["bogus"])[0] == EXIT_USAGE
+    assert run(["census", "--type", "A2", "--q", "3", "--max-subalcoves", "-5"])[0] == EXIT_USAGE
+    assert run(["census", "--type", "A2", "--q", "3", "--max-subalcoves", "0"])[0] == EXIT_USAGE
+    assert run(["verify", "--suite", "table1", "--max-subalcoves", "0"])[0] == EXIT_USAGE
+    code, out, err = run(["verify", "--suite", "table1", "--types", "X9"])
+    assert code == EXIT_USAGE and out == "" and "select no check" in err
+
+
+def test_verify_info_lines_are_never_passes(monkeypatch):
+    def suite(law_holds):
+        return lambda **_: [
+            Check("stub/value", None, "recorded"),
+            Check("stub/law", law_holds, "asserted"),
+        ]
+
+    monkeypatch.setitem(cli.SUITES, "stub", suite(True))
+    code, out, _ = run(["verify", "--suite", "stub"])
+    assert code == EXIT_OK
+    assert out == "INFO\tstub/value\trecorded\nPASS\tstub/law\tasserted\n"
+    monkeypatch.setitem(cli.SUITES, "stub", suite(False))
+    code, out, _ = run(["verify", "--suite", "stub"])
+    assert code == EXIT_INVARIANT
+    assert out.splitlines()[1] == "FAIL\tstub/law\tasserted"
+
+
+def test_d_odd_stratum_lines_can_fail(monkeypatch):
+    # The suite's D5 q=5 census takes a minute.  The stratum identity
+    # rests on the congruence hypothesis, which fails at q=3 for the
+    # order-4 group, so there every stratum line must read FAIL.
+    monkeypatch.setattr(
+        cli, "make_group_config", lambda *args, **kw: make_group_config("D5", "ad", 3)
+    )
+    code, out, _ = run(["verify", "--suite", "d-odd"])
+    lines = [line.split("\t")[:2] for line in out.splitlines()]
+    assert code == EXIT_INVARIANT
+    assert [status for status, name in lines if "stratum" in name] == ["FAIL"] * 4
+    assert lines[-1] == ["INFO", "d-odd/D5-q5/closed-form"]
 
 
 def test_resource_cap_exit():

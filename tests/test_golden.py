@@ -1,0 +1,49 @@
+"""Stdout of the command line is byte-identical to the recorded digests.
+
+Every ``census``, ``info`` and ``verify`` invocation of the benchmark's
+workloads (``perfbench/run.py``) runs in-process through ``cli.main``,
+and the sha256 of its stdout must equal the digest recorded for it in
+``perfbench/golden.json``.
+"""
+
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from brauercensus import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _benchmark_module():
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN = json.loads((BENCH / "golden.json").read_text())
+INVOCATIONS = sorted(
+    {
+        inv.name: inv.argv
+        for workload in _benchmark_module().WORKLOADS.values()
+        for inv in workload.invocations
+        if inv.argv[0] in ("census", "info", "verify")
+    }.items()
+)
+
+
+@pytest.mark.parametrize("name,argv", INVOCATIONS, ids=[name for name, _ in INVOCATIONS])
+def test_stdout_matches_golden_digest(name, argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(list(argv))
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[name]
