@@ -3,35 +3,36 @@ affine Weyl group, their fixed points, and stabilizer bookkeeping.
 
 A Frobenius configuration consists of a prime power q and a diagram
 symmetry rho; the Frobenius acts on V as q times the coweight
-permutation induced by rho inverse, so its inverse contracts V by 1/q.
-The image of the alcove under that contraction (the small alcove) tiles
-the alcove in exactly ``q**rank`` translates under the q-refined affine
-Weyl group, which this module enumerates exactly by reflecting across
-walls.  Each translate carries a unique point fixed by the composite
-"translate after Frobenius-inverse after alcove stabilizer", computed
-by an exact linear solve.
+permutation induced by rho inverse, so its inverse contracts V by 1/q
+and sends alcove vertex b to vertex rho(b) of the small alcove.  The
+small alcove tiles the alcove in exactly ``q**rank`` translates under
+the q-refined affine Weyl group, which this module enumerates by
+reflecting across walls, in coweight coordinates scaled by
+``S = q * lcm(marks)`` so that all of it is integer arithmetic.  Each
+translate carries a unique point fixed by "translate after
+Frobenius-inverse after alcove stabilizer", solved from the images of
+the alcove vertices.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Optional
 
 from .affine import (
     AffinePoint,
     DiagramSymmetry,
-    affine_point,
-    f_map,
     fundamental_group,
     hyperplane_containment,
     invariant_space,
+    point_from_affine,
     validate_symmetry,
 )
 from .errors import InvariantViolation, ResourceCapExceeded
-from .linalg import AffineMap, Vec, vec_dot
+from .linalg import AffineMap, Vec, solve_linear, vec_dot
 from .rootdata import RootDatum
 
 DEFAULT_SUBALCOVE_CAP = 10**6
@@ -99,35 +100,32 @@ def frobenius_map(datum: RootDatum, config: FrobeniusConfig) -> AffineMap:
     )
 
 
-@lru_cache(maxsize=None)
-def frobenius_inverse(datum: RootDatum, config: FrobeniusConfig) -> AffineMap:
-    validate_frobenius(datum, config)
-    mat = coweight_permutation_matrix(datum, config.rho)
-    return AffineMap(
-        tuple(tuple(Fraction(x, config.q) for x in row) for row in mat),
-        (0,) * datum.rank,
-    )
+def scale(datum: RootDatum, q: int) -> int:
+    """The unit ``S = q * lcm(marks)`` in which the complex is integral."""
+    return q * lcm(*datum.marks.values())
+
+
+def _scaled_affine(datum: RootDatum, total: int, vec: Vec) -> tuple[int, ...]:
+    """Affine coordinates of ``vec / total``, multiplied by ``total``."""
+    simple = tuple(datum.marks[i] * vec[i - 1] for i in datum.nodes)
+    return (total - sum(simple),) + simple
 
 
 @dataclass(frozen=True)
 class SubAlcove:
-    """One translate of the small alcove inside the fundamental alcove.
+    """One translate of the small alcove inside the fundamental alcove,
+    in coweight coordinates scaled by ``S = scale(datum, q)``.
 
     ``vertices[j]`` is the image of the j-th small-alcove vertex (vertex
-    0 is the image of the origin), ``walls[j]`` the pair (positive root,
-    constant) of the hyperplane through the facet opposite vertex j, and
-    ``key`` the barycenter, which identifies the simplex uniquely.
+    0 is the image of the origin), ``walls[j]`` the pair (positive root
+    beta, k) of the hyperplane ``<beta, X> = k`` through the facet
+    opposite vertex j, and ``key`` the vertex sum, which identifies the
+    simplex uniquely.
     """
 
-    map: AffineMap
     vertices: tuple[Vec, ...]
     key: Vec
-    walls: tuple[tuple[Vec, Fraction], ...]
-
-
-def _barycenter(vertices: tuple[Vec, ...]) -> Vec:
-    m = len(vertices)
-    return tuple(Fraction(sum(col), m) for col in zip(*vertices))
+    walls: tuple[tuple[Vec, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -137,9 +135,10 @@ def enumerate_subalcoves(
     """All ``q**rank`` sub-alcoves, found by breadth-first wall reflection.
 
     Each neighbor of a sub-alcove is its mirror image across one of its
-    rank+1 walls; a candidate survives when its reflected apex stays in
-    the closed alcove (the shared facet already does).  The exact count
-    is enforced as a postcondition.
+    rank+1 walls: the apex opposite the wall ``(beta, k)`` moves to
+    ``apex - (<beta, apex> - k) * beta^vee``, and a candidate survives
+    when that stays in the closed alcove (the shared facet already
+    does).  The exact count is enforced as a postcondition.
     """
     validate_frobenius(datum, config)
     n = datum.rank
@@ -150,102 +149,101 @@ def enumerate_subalcoves(
             f"{datum.label}, q={q}: {expected} sub-alcoves exceed the cap {cap}"
         )
     hr = datum.highest_root
+    s = scale(datum, q)
 
-    base_vertices = [(Fraction(0),) * n]
-    for i in datum.nodes:
-        base_vertices.append(
-            tuple(
-                Fraction(1, q * datum.marks[i]) if j == i - 1 else Fraction(0)
-                for j in range(n)
-            )
-        )
-    base_walls = [(hr, Fraction(1, q))]
-    for i in datum.nodes:
-        base_walls.append((datum.node_root(i), Fraction(0)))
-    base = SubAlcove(
-        map=AffineMap.identity(n),
-        vertices=tuple(base_vertices),
-        key=_barycenter(tuple(base_vertices)),
-        walls=tuple(base_walls),
+    base_vertices = ((0,) * n,) + tuple(
+        tuple(s // (q * datum.marks[i]) if j == i - 1 else 0 for j in range(n))
+        for i in datum.nodes
     )
-
-    def reflection(beta: Vec, c: Fraction) -> AffineMap:
-        bv = datum.coroot_coweight(beta)
-        linear = tuple(
-            tuple((1 if k == j else 0) - bv[k] * beta[j] for j in range(n))
-            for k in range(n)
-        )
-        return AffineMap(linear, tuple(c * x for x in bv))
+    base_walls = ((hr, s // q),) + tuple((datum.node_root(i), 0) for i in datum.nodes)
+    base = SubAlcove(base_vertices, tuple(map(sum, zip(*base_vertices))), base_walls)
 
     seen = {base.key: base}
     queue = deque([base])
     while queue:
         cur = queue.popleft()
-        for j, (beta, c) in enumerate(cur.walls):
+        for j, (beta, k) in enumerate(cur.walls):
             bv = datum.coroot_coweight(beta)
             apex = cur.vertices[j]
-            offset = vec_dot(beta, apex) - c
+            offset = vec_dot(beta, apex) - k
             new_apex = tuple(x - offset * y for x, y in zip(apex, bv))
-            if any(x < 0 for x in new_apex) or vec_dot(hr, new_apex) > 1:
+            if any(x < 0 for x in new_apex) or vec_dot(hr, new_apex) > s:
                 continue
-            new_vertices = cur.vertices[:j] + (new_apex,) + cur.vertices[j + 1 :]
-            key = _barycenter(new_vertices)
+            key = tuple(x - offset * y for x, y in zip(cur.key, bv))
             if key in seen:
                 continue
             if len(seen) >= cap:
                 raise ResourceCapExceeded("sub-alcove cap exceeded during search")
             new_walls = []
-            for k, (gamma, d) in enumerate(cur.walls):
-                if k == j:
+            for i, (gamma, d) in enumerate(cur.walls):
+                if i == j:
                     new_walls.append((gamma, d))
                     continue
                 pairing = vec_dot(gamma, bv)
                 image = tuple(g - pairing * b for g, b in zip(gamma, beta))
-                d2 = d - c * pairing
+                d2 = d - k * pairing
                 if any(x < 0 for x in image):
                     image = tuple(-x for x in image)
                     d2 = -d2
                 new_walls.append((image, d2))
-            sub = SubAlcove(
-                map=reflection(beta, c).compose(cur.map),
-                vertices=new_vertices,
-                key=key,
-                walls=tuple(new_walls),
-            )
+            vertices = cur.vertices[:j] + (new_apex,) + cur.vertices[j + 1 :]
+            sub = SubAlcove(vertices, key, tuple(new_walls))
             seen[key] = sub
             queue.append(sub)
     if len(seen) != expected:
         raise InvariantViolation(
             f"{datum.label}, q={q}: found {len(seen)} sub-alcoves, expected {expected}"
         )
-    return tuple(sorted(seen.values(), key=lambda s: s.key))
-
-
-@lru_cache(maxsize=None)
-def _stabilizer_composite(
-    datum: RootDatum, config: FrobeniusConfig, node: int
-) -> AffineMap:
-    """Frobenius-inverse after the alcove stabilizer of a minuscule node."""
-    return frobenius_inverse(datum, config).compose(f_map(datum, node))
+    return tuple(sorted(seen.values(), key=lambda sub: sub.key))
 
 
 def fixed_point(
     datum: RootDatum, config: FrobeniusConfig, sub: SubAlcove, node: int
 ) -> AffinePoint:
-    """The unique fixed point of ``sub.map`` after Frobenius-inverse after
-    the stabilizer of ``node``; it always lies inside the sub-alcove.
+    """The unique fixed point of ``sub`` after Frobenius-inverse after the
+    stabilizer of ``node``; it always lies inside the sub-alcove.
 
-    The composite contracts distances by 1/q, so the exact linear solve
-    cannot be singular, and the resulting coordinates have denominators
-    coprime to the field characteristic.
+    The map sends alcove vertex b to ``sub.vertices[rho(perm(b))]``, so
+    in affine coordinates (barycentric for the alcove vertices) it is the
+    matrix whose column b holds that vertex's affine coordinates; scaled
+    by S it is an integer matrix N with column sums S.  The fixed point
+    solves ``(N - S*I) x = 0``, its first equation (implied by the rest)
+    replaced by ``sum(x) = 1``.  The map contracts by 1/q, so the system
+    is never singular, and the denominators are coprime to p.
     """
-    composite = sub.map.compose(_stabilizer_composite(datum, config, node))
-    coords = composite.unique_fixed_point()
+    group = fundamental_group(datum)
+    if node not in group.perm:
+        raise ValueError(f"node {node} is not minuscule in {datum.label}")
+    s = scale(datum, config.q)
+    perm, rho = group.perm[node], config.rho
+    columns = [
+        _scaled_affine(datum, s, sub.vertices[rho(perm(b))])
+        for b in datum.extended_nodes
+    ]
+    rows = [[col[i] for col in columns] for i in datum.extended_nodes]
+    for i, row in enumerate(rows):
+        row[i] -= s
+    rows[0] = [1] * len(rows)
+    point = point_from_affine(datum, solve_linear(rows, (1,) + (0,) * datum.rank))
     p = config.p
-    for x in coords:
-        if Fraction(x).denominator % p == 0:
+    for x in point.coords:
+        if x.denominator % p == 0:
             raise InvariantViolation("fixed point has a denominator divisible by p")
-    return affine_point(datum, coords)
+    return point
+
+
+@lru_cache(maxsize=None)
+def cell_fixed_points(
+    datum: RootDatum, config: FrobeniusConfig, nodes: frozenset[int], cap: int
+) -> tuple[tuple, ...]:
+    """Affine coordinates of the distinct fixed points of every sub-alcove
+    over the given stabilizer nodes, solved once per configuration and
+    shared by the census and ``theta``."""
+    points: dict[tuple, None] = {}
+    for sub in enumerate_subalcoves(datum, config, cap):
+        for a in sorted(nodes):
+            points[fixed_point(datum, config, sub, a).affine] = None
+    return tuple(points)
 
 
 def m_alpha(
@@ -260,20 +258,21 @@ def m_alpha(
     contained in no hyperplane of the q-refined arrangement, and zero
     otherwise; both branches are enforced.
     """
-    fam = f_map(datum, node)
-    stable = tuple(
-        sub
-        for sub in enumerate_subalcoves(datum, config, cap)
-        if fam.apply(sub.key) == sub.key
-    )
     contained = hyperplane_containment(datum, node, config.q)
     expected = 0 if contained is not None else config.q ** invariant_space(datum, node).dimension
+    group = fundamental_group(datum)
+    total = scale(datum, config.q) * (datum.rank + 1)
+    stable = []
+    for sub in enumerate_subalcoves(datum, config, cap):
+        key = _scaled_affine(datum, total, sub.key)
+        if group.apply_to_affine(node, key) == key:
+            stable.append(sub)
     if len(stable) != expected:
         raise InvariantViolation(
             f"{datum.label}, q={config.q}, node {node}: "
             f"{len(stable)} stable sub-alcoves, expected {expected}"
         )
-    return stable
+    return tuple(stable)
 
 
 @dataclass(frozen=True)
@@ -305,13 +304,9 @@ def theta(
     if not group.is_subgroup(nodes):
         raise ValueError("the given node set is not a subgroup of the fundamental group")
     hyp = config.congruence_holds(len(nodes))
-    subalcoves = enumerate_subalcoves(datum, config, cap)
-    points: set = set()
-    for sub in subalcoves:
-        for a in sorted(nodes):
-            points.add(fixed_point(datum, config, sub, a).affine)
+    points = tuple(sorted(cell_fixed_points(datum, config, nodes, cap)))
 
-    index = {aff: i for i, aff in enumerate(sorted(points))}
+    index = {aff: i for i, aff in enumerate(points)}
     parent = list(range(len(index)))
 
     def find(i):
@@ -347,7 +342,7 @@ def theta(
             if any(group.apply_to_affine(a, aff) == aff for aff in orbit)
         )
     return ThetaReport(
-        points=tuple(sorted(points)),
+        points=points,
         orbits=orbits,
         orbit_count=len(orbits),
         strata=strata,

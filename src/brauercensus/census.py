@@ -32,8 +32,7 @@ from .affine import (
 from .brauer import (
     DEFAULT_SUBALCOVE_CAP,
     FrobeniusConfig,
-    enumerate_subalcoves,
-    fixed_point,
+    cell_fixed_points,
     frobenius_map,
     validate_frobenius,
 )
@@ -282,12 +281,7 @@ def enumerate_classes(
     expected = q**datum.rank
     if expected > cap:
         raise ResourceCapExceeded(f"census of {expected} classes exceeds the cap {cap}")
-    subalcoves = enumerate_subalcoves(datum, config.frob, cap)
-
-    candidates: dict[tuple, None] = {}
-    for sub in subalcoves:
-        for a in sorted(config.a_g):
-            candidates[fixed_point(datum, config.frob, sub, a).affine] = None
+    candidates = cell_fixed_points(datum, config.frob, config.a_g, cap)
 
     orbits: dict[tuple, None] = {}
     for aff in candidates:

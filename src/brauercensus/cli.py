@@ -82,6 +82,22 @@ TABLE3_CONFIGS = (
     ("E7", 3, False, 81),
 )
 
+E6E7_CASES = (
+    # (check name, type, q, twisted, rational total, disconnected classes,
+    # note printed in place of the disconnected count)
+    ("E6-ad-q2-twisted", "E6", 2, True, 72, 4, None),
+    ("E6-ad-q2-split", "E6", 2, False, 64, 4, "central action nontrivial at q=2"),
+    ("E7-ad-q3", "E7", 3, False, 2268, 81, None),
+)
+
+THETA_CASES = (
+    ("A2", 7, False),
+    ("A2", 5, True),
+    ("E6", 2, True),
+)
+
+D_ODD_CASE = ("D5", 5)
+
 
 def classical_invariant_dimension(label: TypeLabel, node: int) -> int:
     """Closed-form fixed-space dimensions per family and minuscule node.
@@ -255,14 +271,15 @@ class Check:
         return "PASS" if self.ok else "FAIL"
 
 
+def _selected(label, q, max_q, types) -> bool:
+    return (not types or label in types) and (not max_q or q <= max_q)
+
+
 def _grid(max_q=None, types=None):
     for label, qs in SUBALCOVE_GRID:
-        if types and label not in types:
-            continue
         for q in qs:
-            if max_q and q > max_q:
-                continue
-            yield label, q
+            if _selected(label, q, max_q, types):
+                yield label, q
 
 
 def suite_table1(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
@@ -316,9 +333,7 @@ def suite_table2(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
 def suite_table3(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
     checks = []
     for label, q, twisted, expected in TABLE3_CONFIGS:
-        if types and label not in types:
-            continue
-        if max_q and q > max_q:
+        if not _selected(label, q, max_q, types):
             continue
         config = make_group_config(label, "ad", q, twisted=twisted)
         try:
@@ -337,7 +352,7 @@ def suite_steinberg(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
     seen = set()
     configs = [(label, q, False) for label, q in _grid(max_q, types)]
     for label, q, twisted, _ in TABLE3_CONFIGS:
-        if (not types or label in types) and (not max_q or q <= max_q):
+        if _selected(label, q, max_q, types):
             configs.append((label, q, twisted))
     for label, q, twisted in configs:
         if (label, q, twisted) in seen:
@@ -386,41 +401,21 @@ def suite_alovefixe(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
 
 def suite_e6e7(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
     checks = []
-    c = counts(make_group_config("E6", "ad", 2, twisted=True), cap=cap)
-    checks.append(
-        Check(
-            "e6e7/E6-ad-q2-twisted",
-            c.rational_total == 72 and c.n_disconnected == 4,
-            f"rational={c.rational_total} n_disconnected={c.n_disconnected}",
-        )
-    )
-    c = counts(make_group_config("E6", "ad", 2, twisted=False), cap=cap)
-    checks.append(
-        Check(
-            "e6e7/E6-ad-q2-split",
-            c.rational_total == 64 and c.n_disconnected == 4,
-            f"rational={c.rational_total} (central action nontrivial at q=2)",
-        )
-    )
-    c = counts(make_group_config("E7", "ad", 3), cap=cap)
-    checks.append(
-        Check(
-            "e6e7/E7-ad-q3",
-            c.rational_total == 2268 and c.n_disconnected == 81,
-            f"rational={c.rational_total} n_disconnected={c.n_disconnected}",
-        )
-    )
+    for name, label, q, twisted, rational, disconnected, note in E6E7_CASES:
+        if not _selected(label, q, max_q, types):
+            continue
+        c = counts(make_group_config(label, "ad", q, twisted=twisted), cap=cap)
+        ok = c.rational_total == rational and c.n_disconnected == disconnected
+        shown = f"({note})" if note else f"n_disconnected={c.n_disconnected}"
+        checks.append(Check(f"e6e7/{name}", ok, f"rational={c.rational_total} {shown}"))
     return checks
 
 
 def suite_theta(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
     checks = []
-    cases = (
-        ("A2", 7, False),
-        ("A2", 5, True),
-        ("E6", 2, True),
-    )
-    for label, q, twisted in cases:
+    for label, q, twisted in THETA_CASES:
+        if not _selected(label, q, max_q, types):
+            continue
         config = make_group_config(label, "ad", q, twisted=twisted)
         report = theta(config.datum, config.frob, config.a_g, cap)
         ok = report.hypotheses_hold and report.orbit_count == q**config.rank
@@ -434,37 +429,31 @@ def suite_theta(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
 
 
 def suite_d_odd(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
-    checks = []
-    config = make_group_config("D5", "ad", 5)
+    label, q = D_ODD_CASE
+    if not _selected(label, q, max_q, types):
+        return []
+    name = f"d-odd/{label}-q{q}"
+    config = make_group_config(label, "ad", q)
+    total = q**config.rank
     c = counts(config, cap=cap)
-    checks.append(
-        Check(
-            "d-odd/D5-q5/partition",
-            c.geometric_total == 5**5,
-            f"geometric={c.geometric_total}",
-        )
-    )
+    detail = f"geometric={c.geometric_total}"
+    checks = [Check(f"{name}/partition", c.geometric_total == total, detail)]
     report = theta(config.datum, config.frob, config.a_g, cap)
-    checks.append(
-        Check(
-            "d-odd/D5-q5/orbits",
-            report.orbit_count == 5**5,
-            f"orbits={report.orbit_count} strata={report.strata}",
-        )
-    )
+    detail = f"orbits={report.orbit_count} strata={report.strata}"
+    checks.append(Check(f"{name}/orbits", report.orbit_count == total, detail))
     for a in sorted(config.a_g):
-        dim = invariant_space(config.datum, a).dimension
+        want = q ** invariant_space(config.datum, a).dimension
         checks.append(
             Check(
-                f"d-odd/D5-q5/stratum-node{a}",
-                report.hypotheses_hold and report.strata[a] == 5**dim,
-                f"orbit_stratum={report.strata[a]} q^dim={5**dim}",
+                f"{name}/stratum-node{a}",
+                report.hypotheses_hold and report.strata[a] == want,
+                f"orbit_stratum={report.strata[a]} q^dim={want}",
             )
         )
     d = d_odd_comparison(config, c)
     checks.append(
         Check(
-            "d-odd/D5-q5/closed-form",
+            f"{name}/closed-form",
             None,
             f"rational_total={d.rational_total} closed_form={d.closed_form} "
             f"agree={d.agree} q_mod_4={d.q_mod_4}",
@@ -476,7 +465,7 @@ def suite_d_odd(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
 def suite_oracle(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
     checks = []
     for q in (3, 5, 7):
-        if max_q and q > max_q:
+        if not _selected("A1", q, max_q, types):
             continue
         for iso, kind in (("sc", "SL2"), ("ad", "PGL2")):
             config = make_group_config("A1", iso, q)

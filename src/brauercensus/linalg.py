@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple
@@ -95,24 +96,34 @@ def rref(matrix: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def solve_linear(matrix: Mat, rhs: Vec) -> Vec:
-    """Solve a square system with a unique solution, exactly."""
+    """Solve a square system with a unique solution, exactly, by
+    fraction-free (Bareiss) elimination: the equations are scaled to
+    integers, each step divides exactly by the previous pivot, and the
+    solution is integer numerators over the determinant (up to sign)."""
     n = len(rhs)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    aug = []
+    for row, b in zip(matrix, rhs):
+        row = (*row, b)
+        den = lcm(*(x.denominator for x in row))
+        aug.append([int(x * den) for x in row])
+    prev = 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
         if pivot is None:
             raise SingularMatrixError("singular coefficient matrix")
         aug[c], aug[pivot] = aug[pivot], aug[c]
         prow = aug[c]
+        p = prow[c]
         for i in range(c + 1, n):
-            if aug[i][c] != 0:
-                f = Fraction(aug[i][c], 1) / prow[c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], prow)]
-    sol = [Fraction(0)] * n
+            f = aug[i][c]
+            aug[i] = [(p * x - f * y) // prev for x, y in zip(aug[i], prow)]
+        prev = p
+    nums = [0] * n
     for i in range(n - 1, -1, -1):
-        s = aug[i][n] - sum(aug[i][j] * sol[j] for j in range(i + 1, n))
-        sol[i] = Fraction(s, 1) / aug[i][i]
-    return tuple(sol)
+        row = aug[i]
+        s = prev * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))
+        nums[i] = s // row[i]
+    return tuple(Fraction(x, prev) for x in nums)
 
 
 def nullspace(matrix: Mat) -> tuple[Vec, ...]:
@@ -162,10 +173,6 @@ class AffineMap:
     def dim(self) -> int:
         return len(self.translation)
 
-    @property
-    def is_identity(self) -> bool:
-        return self == AffineMap.identity(self.dim)
-
     def apply(self, v: Vec) -> Vec:
         return vec_add(mat_vec(self.linear, v), self.translation)
 
@@ -180,10 +187,6 @@ class AffineMap:
         """The affine subspace of fixed points, or None if there is none."""
         m = mat_sub(self.linear, mat_identity(self.dim))
         return solve_affine(m, vec_scale(-1, self.translation))
-
-    def unique_fixed_point(self) -> Vec:
-        m = mat_sub(mat_identity(self.dim), self.linear)
-        return solve_linear(m, self.translation)
 
 
 def hermite_normal_form(generators: Iterable[Sequence[int]]) -> tuple[Vec, ...]:

@@ -32,6 +32,8 @@ from brauercensus.cli import (
     SUBALCOVE_GRID,
     TABLE1_TYPES,
     TABLE2_WITNESSES,
+    TABLE3_CONFIGS,
+    THETA_CASES,
     classical_invariant_dimension,
 )
 from brauercensus.oracle import (
@@ -102,18 +104,8 @@ def test_c03_stable_subalcove_counts():
     _passline(3, f"stable sub-alcove law on {total} (type, q, node) triples")
 
 
-TABLE3_CASES = [
-    ("A2", 5, False, 1),
-    ("B3", 5, False, 25),
-    ("C4", 3, False, 9),
-    ("E6", 2, False, 4),
-    ("E6", 2, True, 4),
-    ("E7", 3, False, 81),
-]
-
-
 def test_c04_disconnected_class_counts():
-    for label, q, twisted, expected in TABLE3_CASES:
+    for label, q, twisted, expected in TABLE3_CONFIGS:
         config = make_group_config(label, "ad", q, twisted=twisted)
         assert disconnected_census_check(config) == expected
     _passline(4, "disconnected counts 1, 25, 9, 4, 4, 81 for the six listed configs")
@@ -134,7 +126,7 @@ def _criterion_2_to_5_configs():
     for label, qs in SUBALCOVE_GRID:
         for q in qs:
             yield label, q, False
-    for label, q, twisted, _ in TABLE3_CASES:
+    for label, q, twisted, _ in TABLE3_CONFIGS:
         yield label, q, twisted
     yield "E6", 2, True
     yield "E7", 3, False
@@ -191,8 +183,7 @@ def test_c08_invariant_witness_points():
 
 
 def test_c09_theta_orbit_counts_and_strata():
-    cases = [("A2", 7, False), ("A2", 5, True), ("E6", 2, True)]
-    for label, q, twisted in cases:
+    for label, q, twisted in THETA_CASES:
         config = make_group_config(label, "ad", q, twisted=twisted)
         report = theta(config.datum, config.frob, config.a_g)
         assert report.hypotheses_hold

@@ -3,18 +3,22 @@ from math import factorial
 
 import pytest
 
-from brauercensus.affine import minuscule_nodes, standard_symmetry
+from brauercensus import brauer
+from brauercensus.affine import f_map, minuscule_nodes, standard_symmetry
 from brauercensus.brauer import (
     FrobeniusConfig,
+    coweight_permutation_matrix,
     enumerate_subalcoves,
     fixed_point,
     frobenius_map,
     m_alpha,
     prime_power,
+    scale,
     theta,
 )
+from brauercensus.census import enumerate_classes, make_group_config
 from brauercensus.errors import ResourceCapExceeded
-from brauercensus.linalg import vec_sub
+from brauercensus.linalg import AffineMap, mat_identity, mat_sub, solve_linear
 from brauercensus.rootdata import build_root_system
 
 
@@ -28,9 +32,44 @@ def twisted(label, q):
     return datum, FrobeniusConfig(q, standard_symmetry(datum, "twisted"))
 
 
-def base_subalcove(subalcoves):
-    """The translate whose map is the identity (the small alcove itself)."""
-    return next(s for s in subalcoves if s.map.is_identity)
+def base_subalcove(datum, q, subalcoves):
+    """The small alcove itself: vertex j is alcove vertex j scaled by 1/q."""
+    s = scale(datum, q)
+    vertices = tuple(tuple(s * x / q for x in v) for v in datum.alcove_vertices)
+    return next(sub for sub in subalcoves if sub.vertices == vertices)
+
+
+def subalcove_map(datum, q, sub):
+    """The affine map carrying the small alcove onto ``sub``, rebuilt from
+    its vertex images in unscaled coweight coordinates: the origin goes
+    to vertex 0, and the small-alcove vertex on coweight i to vertex i."""
+    s = scale(datum, q)
+    origin = sub.vertices[0]
+    linear = tuple(
+        tuple(
+            Fraction((sub.vertices[i][k] - origin[k]) * q * datum.marks[i], s)
+            for i in datum.nodes
+        )
+        for k in range(datum.rank)
+    )
+    return AffineMap(linear, tuple(Fraction(x, s) for x in origin))
+
+
+def reference_fixed_point(datum, config, sub, node):
+    """Coweight coordinates of the fixed point of the sub-alcove map after
+    Frobenius-inverse after the stabilizer, by map composition and a
+    linear solve."""
+    q = config.q
+    perm = coweight_permutation_matrix(datum, config.rho)
+    f_inverse = AffineMap(
+        tuple(tuple(Fraction(x, q) for x in row) for row in perm), (0,) * datum.rank
+    )
+    composite = subalcove_map(datum, q, sub).compose(
+        f_inverse.compose(f_map(datum, node))
+    )
+    return solve_linear(
+        mat_sub(mat_identity(datum.rank), composite.linear), composite.translation
+    )
 
 
 def test_prime_power():
@@ -49,12 +88,9 @@ def test_frobenius_config_rejects_bad_q():
 def test_subalcoves_one_dimensional():
     datum, config = split("A1", 3)
     subs = enumerate_subalcoves(datum, config)
+    assert scale(datum, 3) == 3
     intervals = sorted(tuple(sorted(v[0] for v in s.vertices)) for s in subs)
-    assert intervals == [
-        (Fraction(0), Fraction(1, 3)),
-        (Fraction(1, 3), Fraction(2, 3)),
-        (Fraction(2, 3), Fraction(1)),
-    ]
+    assert intervals == [(0, 1), (1, 2), (2, 3)]
 
 
 @pytest.mark.parametrize("label,q", [("A2", 2), ("A2", 3), ("B2", 3), ("G2", 2), ("E6", 2)])
@@ -70,7 +106,7 @@ def test_subalcove_cap():
 
 
 def _simplex_volume(vertices):
-    rows = [vec_sub(v, vertices[0]) for v in vertices[1:]]
+    rows = [[x - y for x, y in zip(v, vertices[0])] for v in vertices[1:]]
     n = len(rows)
     # exact determinant by fraction-free expansion on small matrices
     def det(m):
@@ -93,34 +129,83 @@ def test_subalcoves_tile_the_alcove(label, q):
     subs = enumerate_subalcoves(datum, config)
     keys = {s.key for s in subs}
     assert len(keys) == len(subs)
+    assert all(s.key == tuple(map(sum, zip(*s.vertices))) for s in subs)
+    assert all(isinstance(x, int) for s in subs for v in s.vertices for x in v)
     total = sum(_simplex_volume(s.vertices) for s in subs)
-    assert total == _simplex_volume(tuple(datum.alcove_vertices))
+    alcove = tuple(tuple(scale(datum, q) * x for x in v) for v in datum.alcove_vertices)
+    assert total == _simplex_volume(alcove)
 
 
 def test_subalcove_maps_are_exact():
     datum, config = split("B2", 3)
     subs = enumerate_subalcoves(datum, config)
-    base = base_subalcove(subs)
+    s = scale(datum, 3)
+    base = base_subalcove(datum, 3, subs)
     for sub in subs:
+        image = subalcove_map(datum, 3, sub)
         for u, v in zip(base.vertices, sub.vertices):
-            assert sub.map.apply(u) == v
+            assert image.apply(tuple(Fraction(x, s) for x in u)) == tuple(
+                Fraction(x, s) for x in v
+            )
+        # a q-refined affine Weyl group element: an integral linear part of
+        # determinant +-1 and a translation in the coweight lattice over q
+        assert all(x.denominator == 1 for row in image.linear for x in row)
         det = (
-            sub.map.linear[0][0] * sub.map.linear[1][1]
-            - sub.map.linear[0][1] * sub.map.linear[1][0]
+            image.linear[0][0] * image.linear[1][1]
+            - image.linear[0][1] * image.linear[1][0]
         )
         assert det in (1, -1)
+        assert all((3 * t).denominator == 1 for t in image.translation)
+        # every wall (beta, k) passes through the vertices off its facet
+        for j, (beta, k) in enumerate(sub.walls):
+            for i, v in enumerate(sub.vertices):
+                on_wall = sum(b * x for b, x in zip(beta, v)) == k
+                assert on_wall == (i != j)
 
 
 def test_fixed_point_base_cases():
     datum, config = split("A1", 3)
     subs = enumerate_subalcoves(datum, config)
-    base = base_subalcove(subs)
+    base = base_subalcove(datum, 3, subs)
+    assert base.vertices == ((0,), (1,))
     assert fixed_point(datum, config, base, 0).coords == (0,)
     by_key = {s.key: s for s in subs}
-    middle = by_key[(Fraction(1, 2),)]
-    third = by_key[(Fraction(5, 6),)]
+    middle = by_key[(3,)]
+    third = by_key[(5,)]
+    assert middle.vertices == ((2,), (1,))
     assert fixed_point(datum, config, middle, 0).coords == (Fraction(1, 2),)
     assert fixed_point(datum, config, third, 0).coords == (Fraction(1),)
+    datum, config = split("B2", 3)
+    with pytest.raises(ValueError):
+        fixed_point(datum, config, enumerate_subalcoves(datum, config)[0], 2)
+
+
+REFERENCE_GRID = [
+    ("A1", 2, "split"),
+    ("A1", 3, "split"),
+    ("A2", 2, "split"),
+    ("A2", 3, "split"),
+    ("A3", 2, "split"),
+    ("A3", 3, "split"),
+    ("B2", 2, "split"),
+    ("B2", 3, "split"),
+    ("G2", 2, "split"),
+    ("G2", 3, "split"),
+    ("D4", 2, "triality"),
+    ("A2", 2, "twisted"),
+    ("E6", 2, "twisted"),
+]
+
+
+@pytest.mark.parametrize("label,q,kind", REFERENCE_GRID)
+def test_fixed_point_matches_map_composition(label, q, kind):
+    datum = build_root_system(label)
+    config = FrobeniusConfig(q, standard_symmetry(datum, kind))
+    for sub in enumerate_subalcoves(datum, config):
+        for a in minuscule_nodes(datum):
+            assert fixed_point(datum, config, sub, a).coords == reference_fixed_point(
+                datum, config, sub, a
+            )
 
 
 @pytest.mark.parametrize("label,q", [("A2", 3), ("B2", 4), ("C3", 2)])
@@ -135,10 +220,9 @@ def test_fixed_points_have_pprime_denominators_and_stay_inside(label, q):
                 assert Fraction(x).denominator % p != 0
             # the fixed point lies inside its own sub-alcove: its barycentric
             # coordinates with respect to the simplex are nonnegative
-            rows = list(zip(*[tuple(v) + (1,) for v in sub.vertices]))
-            from brauercensus.linalg import solve_linear
-
-            bary = solve_linear(tuple(rows), tuple(pt.coords) + (1,))
+            s = scale(datum, q)
+            rows = list(zip(*[tuple(v) + (s,) for v in sub.vertices]))
+            bary = solve_linear(tuple(rows), tuple(s * x for x in pt.coords) + (s,))
             assert all(b >= 0 for b in bary)
 
 
@@ -178,6 +262,24 @@ def test_theta_twisted():
     report = theta(datum, config, frozenset({0, 1, 6}))
     assert report.orbit_count == 64
     assert report.strata[1] == 4
+
+
+def test_theta_reuses_the_census_fixed_points(monkeypatch):
+    brauer.cell_fixed_points.cache_clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    solve = brauer.fixed_point
+    monkeypatch.setattr(brauer, "fixed_point", counted)
+    config = make_group_config("A2", "ad", 7)
+    enumerate_classes(config)
+    assert len(calls) == 49 * 3
+    report = theta(config.datum, config.frob, config.a_g)
+    assert report.orbit_count == 49
+    assert len(calls) == 49 * 3
 
 
 def test_theta_rejects_non_subgroup():

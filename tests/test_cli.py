@@ -112,8 +112,14 @@ def test_usage_errors():
     assert run(["census", "--type", "A2", "--q", "3", "--max-subalcoves", "-5"])[0] == EXIT_USAGE
     assert run(["census", "--type", "A2", "--q", "3", "--max-subalcoves", "0"])[0] == EXIT_USAGE
     assert run(["verify", "--suite", "table1", "--max-subalcoves", "0"])[0] == EXIT_USAGE
-    code, out, err = run(["verify", "--suite", "table1", "--types", "X9"])
-    assert code == EXIT_USAGE and out == "" and "select no check" in err
+    for argv in (
+        ["verify", "--suite", "table1", "--types", "X9"],
+        ["verify", "--suite", "theta", "--types", "X9"],
+        ["verify", "--suite", "e6e7", "--types", "A1"],
+        ["verify", "--suite", "oracle", "--types", "E6"],
+    ):
+        code, out, err = run(argv)
+        assert code == EXIT_USAGE and out == "" and "select no check" in err
 
 
 def test_verify_info_lines_are_never_passes(monkeypatch):

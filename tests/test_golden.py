@@ -3,13 +3,16 @@
 Every ``census``, ``info`` and ``verify`` invocation of the benchmark's
 workloads (``perfbench/run.py``) runs in-process through ``cli.main``,
 and the sha256 of its stdout must equal the digest recorded for it in
-``perfbench/golden.json``.
+``perfbench/golden.json``.  The benchmark's tracer, which wraps the
+package's layer functions by name, must still run and reproduce a digest.
 """
 
 import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -18,7 +21,8 @@ import pytest
 
 from brauercensus import cli
 
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
 
 
 def _benchmark_module():
@@ -47,3 +51,20 @@ def test_stdout_matches_golden_digest(name, argv):
         code = cli.main(list(argv))
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[name]
+
+
+def test_tracer_runs_and_reproduces_a_digest():
+    argv = ["census", "--type", "A2", "--isogeny", "ad", "--q", "7"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "tracer.py"), "cli", *argv],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["exit"] == 0
+    assert result["sha256"] == GOLDEN["census-A2-ad-q7"]

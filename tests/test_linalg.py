@@ -9,6 +9,8 @@ from brauercensus.linalg import (
     SingularMatrixError,
     hermite_normal_form,
     lattice_contains,
+    mat_identity,
+    mat_sub,
     nullspace,
     solve_affine,
     solve_linear,
@@ -42,14 +44,24 @@ def test_solve_affine_inconsistent():
 def test_affine_map_compose_inverse():
     f = AffineMap(((0, 1), (1, 0)), (1, 2))
     inverse = AffineMap(((0, 1), (1, 0)), (-2, -1))
-    assert f.compose(inverse).is_identity
-    assert inverse.compose(f).is_identity
+    assert f.compose(inverse) == AffineMap.identity(2)
+    assert inverse.compose(f) == AffineMap.identity(2)
     assert f.apply((3, 4)) == (5, 5)
 
 
 def test_affine_map_fixed_point():
     f = AffineMap(((Fraction(1, 2), 0), (0, Fraction(1, 2))), (1, 0))
-    assert f.unique_fixed_point() == (Fraction(2), Fraction(0))
+    fixed = solve_linear(mat_sub(mat_identity(2), f.linear), f.translation)
+    assert fixed == (Fraction(2), Fraction(0))
+    assert f.apply(fixed) == fixed
+
+
+def test_solve_linear_rational_and_pivoting():
+    # a zero leading entry forces a row swap; rational rows are scaled
+    a = ((0, Fraction(1, 2), 1), (Fraction(2, 3), 1, 0), (1, 0, Fraction(-1, 4)))
+    b = (1, Fraction(1, 3), 2)
+    x = solve_linear(a, b)
+    assert tuple(sum(r * v for r, v in zip(row, x)) for row in a) == b
 
 
 def test_hnf_canonical():
