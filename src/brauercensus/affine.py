@@ -287,27 +287,50 @@ def f_map(datum: RootDatum, node: int) -> AffineMap:
 # folding into the fundamental alcove
 
 
-def fold_coords(datum: RootDatum, coords: Vec) -> Vec:
-    """Move a point into the closed alcove by wall reflections."""
-    n = datum.rank
-    cur = list(coords)
-    hr = datum.highest_root
-    hrv = datum.highest_coroot_coweight
-    cols = datum.coroot_coords
+@lru_cache(maxsize=None)
+def _wall_reflections(datum: RootDatum) -> tuple[tuple[int, tuple], ...]:
+    """Per extended node i: its mark n_i and the nonzero
+    ``(j, n_j * <a_j, a_i^vee>)``, so that the reflection in wall i lowers
+    affine coordinate j by that coefficient times ``x_i / n_i``."""
+    marks = datum.marks
+    return tuple(
+        (
+            marks[i],
+            tuple(
+                (j, marks[j] * datum.extended_pairing(j, i))
+                for j in datum.extended_nodes
+                if datum.extended_pairing(j, i)
+            ),
+        )
+        for i in datum.extended_nodes
+    )
+
+
+def fold_coords(datum: RootDatum, affine: tuple[int, ...]) -> tuple[int, ...]:
+    """Move a point into the closed alcove by wall reflections.
+
+    The point is given by integer affine numerators over a common
+    denominator D (their sum), each divisible by its node's mark, so that
+    the coweight coordinates ``x_i / (n_i D)`` are over D too.  While some
+    numerator x_i is negative, the point is reflected in wall i: this is
+    the numbers game on the extended diagram, which keeps the numerators
+    integral and divisible by the marks, and preserves D.  It is
+    homogeneous, so one code path serves every denominator.
+    """
+    reflections = _wall_reflections(datum)
+    cur = list(affine)
+    if any(x % mark for x, (mark, _) in zip(cur, reflections)):
+        raise ValueError("an affine numerator is not divisible by its mark")
     for _ in range(FOLD_ITERATION_CAP):
-        i = next((i for i in range(n) if cur[i] < 0), None)
-        if i is not None:
-            c = cur[i]
-            col = cols[i]
-            for k in range(n):
-                if col[k]:
-                    cur[k] -= c * col[k]
-            continue
-        excess = vec_dot(hr, cur) - 1
-        if excess <= 0:
+        for i, x in enumerate(cur):
+            if x < 0:
+                break
+        else:
             return tuple(cur)
-        for k in range(n):
-            cur[k] -= excess * hrv[k]
+        mark, row = reflections[i]
+        steps = x // mark
+        for j, c in row:
+            cur[j] -= c * steps
     raise InvariantViolation("folding did not terminate within the iteration cap")
 
 

@@ -11,7 +11,8 @@ reflecting across walls, in coweight coordinates scaled by
 ``S = q * lcm(marks)`` so that all of it is integer arithmetic.  Each
 translate carries a unique point fixed by "translate after
 Frobenius-inverse after alcove stabilizer", solved from the images of
-the alcove vertices.
+the alcove vertices and kept as integer affine numerators over one
+common denominator.
 """
 
 from __future__ import annotations
@@ -19,20 +20,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
-from typing import Iterable, Optional
+from math import gcd, lcm
+from typing import Iterable, NamedTuple, Optional
 
 from .affine import (
-    AffinePoint,
     DiagramSymmetry,
     fundamental_group,
     hyperplane_containment,
     invariant_space,
-    point_from_affine,
     validate_symmetry,
 )
 from .errors import InvariantViolation, ResourceCapExceeded
-from .linalg import AffineMap, Vec, solve_linear, vec_dot
+from .linalg import Vec, bareiss, vec_dot
 from .rootdata import RootDatum
 
 DEFAULT_SUBALCOVE_CAP = 10**6
@@ -82,22 +81,16 @@ def validate_frobenius(datum: RootDatum, config: FrobeniusConfig) -> None:
         raise ValueError("a graph twist must fix the affine node")
 
 
-def coweight_permutation_matrix(datum: RootDatum, sym: DiagramSymmetry):
-    """Matrix sending the coweight of node a to the coweight of sym(a)."""
-    n = datum.rank
-    return tuple(
-        tuple(1 if sym(j + 1) == k + 1 else 0 for j in range(n)) for k in range(n)
-    )
-
-
-@lru_cache(maxsize=None)
-def frobenius_map(datum: RootDatum, config: FrobeniusConfig) -> AffineMap:
-    """F = q * (coweight permutation of rho inverse), as a linear map."""
-    validate_frobenius(datum, config)
-    mat = coweight_permutation_matrix(datum, config.rho.inverse())
-    return AffineMap(
-        tuple(tuple(config.q * x for x in row) for row in mat), (0,) * datum.rank
-    )
+def frobenius_image(
+    config: FrobeniusConfig, affine: tuple[int, ...]
+) -> tuple[int, ...]:
+    """F on integer affine numerators over a common denominator: F is q
+    times the coweight permutation of rho inverse, so simple numerator b
+    becomes ``q * affine[rho(b)]`` (rho preserves the marks), and node 0
+    takes the rest of the unchanged denominator."""
+    q, rho = config.q, config.rho
+    simple = tuple(q * affine[rho(b)] for b in range(1, len(affine)))
+    return (sum(affine) - sum(simple),) + simple
 
 
 def scale(datum: RootDatum, q: int) -> int:
@@ -197,9 +190,17 @@ def enumerate_subalcoves(
     return tuple(sorted(seen.values(), key=lambda sub: sub.key))
 
 
+class CellPoint(NamedTuple):
+    """A cell fixed point: integer affine numerators over the least common
+    denominator of its coweight coordinates, which is their sum, so the
+    numerators alone identify the point."""
+
+    affine: tuple[int, ...]
+
+
 def fixed_point(
     datum: RootDatum, config: FrobeniusConfig, sub: SubAlcove, node: int
-) -> AffinePoint:
+) -> CellPoint:
     """The unique fixed point of ``sub`` after Frobenius-inverse after the
     stabilizer of ``node``; it always lies inside the sub-alcove.
 
@@ -224,26 +225,31 @@ def fixed_point(
     for i, row in enumerate(rows):
         row[i] -= s
     rows[0] = [1] * len(rows)
-    point = point_from_affine(datum, solve_linear(rows, (1,) + (0,) * datum.rank))
-    p = config.p
-    for x in point.coords:
-        if x.denominator % p == 0:
-            raise InvariantViolation("fixed point has a denominator divisible by p")
-    return point
+    nums, pivot = bareiss(rows, (1,) + (0,) * datum.rank)
+    # Coweight coordinate i is nums[i] / (mark_i * pivot); the point's
+    # denominator is the lcm of their reduced denominators.
+    coweights = [(nums[i], datum.marks[i] * pivot) for i in datum.nodes]
+    den = lcm(*(d // gcd(x, d) for x, d in coweights))
+    if den % config.p == 0:
+        raise InvariantViolation("fixed point has a denominator divisible by p")
+    return CellPoint(tuple(x * den // pivot for x in nums))
 
 
 @lru_cache(maxsize=None)
 def cell_fixed_points(
     datum: RootDatum, config: FrobeniusConfig, nodes: frozenset[int], cap: int
-) -> tuple[tuple, ...]:
-    """Affine coordinates of the distinct fixed points of every sub-alcove
-    over the given stabilizer nodes, solved once per configuration and
-    shared by the census and ``theta``."""
+) -> tuple[tuple[int, ...], ...]:
+    """The distinct fixed points of every sub-alcove over the given
+    stabilizer nodes, solved once per configuration and shared by the
+    census and ``theta``.  They are integer affine numerators over one
+    common denominator D, the lcm of the points' own, so the tuples sort
+    in the order of the points' affine coordinates."""
     points: dict[tuple, None] = {}
     for sub in enumerate_subalcoves(datum, config, cap):
         for a in sorted(nodes):
             points[fixed_point(datum, config, sub, a).affine] = None
-    return tuple(points)
+    common = lcm(*(sum(aff) for aff in points))
+    return tuple(tuple(x * (common // sum(aff)) for x in aff) for aff in points)
 
 
 def m_alpha(
@@ -279,7 +285,8 @@ def m_alpha(
 class ThetaReport:
     """Fixed points over all stabilizer nodes of a subgroup, with orbits.
 
-    ``points`` are the distinct fixed points (affine coordinates, sorted);
+    ``points`` are the distinct fixed points (the integer affine
+    numerators of ``cell_fixed_points``, sorted);
     ``orbits`` partitions them under the subgroup's stabilizer maps;
     ``strata[a]`` counts the orbits meeting the fixed space of node a.
     Orbit counts and coverage are enforced only when ``hypotheses_hold``
@@ -315,11 +322,14 @@ def theta(
             i = parent[i]
         return i
 
-    for aff in index:
+    fixed_by: dict[int, list[int]] = {a: [] for a in sorted(nodes)}
+    for i, aff in enumerate(points):
         for z in nodes:
             image = group.apply_to_affine(z, aff)
-            if image in index:
-                ra, rb = find(index[aff]), find(index[image])
+            if image == aff:
+                fixed_by[z].append(i)
+            elif image in index:
+                ra, rb = find(i), find(index[image])
                 if ra != rb:
                     parent[ra] = rb
             elif hyp:
@@ -327,20 +337,14 @@ def theta(
                     "stabilizer did not permute the fixed points under the congruence hypothesis"
                 )
     groups: dict[int, list] = {}
-    for aff, i in index.items():
+    for i, aff in enumerate(points):
         groups.setdefault(find(i), []).append(aff)
     orbits = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
     if hyp and len(orbits) != config.q**datum.rank:
         raise InvariantViolation(
             f"{len(orbits)} stabilizer orbits, expected {config.q**datum.rank}"
         )
-    strata = {}
-    for a in sorted(nodes):
-        strata[a] = sum(
-            1
-            for orbit in orbits
-            if any(group.apply_to_affine(a, aff) == aff for aff in orbit)
-        )
+    strata = {a: len({find(i) for i in fixed}) for a, fixed in fixed_by.items()}
     return ThetaReport(
         points=points,
         orbits=orbits,

@@ -10,6 +10,10 @@ of its affine coordinates (a basis of the connected-centralizer root
 system), its component group inside the isogeny subgroup, and the
 Frobenius action on that component group, from which the rational class
 and semisimple character counts follow.
+
+Points are integer affine numerators over one common denominator from
+the fixed-point solve to the stability assertion; orbit keys are int
+tuples, and only the class representatives become rationals.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from typing import Iterable, Optional, Sequence
 
 from .affine import (
     AffinePoint,
-    affine_point,
-    coords_from_affine,
     fold_coords,
     fundamental_group,
     minuscule_nodes,
@@ -33,11 +35,11 @@ from .brauer import (
     DEFAULT_SUBALCOVE_CAP,
     FrobeniusConfig,
     cell_fixed_points,
-    frobenius_map,
+    frobenius_image,
     validate_frobenius,
 )
 from .errors import InvariantViolation, ResourceCapExceeded
-from .linalg import Vec, hermite_normal_form, lattice_contains
+from .linalg import Vec, hermite_normal_form, lattice_contains, unit_vec
 from .rootdata import RootDatum, TypeLabel, build_root_system, subdiagram_type
 
 
@@ -140,40 +142,51 @@ def cocharacter_lattice(config: GroupConfig) -> Lattice:
     return lat
 
 
-def orbit_equal(config: GroupConfig, lam: AffinePoint, mu: AffinePoint) -> Optional[int]:
+def orbit_equal(config: GroupConfig, lam: tuple, mu: tuple) -> Optional[int]:
     """A subgroup element carrying one alcove point onto the other modulo
-    the cocharacter lattice, or None; inputs must lie in the closed alcove.
+    the cocharacter lattice, or None.
 
-    The first witness in increasing node order is returned (the identity,
+    Points are integer affine numerators over one common denominator D
+    (their sum) and must lie in the closed alcove.  Coweight coordinate i
+    is numerator i over ``marks_i * D``, so a difference is a coweight
+    vector exactly when each of its numerators is divisible by that.  The
+    first witness in increasing node order is returned (the identity,
     node 0, is tested first), so any exact-equality witness that exists
     may be shadowed by an earlier lattice-difference witness.
     """
-    if not lam.in_alcove or not mu.in_alcove:
+    if min(lam) < 0 or min(mu) < 0:
         raise ValueError("orbit comparison requires points of the closed alcove")
-    group = fundamental_group(config.datum)
+    level = sum(lam)
+    if sum(mu) != level:
+        raise ValueError("orbit comparison requires one common denominator")
+    datum = config.datum
+    group = fundamental_group(datum)
     lattice = cocharacter_lattice(config)
+    moduli = tuple(datum.marks[i] * level for i in datum.nodes)
     for z in sorted(config.a_g):
-        image = group.apply_to_affine(z, lam.affine)
-        diff = tuple(
-            a - b
-            for a, b in zip(
-                coords_from_affine(config.datum, image), mu.coords
-            )
-        )
-        if all(Fraction(x).denominator == 1 for x in diff) and lattice.contains(diff):
-            return z
+        image = group.apply_to_affine(z, lam)
+        diff = []
+        for a, b, m in zip(image[1:], mu[1:], moduli):
+            k, r = divmod(a - b, m)
+            if r:
+                break
+            diff.append(k)
+        else:
+            if lattice.contains(diff):
+                return z
     return None
 
 
-def f_stable(config: GroupConfig, lam: AffinePoint) -> Optional[int]:
+def f_stable(config: GroupConfig, lam: tuple) -> Optional[int]:
     """Witness that the class of an alcove point is Frobenius-stable.
 
-    The Frobenius translate is folded back into the alcove and compared
+    The point is integer affine numerators over a common denominator
+    that its coweight coordinates share.  Its Frobenius translate, over
+    the same denominator, is folded back into the alcove and compared
     against the point up to the isogeny subgroup; valid for every point
     of the closed alcove, vertices included.
     """
-    fimage = frobenius_map(config.datum, config.frob).apply(lam.coords)
-    folded = affine_point(config.datum, fold_coords(config.datum, fimage))
+    folded = fold_coords(config.datum, frobenius_image(config.frob, lam))
     return orbit_equal(config, lam, folded)
 
 
@@ -243,21 +256,22 @@ def component_F_action(
     return action, fixed
 
 
-def _classify(config: GroupConfig, rep: AffinePoint) -> ClassRecord:
+def _classify(config: GroupConfig, key: tuple) -> ClassRecord:
+    """Classify the orbit with integer affine numerators ``key``; the
+    representative is turned into exact rationals here, for output."""
     datum = config.datum
     group = fundamental_group(datum)
-    zeros = tuple(a for a in datum.extended_nodes if rep.affine[a] == 0)
+    zeros = tuple(a for a in datum.extended_nodes if key[a] == 0)
     comps = subdiagram_type(datum, zeros)
     comp_group = frozenset(
-        z
-        for z in config.a_g
-        if group.apply_to_affine(z, rep.affine) == rep.affine
+        z for z in config.a_g if group.apply_to_affine(z, key) == key
     )
     if not group.is_subgroup(comp_group):
         raise InvariantViolation("point stabilizer is not a subgroup")
     action, fixed = component_F_action(config, comp_group)
+    level = sum(key)
     return ClassRecord(
-        rep=rep,
+        rep=point_from_affine(datum, tuple(Fraction(x, level) for x in key)),
         i_lambda=zeros,
         centralizer_components=comps,
         torus_rank=datum.rank - len(zeros),
@@ -273,8 +287,10 @@ def enumerate_classes(
     """All F-stable semisimple classes, exactly ``q**rank`` of them.
 
     Candidates are the stabilizer fixed points of every sub-alcove over
-    the subgroup's nodes.  They are grouped by canonical orbit key, and
-    every orbit is asserted to be Frobenius-stable and classified.
+    the subgroup's nodes, as integer affine numerators over one common
+    denominator.  They are grouped by canonical orbit key, and every
+    orbit is asserted to be Frobenius-stable and classified; only the
+    class representatives become rationals.
     """
     datum = config.datum
     q = config.q
@@ -290,32 +306,26 @@ def enumerate_classes(
     # The canonical keys must agree with the pairwise orbit relation on
     # the minuscule alcove vertices, where the key shortcut is least
     # obvious.
-    vertex_affines = [
-        affine_point(datum, datum.alcove_vertices[b]).affine
-        for b in minuscule_nodes(datum)
-    ]
+    vertex_affines = [unit_vec(datum.rank + 1, b) for b in minuscule_nodes(datum)]
     for i, aff_a in enumerate(vertex_affines):
-        pa = point_from_affine(datum, aff_a)
         for aff_b in vertex_affines[i + 1 :]:
-            pb = point_from_affine(datum, aff_b)
             same_key = orbit_key(config, aff_a) == orbit_key(config, aff_b)
-            if same_key != (orbit_equal(config, pa, pb) is not None):
+            if same_key != (orbit_equal(config, aff_a, aff_b) is not None):
                 raise InvariantViolation("orbit key disagrees with the orbit relation")
 
     records = []
     for key in sorted(orbits):
-        rep = point_from_affine(datum, key)
         # Stable by construction.  A candidate solves x = w(F^-1(f_a(x)))
         # with w in the q-refined affine Weyl group and a in the isogeny
         # subgroup, so F(x) = (F w F^-1)(f_a(x)) with F w F^-1 in W_aff:
         # F(x) folds onto f_a(x), a point of the orbit of x.  Stability
         # is a property of the orbit, so its key is stable too.
-        if f_stable(config, rep) is None:
+        if f_stable(config, key) is None:
             raise InvariantViolation(
                 f"{datum.label} {config.isogeny_name()} q={q}: "
-                f"orbit {key} is not F-stable"
+                f"orbit {key} over {sum(key)} is not F-stable"
             )
-        records.append(_classify(config, rep))
+        records.append(_classify(config, key))
     if len(records) != expected:
         raise InvariantViolation(
             f"{datum.label} {config.isogeny_name()} q={q}: "

@@ -1,9 +1,14 @@
-"""Exact rational linear algebra for small dense systems.
+"""Exact linear algebra for small dense systems.
 
 Vectors are tuples and matrices are tuples of row tuples, with entries
 that are Python ints or :class:`fractions.Fraction`.  Nothing in this
 package ever touches floating point; the two kinds of entries compare
 and hash consistently, so mixed tuples are safe as dict keys.
+
+The census path stays in integers: :func:`bareiss` is the one square
+solver, returning integer numerators over a positive pivot, and
+:func:`solve_linear` is its rational view.  Lattice membership is an
+integer test against a Hermite normal form.
 """
 
 from __future__ import annotations
@@ -95,17 +100,13 @@ def rref(matrix: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     return rows[:r], pivots
 
 
-def solve_linear(matrix: Mat, rhs: Vec) -> Vec:
-    """Solve a square system with a unique solution, exactly, by
-    fraction-free (Bareiss) elimination: the equations are scaled to
-    integers, each step divides exactly by the previous pivot, and the
-    solution is integer numerators over the determinant (up to sign)."""
+def bareiss(matrix: Mat, rhs: Vec) -> tuple[tuple[int, ...], int]:
+    """Solve an integer square system with a unique solution by
+    fraction-free (Bareiss) elimination: each step divides exactly by the
+    previous pivot, and the solution is the returned integer numerators
+    over the returned positive pivot (the determinant up to sign)."""
     n = len(rhs)
-    aug = []
-    for row, b in zip(matrix, rhs):
-        row = (*row, b)
-        den = lcm(*(x.denominator for x in row))
-        aug.append([int(x * den) for x in row])
+    aug = [[*row, b] for row, b in zip(matrix, rhs)]
     prev = 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
@@ -123,7 +124,21 @@ def solve_linear(matrix: Mat, rhs: Vec) -> Vec:
         row = aug[i]
         s = prev * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))
         nums[i] = s // row[i]
-    return tuple(Fraction(x, prev) for x in nums)
+    if prev < 0:
+        return tuple(-x for x in nums), -prev
+    return tuple(nums), prev
+
+
+def solve_linear(matrix: Mat, rhs: Vec) -> Vec:
+    """Solve a rational square system with a unique solution exactly: the
+    equations are scaled to integers and solved by :func:`bareiss`."""
+    rows, values = [], []
+    for row, b in zip(matrix, rhs):
+        den = lcm(*(x.denominator for x in (*row, b)))
+        rows.append([int(x * den) for x in row])
+        values.append(int(b * den))
+    nums, pivot = bareiss(rows, values)
+    return tuple(Fraction(x, pivot) for x in nums)
 
 
 def nullspace(matrix: Mat) -> tuple[Vec, ...]:
@@ -235,14 +250,15 @@ def hermite_normal_form(generators: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
 
 
 def lattice_contains(basis: Sequence[Vec], vec: Vec) -> bool:
-    """Membership of a rational vector in the lattice spanned by HNF rows."""
+    """Membership in the lattice spanned by HNF rows, by exact division
+    (a vector with a non-integral entry is never a member)."""
     v = list(vec)
     for row in basis:
         p = next(j for j, x in enumerate(row) if x)
         if v[p] == 0:
             continue
-        c = Fraction(v[p], 1) / row[p]
-        if c.denominator != 1:
+        c, r = divmod(v[p], row[p])
+        if r:
             return False
         v = [x - c * y for x, y in zip(v, row)]
     return all(x == 0 for x in v)

@@ -20,6 +20,8 @@ from brauercensus.census import cocharacter_lattice, make_group_config
 from brauercensus.linalg import AffineMap
 from brauercensus.rootdata import build_root_system, longest_element
 
+import fraction_reference as reference
+
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 
@@ -176,9 +178,16 @@ def test_coordinate_permutation_law(label, data):
 
 def test_fold_one_dimensional_cases():
     a1 = build_root_system("A1")
-    assert fold_coords(a1, (Fraction(3, 2),)) == (Fraction(1, 2),)
-    assert fold_coords(a1, (Fraction(-1, 4),)) == (Fraction(1, 4),)
-    assert fold_coords(a1, (Fraction(1, 3),)) == (Fraction(1, 3),)
+    # coweight coordinate 3/2, -1/4 and 1/3 as affine numerators over 2, 4, 3
+    assert fold_coords(a1, (-1, 3)) == (1, 1)
+    assert fold_coords(a1, (5, -1)) == (3, 1)
+    assert fold_coords(a1, (2, 1)) == (2, 1)
+    assert reference.fold(a1, (Fraction(3, 2),)) == (Fraction(1, 2),)
+    assert reference.fold(a1, (Fraction(-1, 4),)) == (Fraction(1, 4),)
+    assert reference.fold(a1, (Fraction(1, 3),)) == (Fraction(1, 3),)
+    # a numerator off its mark's multiples is not a point over the sum
+    with pytest.raises(ValueError):
+        fold_coords(build_root_system("B2"), (1, 1, 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,15 +195,43 @@ def test_fold_one_dimensional_cases():
 def test_fold_idempotent_and_weyl_invariant(label, data):
     datum = build_root_system(label)
     coords = tuple(data.draw(rationals) for _ in range(datum.rank))
-    folded = fold_coords(datum, coords)
+    den = reference.common_denominator(coords)
+    folded = fold_coords(datum, reference.numerators(datum, coords, den))
     assert fold_coords(datum, folded) == folded
+    assert min(folded) >= 0 and sum(folded) == den
+    # the integer fold lands on the rational reference's point
+    assert folded == reference.numerators(datum, reference.fold(datum, coords), den)
     # applying any word of wall reflections does not change the fold
     gens = wall_reflections(datum)
     word = data.draw(st.lists(st.sampled_from(sorted(gens)), max_size=5))
     moved = coords
     for i in word:
         moved = gens[i].apply(moved)
-    assert fold_coords(datum, moved) == folded
+    assert fold_coords(datum, reference.numerators(datum, moved, den)) == folded
+    assert reference.fold(datum, moved) == reference.fold(datum, coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A1", "A3", "B3", "C2", "D4", "E6", "F4", "G2"]), st.data())
+def test_fold_matches_the_rational_reference_on_walls_and_vertices(label, data):
+    # alcove points with many zero affine coordinates (walls, vertices),
+    # moved off the alcove by a multiple of q and a coweight shift
+    datum = build_root_system(label)
+    weights = data.draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(0, 5)),
+            min_size=datum.rank + 1,
+            max_size=datum.rank + 1,
+        ).filter(any)
+    )
+    total = sum(weights)
+    coords = tuple(Fraction(weights[i], datum.marks[i] * total) for i in datum.nodes)
+    q = data.draw(st.sampled_from([1, 2, 3, 5]))
+    shift = data.draw(st.lists(st.integers(-2, 2), min_size=datum.rank, max_size=datum.rank))
+    moved = tuple(q * c + s for c, s in zip(coords, shift))
+    den = reference.common_denominator(coords)
+    folded = fold_coords(datum, reference.numerators(datum, moved, den))
+    assert folded == reference.numerators(datum, reference.fold(datum, moved), den)
 
 
 @pytest.mark.parametrize(

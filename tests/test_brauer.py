@@ -1,16 +1,17 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
 from brauercensus import brauer
 from brauercensus.affine import f_map, minuscule_nodes, standard_symmetry
 from brauercensus.brauer import (
+    DEFAULT_SUBALCOVE_CAP,
     FrobeniusConfig,
-    coweight_permutation_matrix,
+    cell_fixed_points,
     enumerate_subalcoves,
     fixed_point,
-    frobenius_map,
+    frobenius_image,
     m_alpha,
     prime_power,
     scale,
@@ -20,6 +21,8 @@ from brauercensus.census import enumerate_classes, make_group_config
 from brauercensus.errors import ResourceCapExceeded
 from brauercensus.linalg import AffineMap, mat_identity, mat_sub, solve_linear
 from brauercensus.rootdata import build_root_system
+
+import fraction_reference as reference
 
 
 def split(label, q):
@@ -60,7 +63,7 @@ def reference_fixed_point(datum, config, sub, node):
     Frobenius-inverse after the stabilizer, by map composition and a
     linear solve."""
     q = config.q
-    perm = coweight_permutation_matrix(datum, config.rho)
+    perm = reference.coweight_permutation_matrix(datum, config.rho)
     f_inverse = AffineMap(
         tuple(tuple(Fraction(x, q) for x in row) for row in perm), (0,) * datum.rank
     )
@@ -70,6 +73,11 @@ def reference_fixed_point(datum, config, sub, node):
     return solve_linear(
         mat_sub(mat_identity(datum.rank), composite.linear), composite.translation
     )
+
+
+def coords(datum, point):
+    """Coweight coordinates of a cell fixed point."""
+    return reference.point(datum, point.affine).coords
 
 
 def test_prime_power():
@@ -168,13 +176,16 @@ def test_fixed_point_base_cases():
     subs = enumerate_subalcoves(datum, config)
     base = base_subalcove(datum, 3, subs)
     assert base.vertices == ((0,), (1,))
-    assert fixed_point(datum, config, base, 0).coords == (0,)
+    assert fixed_point(datum, config, base, 0).affine == (1, 0)
     by_key = {s.key: s for s in subs}
     middle = by_key[(3,)]
     third = by_key[(5,)]
     assert middle.vertices == ((2,), (1,))
-    assert fixed_point(datum, config, middle, 0).coords == (Fraction(1, 2),)
-    assert fixed_point(datum, config, third, 0).coords == (Fraction(1),)
+    assert fixed_point(datum, config, middle, 0).affine == (1, 1)
+    assert fixed_point(datum, config, third, 0).affine == (0, 1)
+    assert coords(datum, fixed_point(datum, config, base, 0)) == (0,)
+    assert coords(datum, fixed_point(datum, config, middle, 0)) == (Fraction(1, 2),)
+    assert coords(datum, fixed_point(datum, config, third, 0)) == (Fraction(1),)
     datum, config = split("B2", 3)
     with pytest.raises(ValueError):
         fixed_point(datum, config, enumerate_subalcoves(datum, config)[0], 2)
@@ -203,9 +214,11 @@ def test_fixed_point_matches_map_composition(label, q, kind):
     config = FrobeniusConfig(q, standard_symmetry(datum, kind))
     for sub in enumerate_subalcoves(datum, config):
         for a in minuscule_nodes(datum):
-            assert fixed_point(datum, config, sub, a).coords == reference_fixed_point(
-                datum, config, sub, a
-            )
+            point = fixed_point(datum, config, sub, a)
+            expected = reference_fixed_point(datum, config, sub, a)
+            assert coords(datum, point) == expected
+            # the numerators are over the least common denominator
+            assert sum(point.affine) == reference.common_denominator(expected)
 
 
 @pytest.mark.parametrize("label,q", [("A2", 3), ("B2", 4), ("C3", 2)])
@@ -214,7 +227,7 @@ def test_fixed_points_have_pprime_denominators_and_stay_inside(label, q):
     p = config.p
     for sub in enumerate_subalcoves(datum, config):
         for a in minuscule_nodes(datum):
-            pt = fixed_point(datum, config, sub, a)
+            pt = reference.point(datum, fixed_point(datum, config, sub, a).affine)
             assert pt.in_alcove
             for x in pt.coords:
                 assert Fraction(x).denominator % p != 0
@@ -224,6 +237,25 @@ def test_fixed_points_have_pprime_denominators_and_stay_inside(label, q):
             rows = list(zip(*[tuple(v) + (s,) for v in sub.vertices]))
             bary = solve_linear(tuple(rows), tuple(s * x for x in pt.coords) + (s,))
             assert all(b >= 0 for b in bary)
+
+
+def test_cell_fixed_points_share_one_denominator():
+    datum, config = split("B2", 5)
+    nodes = frozenset(minuscule_nodes(datum))
+    table = cell_fixed_points(datum, config, nodes, DEFAULT_SUBALCOVE_CAP)
+    points = {
+        fixed_point(datum, config, sub, a).affine
+        for sub in enumerate_subalcoves(datum, config)
+        for a in nodes
+    }
+    assert len(table) == len(points)
+    common = lcm(*(sum(aff) for aff in points))
+    assert {sum(aff) for aff in table} == {common}
+    assert {reference.point(datum, aff) for aff in table} == {
+        reference.point(datum, aff) for aff in points
+    }
+    # integer order is the order of the rational affine coordinates
+    assert sorted(table, key=lambda aff: reference.point(datum, aff).affine) == sorted(table)
 
 
 def test_m_alpha_identity_node_is_everything():
@@ -280,6 +312,12 @@ def test_theta_reuses_the_census_fixed_points(monkeypatch):
     report = theta(config.datum, config.frob, config.a_g)
     assert report.orbit_count == 49
     assert len(calls) == 49 * 3
+    # theta reads the census's integer table itself
+    table = brauer.cell_fixed_points(
+        config.datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP
+    )
+    assert report.points == tuple(sorted(table))
+    assert all(type(x) is int for aff in report.points for x in aff)
 
 
 def test_theta_rejects_non_subgroup():
@@ -291,7 +329,9 @@ def test_theta_rejects_non_subgroup():
 def test_frobenius_map_twisted_action():
     datum = build_root_system("E6")
     config = FrobeniusConfig(2, standard_symmetry(datum, "twisted"))
-    f = frobenius_map(datum, config)
+    f = reference.frobenius_map(datum, config)
     # F sends the coweight of node 1 to q times the coweight of node 6
     image = f.apply((1, 0, 0, 0, 0, 0))
     assert image == (0, 0, 0, 0, 0, 2)
+    # the same on affine numerators over 1, node 0 taking the rest
+    assert frobenius_image(config, (0, 1, 0, 0, 0, 0, 0)) == (-1, 0, 0, 0, 0, 0, 2)

@@ -1,8 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brauercensus.affine import affine_point, fundamental_group
+from brauercensus.affine import affine_point, fold_coords, fundamental_group
+from brauercensus.brauer import DEFAULT_SUBALCOVE_CAP, cell_fixed_points, frobenius_image
 from brauercensus.census import (
     cocharacter_lattice,
     component_F_action,
@@ -17,6 +21,8 @@ from brauercensus.census import (
 )
 from brauercensus import census
 from brauercensus.errors import InvariantViolation, ResourceCapExceeded
+
+import fraction_reference as reference
 
 
 def point(config, *coords):
@@ -53,31 +59,119 @@ def test_cocharacter_lattice_indices():
 def test_orbit_equal_basics():
     ad = make_group_config("A1", "ad", 3)
     sc = make_group_config("A1", "sc", 3)
-    zero = point(ad, 0)
-    one = point(ad, 1)
+    # coweight coordinates 0 and 1 as affine numerators over 1
+    zero, one = (1, 0), (0, 1)
     assert orbit_equal(ad, zero, zero) == 0
     assert orbit_equal(ad, zero, one) is not None
-    assert orbit_equal(sc, point(sc, 0), point(sc, 1)) is None
+    assert orbit_equal(sc, zero, one) is None
     with pytest.raises(ValueError):
-        orbit_equal(ad, point(ad, 2), zero)
+        orbit_equal(ad, (-1, 2), zero)  # coweight coordinate 2
+    with pytest.raises(ValueError):
+        orbit_equal(ad, zero, (2, 0))  # the same point over another denominator
+    assert reference.orbit_equal(ad, point(ad, 0), point(ad, 0)) == 0
+    assert reference.orbit_equal(ad, point(ad, 0), point(ad, 1)) is not None
+    assert reference.orbit_equal(sc, point(sc, 0), point(sc, 1)) is None
+    with pytest.raises(ValueError):
+        reference.orbit_equal(ad, point(ad, 2), point(ad, 0))
 
 
 def test_orbit_equal_witness_is_valid():
     cfg = make_group_config("A1", "ad", 3)
-    lam, mu = point(cfg, Fraction(1, 4)), point(cfg, Fraction(3, 4))
+    lam, mu = (3, 1), (1, 3)  # coweight coordinates 1/4 and 3/4
     z = orbit_equal(cfg, lam, mu)
     assert z is not None
     group = fundamental_group(cfg.datum)
-    assert group.apply_to_affine(z, lam.affine) == mu.affine
+    assert group.apply_to_affine(z, lam) == mu
+    quarters = point(cfg, Fraction(1, 4)), point(cfg, Fraction(3, 4))
+    assert reference.orbit_equal(cfg, *quarters) == z
 
 
 def test_f_stable_cases():
     ad = make_group_config("A1", "ad", 3)
     sc = make_group_config("A1", "sc", 3)
-    assert f_stable(ad, point(ad, 0)) == 0
-    assert f_stable(ad, point(ad, Fraction(1, 4))) is not None
-    assert f_stable(sc, point(sc, Fraction(1, 4))) is None
-    assert f_stable(sc, point(sc, Fraction(1, 2))) is not None
+    assert f_stable(ad, (1, 0)) == 0
+    assert f_stable(ad, (3, 1)) is not None
+    assert f_stable(sc, (3, 1)) is None
+    assert f_stable(sc, (1, 1)) is not None
+    assert reference.f_stable(ad, point(ad, 0)) == 0
+    assert reference.f_stable(ad, point(ad, Fraction(1, 4))) is not None
+    assert reference.f_stable(sc, point(sc, Fraction(1, 4))) is None
+    assert reference.f_stable(sc, point(sc, Fraction(1, 2))) is not None
+
+
+# Every candidate of these configurations is checked against the rational
+# reference: p divides a mark in B3 and E8 at q = 2.
+REFERENCE_GRID = [
+    *((label, iso, q, kind) for label in ("A1", "A2", "A3", "B2", "G2")
+      for q in (2, 3, 4) for iso in ("sc", "ad") for kind in ("split",)),
+    *((label, iso, 2, "split") for label in ("B3", "E8") for iso in ("sc", "ad")),
+    *(("D4", iso, 2, "triality") for iso in ("sc", "ad")),
+    *((label, iso, 2, "twisted") for label in ("A2", "E6") for iso in ("sc", "ad")),
+    ("D4", [1], 3, "split"),
+]
+
+
+def _grid_config(label, iso, q, kind):
+    return make_group_config(
+        label, iso, q, twisted=kind != "split", triality=kind == "triality"
+    )
+
+
+def _grid_id(case):
+    label, iso, q, kind = case
+    iso = iso if isinstance(iso, str) else "sub:" + ",".join(map(str, iso))
+    return f"{label}-{iso}-q{q}-{kind}"
+
+
+@pytest.mark.parametrize(
+    "label,iso,q,kind", REFERENCE_GRID, ids=map(_grid_id, REFERENCE_GRID)
+)
+def test_integer_stability_matches_the_rational_reference(label, iso, q, kind):
+    config = _grid_config(label, iso, q, kind)
+    datum = config.datum
+    candidates = cell_fixed_points(datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP)
+    vertices = tuple(
+        reference.numerators(datum, v, reference.common_denominator(v))
+        for v in datum.alcove_vertices
+    )
+    for aff in candidates + vertices:
+        lam = reference.point(datum, aff)
+        den = sum(aff)
+        fimage = reference.frobenius_map(datum, config.frob).apply(lam.coords)
+        assert frobenius_image(config.frob, aff) == reference.numerators(datum, fimage, den)
+        folded = fold_coords(datum, frobenius_image(config.frob, aff))
+        assert folded == reference.numerators(datum, reference.fold(datum, fimage), den)
+        assert f_stable(config, aff) == reference.f_stable(config, lam)
+    for aff in candidates:
+        assert f_stable(config, aff) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REFERENCE_GRID), st.data())
+def test_integer_orbit_tests_match_the_rational_reference(case, data):
+    # random alcove points, walls and vertices included, and pairs of
+    # them at a common denominator
+    config = _grid_config(*case)
+    datum = config.datum
+    draw_weights = st.lists(
+        st.one_of(st.just(0), st.integers(0, 4)),
+        min_size=datum.rank + 1,
+        max_size=datum.rank + 1,
+    ).filter(any)
+    lam_w, mu_w = data.draw(draw_weights), data.draw(draw_weights)
+    if data.draw(st.booleans()):
+        z = data.draw(st.sampled_from(sorted(config.a_g)))
+        mu_w = fundamental_group(datum).apply_to_affine(z, lam_w)
+    points = []
+    for w in (lam_w, mu_w):
+        total = sum(w)
+        points.append(tuple(Fraction(w[i], datum.marks[i] * total) for i in datum.nodes))
+    den = reference.common_denominator(points[0] + points[1])
+    lam, mu = (reference.numerators(datum, c, den) for c in points)
+    assert f_stable(config, lam) == reference.f_stable(config, reference.point(datum, lam))
+    assert orbit_equal(config, lam, mu) == reference.orbit_equal(
+        config, reference.point(datum, lam), reference.point(datum, mu)
+    )
 
 
 def test_enumerate_classes_a1():
@@ -197,7 +291,10 @@ def test_unstable_orbit_raises(monkeypatch):
     # Stability is asserted, not filtered on: an orbit that fails the
     # test stops the census and names the configuration.
     monkeypatch.setattr(census, "f_stable", lambda config, rep: None)
-    with pytest.raises(InvariantViolation, match="A2 sc q=3: orbit .* is not F-stable"):
+    with pytest.raises(
+        InvariantViolation,
+        match=r"A2 sc q=3: orbit \(\d+, \d+, \d+\) over \d+ is not F-stable",
+    ):
         enumerate_classes(make_group_config("A2", "sc", 3))
 
 
@@ -238,3 +335,25 @@ def test_d3_census_matches_a3():
     cd = counts(make_group_config("D3", "ad", 3))
     assert ca.rational_total == cd.rational_total
     assert ca.by_component_order == cd.by_component_order
+
+
+def _phi(d):
+    return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+
+
+PGL_CASES = [
+    (n, q)
+    for n in range(2, 7)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    if q ** (n - 1) <= 1024
+]
+
+
+@pytest.mark.parametrize("n,q", PGL_CASES, ids=[f"PGL{n}-q{q}" for n, q in PGL_CASES])
+def test_pgl_rational_total(n, q):
+    # an independent anchor: the adjoint A(n-1) census counts the
+    # semisimple classes of PGL_n(q), sum over d | gcd(n, q-1) of
+    # phi(d) q^(n/d - 1)
+    g = gcd(n, q - 1)
+    expected = sum(_phi(d) * q ** (n // d - 1) for d in range(1, g + 1) if g % d == 0)
+    assert counts(make_group_config(f"A{n - 1}", "ad", q)).rational_total == expected

@@ -3,8 +3,11 @@
 Every ``census``, ``info`` and ``verify`` invocation of the benchmark's
 workloads (``perfbench/run.py``) runs in-process through ``cli.main``,
 and the sha256 of its stdout must equal the digest recorded for it in
-``perfbench/golden.json``.  The benchmark's tracer, which wraps the
-package's layer functions by name, must still run and reproduce a digest.
+``perfbench/golden.json``.  So must the census configurations of
+``golden_ladder.json``, which those workloads miss: E8, F4, G2, B3, C3
+and E6 adjoint, D4 triality, a D6 ``sub:`` type and twisted A3 at
+q = 9.  The benchmark's tracer, which wraps the package's layer
+functions by name, must still run and reproduce a digest.
 """
 
 import hashlib
@@ -44,13 +47,25 @@ INVOCATIONS = sorted(
 )
 
 
-@pytest.mark.parametrize("name,argv", INVOCATIONS, ids=[name for name, _ in INVOCATIONS])
-def test_stdout_matches_golden_digest(name, argv):
+LADDER = json.loads((Path(__file__).resolve().parent / "golden_ladder.json").read_text())
+
+
+def _stdout_digest(argv):
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(list(argv))
     assert code == cli.EXIT_OK
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[name]
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,argv", INVOCATIONS, ids=[name for name, _ in INVOCATIONS])
+def test_stdout_matches_golden_digest(name, argv):
+    assert _stdout_digest(argv) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_census_matches_ladder_digest(name):
+    assert _stdout_digest(LADDER[name]["argv"]) == LADDER[name]["sha256"]
 
 
 def test_tracer_runs_and_reproduces_a_digest():

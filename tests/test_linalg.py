@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from brauercensus.linalg import (
     AffineMap,
     SingularMatrixError,
+    bareiss,
     hermite_normal_form,
     lattice_contains,
     mat_identity,
@@ -21,6 +22,38 @@ def test_solve_linear_exact():
     a = ((2, 1), (1, 3))
     x = solve_linear(a, (5, 10))
     assert x == (Fraction(1), Fraction(3))
+
+
+def test_bareiss_integer_numerators_over_a_positive_pivot():
+    # det = -2: the pivot comes out negative and is normalised
+    a = ((0, 1), (2, 0))
+    nums, pivot = bareiss(a, (3, 5))
+    assert pivot == 2 and nums == (5, 6)
+    assert all(type(x) is int for x in nums)
+    assert solve_linear(a, (3, 5)) == (Fraction(5, 2), 3)
+    with pytest.raises(SingularMatrixError):
+        bareiss(((1, 2), (2, 4)), (1, 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n
+            ),
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+        )
+    )
+)
+def test_bareiss_solves_integer_systems(system):
+    a, b = system
+    try:
+        nums, pivot = bareiss(a, b)
+    except SingularMatrixError:
+        return
+    assert pivot > 0
+    assert [sum(r * x for r, x in zip(row, nums)) for row in a] == [pivot * v for v in b]
 
 
 def test_solve_linear_singular():
