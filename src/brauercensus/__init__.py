@@ -7,7 +7,6 @@ from .affine import (
     DiagramSymmetry,
     FundamentalGroup,
     affine_point,
-    f_map,
     fundamental_group,
     hyperplane_containment,
     invariant_space,

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import InvariantViolation
-from .linalg import AffineMap, Vec, unit_vec, vec_dot
+from .linalg import AffineMap, Vec, hermite_normal_form, unit_vec, vec_dot
 from .rootdata import RootDatum, longest_element
 
 FOLD_ITERATION_CAP = 100_000
@@ -51,10 +51,6 @@ class AffinePoint:
 
     coords: Vec
     affine: tuple
-
-    @property
-    def in_alcove(self) -> bool:
-        return all(x >= 0 for x in self.affine)
 
 
 def affine_point(datum: RootDatum, coords: Vec) -> AffinePoint:
@@ -177,7 +173,6 @@ class FundamentalGroup:
 
     elements: tuple[int, ...]
     mult: dict
-    inv: dict
     perm: dict
     inv_perm: dict
     weyl: dict
@@ -255,9 +250,6 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
         weyl[a] = z
         perm[a] = sym
     mult = {(a, b): perm[a](b) for a in mins for b in mins}
-    inv = {}
-    for a in mins:
-        inv[a] = next(b for b in mins if mult[(a, b)] == 0)
     # The node law must agree with matrix composition.
     for a in mins:
         for b in mins:
@@ -267,20 +259,11 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
     return FundamentalGroup(
         elements=mins,
         mult=mult,
-        inv=inv,
         perm=perm,
         inv_perm=inv_perm,
         weyl=weyl,
         lift=lift,
     )
-
-
-def f_map(datum: RootDatum, node: int) -> AffineMap:
-    """The alcove-stabilizing affine map ``z_node + coweight(node)``."""
-    group = fundamental_group(datum)
-    if node not in group.elements:
-        raise ValueError(f"node {node} is not minuscule in {datum.label}")
-    return AffineMap(group.weyl[node].linear, group.lift[node])
 
 
 # ---------------------------------------------------------------------------
@@ -352,29 +335,44 @@ class InvariantSpace:
 def invariant_space(datum: RootDatum, node: int) -> InvariantSpace:
     """Fixed space of ``f_node``, with its dimension checked two ways.
 
-    The dimension of the fixed space always equals the number of orbits
-    of the induced node permutation on the extended diagram, minus one;
-    a mismatch would mean corrupted group data.
+    ``f_node`` permutes the alcove vertices by the node permutation
+    ``perm[node]``, so a point is fixed exactly when its affine
+    coordinates are constant on each orbit of that permutation.  The
+    fixed space is therefore the affine span of the orbits' vertex
+    barycenters, and its dimension is the orbit count minus one; the
+    point is the barycenter of node 0's orbit and the basis runs from it
+    to the other barycenters.  The dimension must also equal the kernel
+    dimension of the integer matrix ``z_node - I``, whose rank is the
+    number of rows of its Hermite normal form; a mismatch would mean
+    corrupted group data.
     """
-    fam = f_map(datum, node)
-    sol = fam.fixed_points()
-    if sol is None:
-        raise InvariantViolation(f"f_{node} has no fixed points")
-    point, basis = sol
     group = fundamental_group(datum)
+    if node not in group.elements:
+        raise ValueError(f"node {node} is not minuscule in {datum.label}")
     sym = group.perm[node]
+    barycenters = []
     seen: set[int] = set()
-    orbits = 0
     for a in datum.extended_nodes:
-        if a not in seen:
-            orbits += 1
-            cur = a
-            while cur not in seen:
-                seen.add(cur)
-                cur = sym(cur)
-    if len(basis) != orbits - 1:
+        orbit = []
+        while a not in seen:
+            seen.add(a)
+            orbit.append(a)
+            a = sym(a)
+        if orbit:
+            vertices = [datum.alcove_vertices[b] for b in orbit]
+            barycenters.append(tuple(sum(col) / len(orbit) for col in zip(*vertices)))
+    point, *others = barycenters
+    basis = tuple(tuple(x - p for x, p in zip(c, point)) for c in others)
+    z = group.weyl[node].linear
+    rank = len(
+        hermite_normal_form(
+            [x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(z)
+        )
+    )
+    if len(basis) != datum.rank - rank:
         raise InvariantViolation(
-            f"dim fixed({node}) = {len(basis)} but the node permutation has {orbits} orbits"
+            f"f_{node} has {len(barycenters)} vertex orbits but the kernel "
+            f"of z_{node} - I has dimension {datum.rank - rank}"
         )
     return InvariantSpace(node, len(basis), point, basis)
 

@@ -272,7 +272,13 @@ class Check:
 
 
 def _selected(label, q, max_q, types) -> bool:
-    return (not types or label in types) and (not max_q or q <= max_q)
+    return (types is None or label in types) and (max_q is None or q <= max_q)
+
+
+def _reject_max_q(suite, max_q) -> None:
+    """``--max-q`` is a filter that a suite without q cannot honour."""
+    if max_q is not None:
+        raise UsageError(f"suite {suite!r} has no q to filter by --max-q")
 
 
 def _grid(max_q=None, types=None):
@@ -283,9 +289,10 @@ def _grid(max_q=None, types=None):
 
 
 def suite_table1(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
+    _reject_max_q("table1", max_q)
     checks = []
     for label in TABLE1_TYPES:
-        if types and label not in types:
+        if types is not None and label not in types:
             continue
         datum = build_root_system(label)
         for a in minuscule_nodes(datum):
@@ -298,12 +305,13 @@ def suite_table1(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
 
 
 def suite_table2(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
-    from .affine import affine_point, f_map
+    from .affine import affine_point
     from .rootdata import subdiagram_type
 
+    _reject_max_q("table2", max_q)
     checks = []
     for label, num, den, node, expected in TABLE2_WITNESSES:
-        if types and label not in types:
+        if types is not None and label not in types:
             continue
         datum = build_root_system(label)
         coords = tuple(
@@ -315,7 +323,7 @@ def suite_table2(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
         fixed_by = [
             a
             for a in group.elements
-            if a != 0 and f_map(datum, a).apply(coords) == coords
+            if a != 0 and group.apply_to_affine(a, pt.affine) == pt.affine
         ]
         zeros = [a for a in datum.extended_nodes if pt.affine[a] == 0]
         name = "x".join(str(t) for t in subdiagram_type(datum, zeros))
@@ -592,7 +600,7 @@ def main(argv=None) -> int:
                 raise UsageError(
                     f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}"
                 )
-            types = tuple(args.types.split(",")) if args.types else None
+            types = None if args.types is None else tuple(args.types.split(","))
             checks = runner(max_q=args.max_q, types=types, cap=args.max_subalcoves)
             if not checks:
                 raise UsageError(f"the filters select no check of suite {args.suite!r}")

@@ -1,41 +1,31 @@
-"""Exact linear algebra for small dense systems.
+"""Exact integer linear algebra for small dense systems.
 
 Vectors are tuples and matrices are tuples of row tuples, with entries
-that are Python ints or :class:`fractions.Fraction`.  Nothing in this
-package ever touches floating point; the two kinds of entries compare
-and hash consistently, so mixed tuples are safe as dict keys.
+that are Python ints or exact rationals.  Nothing in this package ever
+touches floating point; the two kinds of entries compare and hash
+consistently, so mixed tuples are safe as dict keys.
 
-The census path stays in integers: :func:`bareiss` is the one square
-solver, returning integer numerators over a positive pivot, and
-:func:`solve_linear` is its rational view.  Lattice membership is an
-integer test against a Hermite normal form.
+Three integer algorithms live here: fraction-free (Bareiss) elimination
+for square systems, with integer numerators over a positive pivot; the
+Hermite normal form, which gives ranks and canonical lattice bases; and
+lattice membership by exact division against that form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Vec = tuple
 Mat = tuple
 
 
 class SingularMatrixError(ValueError):
-    """A linear solve met a singular (or inconsistent) system."""
+    """A linear solve met a singular system."""
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
 
 
 def vec_dot(u: Vec, v: Vec):
@@ -67,39 +57,6 @@ def mat_transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
 
 
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b))
-
-
-def rref(matrix: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals.
-
-    Returns the reduced rows (zero rows dropped) and the pivot columns.
-    """
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
 def bareiss(matrix: Mat, rhs: Vec) -> tuple[tuple[int, ...], int]:
     """Solve an integer square system with a unique solution by
     fraction-free (Bareiss) elimination: each step divides exactly by the
@@ -129,50 +86,6 @@ def bareiss(matrix: Mat, rhs: Vec) -> tuple[tuple[int, ...], int]:
     return tuple(nums), prev
 
 
-def solve_linear(matrix: Mat, rhs: Vec) -> Vec:
-    """Solve a rational square system with a unique solution exactly: the
-    equations are scaled to integers and solved by :func:`bareiss`."""
-    rows, values = [], []
-    for row, b in zip(matrix, rhs):
-        den = lcm(*(x.denominator for x in (*row, b)))
-        rows.append([int(x * den) for x in row])
-        values.append(int(b * den))
-    nums, pivot = bareiss(rows, values)
-    return tuple(Fraction(x, pivot) for x in nums)
-
-
-def nullspace(matrix: Mat) -> tuple[Vec, ...]:
-    """Basis of the kernel, as reduced-echelon rows over the rationals."""
-    rows, pivots = rref(matrix)
-    ncols = len(matrix[0]) if matrix else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(tuple(v))
-    reduced, _ = rref(basis) if basis else ([], [])
-    return tuple(tuple(row) for row in reduced)
-
-
-def solve_affine(matrix: Mat, rhs: Vec) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
-    """All solutions of ``matrix @ x = rhs`` as (particular, kernel basis).
-
-    Returns None when the system is inconsistent.
-    """
-    n = len(matrix[0]) if matrix else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    rows, pivots = rref(aug)
-    if n in pivots:
-        return None
-    particular = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        particular[p] = rows[r][n]
-    return tuple(particular), nullspace(matrix)
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """An exact affine transformation ``x -> linear @ x + translation``."""
@@ -184,10 +97,6 @@ class AffineMap:
     def identity(cls, n: int) -> "AffineMap":
         return cls(mat_identity(n), zero_vec(n))
 
-    @property
-    def dim(self) -> int:
-        return len(self.translation)
-
     def apply(self, v: Vec) -> Vec:
         return vec_add(mat_vec(self.linear, v), self.translation)
 
@@ -197,11 +106,6 @@ class AffineMap:
             mat_mul(self.linear, other.linear),
             vec_add(mat_vec(self.linear, other.translation), self.translation),
         )
-
-    def fixed_points(self) -> Optional[tuple[Vec, tuple[Vec, ...]]]:
-        """The affine subspace of fixed points, or None if there is none."""
-        m = mat_sub(self.linear, mat_identity(self.dim))
-        return solve_affine(m, vec_scale(-1, self.translation))
 
 
 def hermite_normal_form(generators: Iterable[Sequence[int]]) -> tuple[Vec, ...]:

@@ -1,11 +1,13 @@
 """Rational references for the integer census core.
 
 The census keeps every point as integer affine numerators over one
-common denominator.  These are the earlier rational versions of the
-Frobenius map, the fold into the alcove, the orbit test and the
-stability test, on exact coweight coordinates, kept so that the tests
-can check the integer versions against them; plus the conversions
-between the two descriptions of a point.
+common denominator, and reads fixed spaces off node-permutation orbits.
+These are the earlier rational versions of the Frobenius map, the fold
+into the alcove, the orbit test, the stability test and the fixed space
+of an alcove stabilizer (Gauss-Jordan elimination on the map
+``z_a + coweight(a)``), on exact coweight coordinates, kept so that the
+tests can check the integer versions against them; plus the conversions
+between the two descriptions of a point and a rational square solver.
 """
 
 from fractions import Fraction
@@ -19,7 +21,105 @@ from brauercensus.affine import (
 )
 from brauercensus.census import cocharacter_lattice
 from brauercensus.errors import InvariantViolation
-from brauercensus.linalg import AffineMap, vec_dot
+from brauercensus.linalg import AffineMap, bareiss, vec_dot
+
+
+def in_alcove(pt):
+    """Whether an ``AffinePoint`` lies in the closed fundamental alcove."""
+    return all(x >= 0 for x in pt.affine)
+
+
+def solve_linear(matrix, rhs):
+    """Solve a rational square system with a unique solution exactly: the
+    equations are scaled to integers and solved by ``bareiss``."""
+    rows, values = [], []
+    for row, b in zip(matrix, rhs):
+        den = lcm(*(Fraction(x).denominator for x in (*row, b)))
+        rows.append([int(x * den) for x in row])
+        values.append(int(b * den))
+    nums, pivot = bareiss(rows, values)
+    return tuple(Fraction(x, pivot) for x in nums)
+
+
+def rref(matrix):
+    """Reduced row echelon form over the rationals: the reduced rows (zero
+    rows dropped) and the pivot columns."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    if not rows:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def nullspace(matrix):
+    """Basis of the kernel, as reduced-echelon rows over the rationals."""
+    rows, pivots = rref(matrix)
+    ncols = len(matrix[0]) if matrix else 0
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(tuple(v))
+    reduced, _ = rref(basis) if basis else ([], [])
+    return tuple(tuple(row) for row in reduced)
+
+
+def solve_affine(matrix, rhs):
+    """All solutions of ``matrix @ x = rhs`` as (particular, kernel basis),
+    or None when the system is inconsistent."""
+    n = len(matrix[0]) if matrix else 0
+    rows, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if n in pivots:
+        return None
+    particular = [Fraction(0)] * n
+    for r, p in enumerate(pivots):
+        particular[p] = rows[r][n]
+    return tuple(particular), nullspace(matrix)
+
+
+def fixed_space(f):
+    """The fixed points of an ``AffineMap`` as (point, basis), or None."""
+    m = tuple(
+        tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(f.linear)
+    )
+    return solve_affine(m, tuple(-x for x in f.translation))
+
+
+def f_map(datum, node):
+    """The alcove-stabilizing affine map ``z_node + coweight(node)``."""
+    group = fundamental_group(datum)
+    return AffineMap(group.weyl[node].linear, group.lift[node])
+
+
+def hyperplane_containment(datum, node, q):
+    """The first positive root b, in root order, constant on the fixed
+    space of ``f_node`` with value k/q there, as ``(b, k)``, or None."""
+    point, basis = fixed_space(f_map(datum, node))
+    for beta in datum.positive_roots:
+        if any(vec_dot(beta, d) != 0 for d in basis):
+            continue
+        scaled = Fraction(vec_dot(beta, point)) * q
+        if scaled.denominator == 1:
+            return beta, int(scaled)
+    return None
 
 
 def coweight_permutation_matrix(datum, sym):
@@ -66,7 +166,7 @@ def fold(datum, coords):
 def orbit_equal(config, lam, mu):
     """The first subgroup element carrying alcove point ``lam`` onto ``mu``
     modulo the cocharacter lattice, or None (``AffinePoint`` inputs)."""
-    if not lam.in_alcove or not mu.in_alcove:
+    if not in_alcove(lam) or not in_alcove(mu):
         raise ValueError("orbit comparison requires points of the closed alcove")
     group = fundamental_group(config.datum)
     lattice = cocharacter_lattice(config)

@@ -7,10 +7,8 @@ module doubles as a human-readable report under ``pytest -v -s``.
 
 import time
 
+from brauercensus import cli
 from brauercensus.affine import (
-    affine_point,
-    f_map,
-    fundamental_group,
     hyperplane_containment,
     invariant_space,
     minuscule_nodes,
@@ -34,16 +32,13 @@ from brauercensus.cli import (
     TABLE2_WITNESSES,
     TABLE3_CONFIGS,
     THETA_CASES,
-    classical_invariant_dimension,
 )
 from brauercensus.oracle import (
     SmallGroupSpec,
     pprime_character_count,
     semisimple_class_count,
 )
-from brauercensus.rootdata import build_root_system, subdiagram_type
-
-from fractions import Fraction
+from brauercensus.rootdata import build_root_system
 
 
 def _passline(criterion, detail):
@@ -57,17 +52,15 @@ def _split_config(label, q):
 
 def test_c01_invariant_dimension_table():
     start = time.monotonic()
-    checked = 0
-    for label in TABLE1_TYPES:
-        datum = build_root_system(label)
-        for node in minuscule_nodes(datum):
-            got = invariant_space(datum, node).dimension
-            want = classical_invariant_dimension(datum.label, node)
-            assert got == want, f"{label} node {node}: {got} != {want}"
-            checked += 1
+    checks = cli.suite_table1()
+    assert {check.name.split("/")[1] for check in checks} == set(TABLE1_TYPES)
+    for check in checks:
+        assert check.ok is True, f"{check.name}: {check.detail}"
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
-    _passline(1, f"{checked} invariant dimensions over {len(TABLE1_TYPES)} types, {elapsed:.2f}s")
+    _passline(
+        1, f"{len(checks)} invariant dimensions over {len(TABLE1_TYPES)} types, {elapsed:.2f}s"
+    )
 
 
 def test_c02_subalcove_counts():
@@ -164,21 +157,12 @@ def test_c07_oracle_equivalence():
 
 
 def test_c08_invariant_witness_points():
-    for label, num, den, node, expected in TABLE2_WITNESSES:
-        datum = build_root_system(label)
-        coords = tuple(
-            Fraction(num, den) if j == node - 1 else Fraction(0)
-            for j in range(datum.rank)
-        )
-        pt = affine_point(datum, coords)
-        group = fundamental_group(datum)
-        fixed_by = [
-            a for a in group.elements if a != 0 and f_map(datum, a).apply(coords) == coords
-        ]
-        assert fixed_by, f"{label}: witness point fixed by no stabilizer"
-        zeros = [a for a in datum.extended_nodes if pt.affine[a] == 0]
-        name = "x".join(str(t) for t in subdiagram_type(datum, zeros))
-        assert name == expected, f"{label}: {name} != {expected}"
+    # each check holds when its witness point is fixed by some stabilizer
+    # and its centralizer type is the expected one
+    checks = cli.suite_table2()
+    assert len(checks) == len(TABLE2_WITNESSES)
+    for check in checks:
+        assert check.ok is True, f"{check.name}: {check.detail}"
     _passline(8, "all five invariant witness points give the expected centralizer types")
 
 

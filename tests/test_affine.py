@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from brauercensus.affine import (
     DiagramSymmetry,
     affine_point,
-    f_map,
     fold_coords,
     fundamental_group,
     hyperplane_containment,
@@ -16,7 +16,9 @@ from brauercensus.affine import (
     standard_symmetry,
     validate_symmetry,
 )
+from brauercensus import affine
 from brauercensus.census import cocharacter_lattice, make_group_config
+from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import AffineMap
 from brauercensus.rootdata import build_root_system, longest_element
 
@@ -65,9 +67,9 @@ def test_affine_coordinates_sum_to_one():
 
 def test_alcove_membership():
     a2 = build_root_system("A2")
-    assert affine_point(a2, (Fraction(1, 3), Fraction(1, 3))).in_alcove
-    assert not affine_point(a2, (Fraction(2, 3), Fraction(2, 3))).in_alcove
-    assert not affine_point(a2, (Fraction(-1, 3), Fraction(1, 3))).in_alcove
+    assert reference.in_alcove(affine_point(a2, (Fraction(1, 3), Fraction(1, 3))))
+    assert not reference.in_alcove(affine_point(a2, (Fraction(2, 3), Fraction(2, 3))))
+    assert not reference.in_alcove(affine_point(a2, (Fraction(-1, 3), Fraction(1, 3))))
 
 
 def test_z_element_identity_node():
@@ -91,8 +93,10 @@ def test_z_element_e6_order():
 
 def test_z_element_rejects_non_minuscule():
     e6 = build_root_system("E6")
+    group = fundamental_group(e6)
+    assert 2 not in group.weyl and 2 not in group.perm
     with pytest.raises(ValueError):
-        f_map(e6, 2)
+        invariant_space(e6, 2)
 
 
 @pytest.mark.parametrize(
@@ -130,15 +134,15 @@ def test_fundamental_group_lift_law():
 
 def test_f_map_basics():
     a1 = build_root_system("A1")
-    assert f_map(a1, 0) == AffineMap.identity(1)
-    f = f_map(a1, 1)
+    assert reference.f_map(a1, 0) == AffineMap.identity(1)
+    f = reference.f_map(a1, 1)
     assert f.apply((Fraction(0),)) == (1,)
     assert f.apply((Fraction(1, 4),)) == (Fraction(3, 4),)
 
 
 def test_f_map_fixes_zero_to_coweight():
     e6 = build_root_system("E6")
-    assert f_map(e6, 1).apply((0,) * 6) == (1, 0, 0, 0, 0, 0)
+    assert reference.f_map(e6, 1).apply((0,) * 6) == (1, 0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("label", ["A2", "B3", "C4", "D4", "D5", "E6", "G2"])
@@ -146,7 +150,7 @@ def test_stabilizer_permutes_alcove_vertices(label):
     datum = build_root_system(label)
     vertices = set(datum.alcove_vertices)
     for a in minuscule_nodes(datum):
-        f = f_map(datum, a)
+        f = reference.f_map(datum, a)
         for v in datum.alcove_vertices:
             assert f.apply(v) in vertices
 
@@ -170,9 +174,9 @@ def test_coordinate_permutation_law(label, data):
     from brauercensus.affine import point_from_affine
 
     pt = point_from_affine(datum, affine)
-    assert pt.in_alcove
+    assert reference.in_alcove(pt)
     for a in group.elements:
-        image = f_map(datum, a).apply(pt.coords)
+        image = reference.f_map(datum, a).apply(pt.coords)
         assert affine_point(datum, image).affine == group.apply_to_affine(a, affine)
 
 
@@ -245,11 +249,56 @@ def test_invariant_space_dimensions(label, node, dim):
 def test_invariant_space_points_are_fixed():
     e6 = build_root_system("E6")
     space = invariant_space(e6, 1)
-    f = f_map(e6, 1)
+    f = reference.f_map(e6, 1)
     assert f.apply(space.point) == tuple(space.point)
     for d in space.basis:
         moved = tuple(p + x for p, x in zip(space.point, d))
         assert f.apply(moved) == moved
+
+
+RANK_8_MINUSCULE = [
+    (label, node)
+    for label in (
+        [f"A{n}" for n in range(1, 9)]
+        + [f"{fam}{n}" for fam in "BC" for n in range(2, 9)]
+        + [f"D{n}" for n in range(3, 9)]
+        + ["E6", "E7", "E8", "F4", "G2"]
+    )
+    for node in minuscule_nodes(build_root_system(label))
+]
+
+
+@pytest.mark.parametrize("label,node", RANK_8_MINUSCULE)
+def test_invariant_space_matches_the_rational_reference(label, node):
+    # the orbit-barycenter fixed space against Gauss-Jordan elimination on
+    # the map z_a + coweight(a): same dimension, fixed points, and the same
+    # hyperplane (b, k) or None for every q
+    datum = build_root_system(label)
+    space = invariant_space(datum, node)
+    f = reference.f_map(datum, node)
+    _, kernel = reference.fixed_space(f)
+    assert space.dimension == len(space.basis) == len(kernel)
+    assert f.apply(space.point) == space.point
+    for d in space.basis:
+        moved = tuple(p + x for p, x in zip(space.point, d))
+        assert f.apply(moved) == moved
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32):
+        assert hyperplane_containment(datum, node, q) == reference.hyperplane_containment(
+            datum, node, q
+        )
+
+
+def test_invariant_space_dimension_check_fires(monkeypatch):
+    # a node permutation that disagrees with z_a: A2's node 1 paired with
+    # the identity permutation has 3 orbits, but z_1 fixes only the origin
+    a2 = build_root_system("A2")
+    group = fundamental_group(a2)
+    corrupted = dataclasses.replace(
+        group, perm={**group.perm, 1: DiagramSymmetry.identity(2)}
+    )
+    monkeypatch.setattr(affine, "fundamental_group", lambda datum: corrupted)
+    with pytest.raises(InvariantViolation, match="vertex orbits"):
+        invariant_space.__wrapped__(a2, 1)
 
 
 def test_hyperplane_containment_cases():

@@ -117,9 +117,16 @@ def test_usage_errors():
         ["verify", "--suite", "theta", "--types", "X9"],
         ["verify", "--suite", "e6e7", "--types", "A1"],
         ["verify", "--suite", "oracle", "--types", "E6"],
+        ["verify", "--suite", "table3", "--max-q", "0"],
+        ["verify", "--suite", "table3", "--types", ""],
+        ["verify", "--suite", "table1", "--types", ""],
     ):
         code, out, err = run(argv)
         assert code == EXIT_USAGE and out == "" and "select no check" in err
+    # table1 and table2 have no q, so they cannot honour --max-q
+    for suite in ("table1", "table2"):
+        code, out, err = run(["verify", "--suite", suite, "--max-q", "2"])
+        assert code == EXIT_USAGE and out == "" and "--max-q" in err
 
 
 def test_verify_info_lines_are_never_passes(monkeypatch):

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauercensus.linalg import AffineMap, mat_transpose, solve_linear
+from brauercensus.linalg import AffineMap, mat_transpose
 from brauercensus.rootdata import (
     build_root_system,
     longest_element,
     subdiagram_type,
 )
+
+from fraction_reference import solve_linear
 
 
 def simple_reflection(datum, i):
