@@ -35,13 +35,11 @@ from .census import (
     orbit_equal,
 )
 from .errors import InvariantViolation, ResourceCapExceeded
-from .linalg import AffineMap
 from .oracle import SmallGroupSpec, pprime_character_count, semisimple_class_count
 from .rootdata import (
     RootDatum,
     TypeLabel,
     build_root_system,
-    longest_element,
     subdiagram_type,
 )
 

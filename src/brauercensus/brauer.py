@@ -313,42 +313,31 @@ def theta(
     hyp = config.congruence_holds(len(nodes))
     points = tuple(sorted(cell_fixed_points(datum, config, nodes, cap)))
 
-    index = {aff: i for i, aff in enumerate(points)}
-    parent = list(range(len(index)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    fixed_by: dict[int, list[int]] = {a: [] for a in sorted(nodes)}
-    for i, aff in enumerate(points):
-        for z in nodes:
-            image = group.apply_to_affine(z, aff)
+    # The subgroup's orbit of a point is its set of images, so the least
+    # image keys the orbit, whether or not the other images are points.
+    point_set = set(points)
+    groups: dict[tuple, list] = {}
+    fixed_keys: dict[int, set] = {a: set() for a in sorted(nodes)}
+    for aff in points:
+        images = {z: group.apply_to_affine(z, aff) for z in nodes}
+        if hyp and not point_set.issuperset(images.values()):
+            raise InvariantViolation(
+                "stabilizer did not permute the fixed points under the congruence hypothesis"
+            )
+        key = min(images.values())
+        groups.setdefault(key, []).append(aff)
+        for z, image in images.items():
             if image == aff:
-                fixed_by[z].append(i)
-            elif image in index:
-                ra, rb = find(i), find(index[image])
-                if ra != rb:
-                    parent[ra] = rb
-            elif hyp:
-                raise InvariantViolation(
-                    "stabilizer did not permute the fixed points under the congruence hypothesis"
-                )
-    groups: dict[int, list] = {}
-    for i, aff in enumerate(points):
-        groups.setdefault(find(i), []).append(aff)
-    orbits = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+                fixed_keys[z].add(key)
+    orbits = tuple(sorted(tuple(g) for g in groups.values()))
     if hyp and len(orbits) != config.q**datum.rank:
         raise InvariantViolation(
             f"{len(orbits)} stabilizer orbits, expected {config.q**datum.rank}"
         )
-    strata = {a: len({find(i) for i in fixed}) for a, fixed in fixed_by.items()}
     return ThetaReport(
         points=points,
         orbits=orbits,
         orbit_count=len(orbits),
-        strata=strata,
+        strata={a: len(keys) for a, keys in fixed_keys.items()},
         hypotheses_hold=hyp,
     )

@@ -15,12 +15,17 @@ from fractions import Fraction
 from typing import Optional
 
 from . import oracle as oracle_mod
-from .affine import fundamental_group, invariant_space, minuscule_nodes
+from .affine import (
+    affine_point,
+    fundamental_group,
+    invariant_space,
+    minuscule_nodes,
+    standard_symmetry,
+)
 from .brauer import (
     DEFAULT_SUBALCOVE_CAP,
     FrobeniusConfig,
     enumerate_subalcoves,
-    hyperplane_containment,
     m_alpha,
     prime_power,
     theta,
@@ -34,14 +39,16 @@ from .census import (
     make_group_config,
 )
 from .errors import InvariantViolation, ResourceCapExceeded
-from .rootdata import TypeLabel, build_root_system
+from .rootdata import TypeLabel, build_root_system, subdiagram_type
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_RESOURCE = 3
 
-# Type/q grids driven by the verification suites; q runs over prime powers.
+# Case tables of the verification suites.  Every case starts with
+# (type, q or None); the rest is what the suite's checks need.  q runs
+# over prime powers.
 SUBALCOVE_GRID = (
     ("A1", (2, 3, 4, 5, 7, 8, 9)),
     ("A2", (2, 3, 4, 5, 7)),
@@ -64,13 +71,14 @@ TABLE1_TYPES = (
 )
 
 TABLE2_WITNESSES = (
-    # (type, numerator, denominator, coweight node, expected centralizer);
-    # component multisets are written in the canonical sorted order.
-    ("B4", 1, 2, 2, "A1xA1xB2"),
-    ("C4", 1, 2, 2, "C2xC2"),
-    ("D6", 1, 2, 3, "D3xD3"),
-    ("E6", 1, 3, 4, "A2xA2xA2"),
-    ("E7", 1, 2, 2, "A7"),
+    # (type, no q, numerator, denominator, coweight node, expected
+    # centralizer); component multisets are written in the canonical
+    # sorted order.
+    ("B4", None, 1, 2, 2, "A1xA1xB2"),
+    ("C4", None, 1, 2, 2, "C2xC2"),
+    ("D6", None, 1, 2, 3, "D3xD3"),
+    ("E6", None, 1, 3, 4, "A2xA2xA2"),
+    ("E7", None, 1, 2, 2, "A7"),
 )
 
 TABLE3_CONFIGS = (
@@ -82,12 +90,22 @@ TABLE3_CONFIGS = (
     ("E7", 3, False, 81),
 )
 
+SUBALCOVE_CASES = tuple((label, q) for label, qs in SUBALCOVE_GRID for q in qs)
+
+# Every adjoint configuration of the grid and of table 3, once each.
+STEINBERG_CASES = tuple(
+    dict.fromkeys(
+        [(label, q, False) for label, q in SUBALCOVE_CASES]
+        + [(label, q, twisted) for label, q, twisted, _ in TABLE3_CONFIGS]
+    )
+)
+
 E6E7_CASES = (
-    # (check name, type, q, twisted, rational total, disconnected classes,
+    # (type, q, twisted, check name, rational total, disconnected classes,
     # note printed in place of the disconnected count)
-    ("E6-ad-q2-twisted", "E6", 2, True, 72, 4, None),
-    ("E6-ad-q2-split", "E6", 2, False, 64, 4, "central action nontrivial at q=2"),
-    ("E7-ad-q3", "E7", 3, False, 2268, 81, None),
+    ("E6", 2, True, "E6-ad-q2-twisted", 72, 4, None),
+    ("E6", 2, False, "E6-ad-q2-split", 64, 4, "central action nontrivial at q=2"),
+    ("E7", 3, False, "E7-ad-q3", 2268, 81, None),
 )
 
 THETA_CASES = (
@@ -97,6 +115,8 @@ THETA_CASES = (
 )
 
 D_ODD_CASE = ("D5", 5)
+
+ORACLE_CASES = (("A1", 3), ("A1", 5), ("A1", 7))
 
 
 def classical_invariant_dimension(label: TypeLabel, node: int) -> int:
@@ -271,244 +291,197 @@ class Check:
         return "PASS" if self.ok else "FAIL"
 
 
-def _selected(label, q, max_q, types) -> bool:
-    return (types is None or label in types) and (max_q is None or q <= max_q)
+def _case_name(suite: str, case: tuple) -> str:
+    """``<suite>/<type>[/q<q>][/split|twisted]``: a case's third entry,
+    when it is a bool, is its twist."""
+    label, q, *rest = case
+    parts = [suite, label]
+    if q is not None:
+        parts.append(f"q{q}")
+    if rest and isinstance(rest[0], bool):
+        parts.append("twisted" if rest[0] else "split")
+    return "/".join(parts)
 
 
-def _reject_max_q(suite, max_q) -> None:
-    """``--max-q`` is a filter that a suite without q cannot honour."""
-    if max_q is not None:
-        raise UsageError(f"suite {suite!r} has no q to filter by --max-q")
+class Suite:
+    """A verification suite: a case table and a generator that yields the
+    checks of one case, called as ``checks(name, *case, cap=cap)`` with
+    the case's name from ``_case_name``.
 
+    Calling the suite runs the cases that ``types`` and ``max_q`` select
+    and returns their checks.  The filters are checked before any case
+    runs: a type that no case has, or ``max_q`` on a suite whose cases
+    have no q, is a usage error.  A case whose checks raise
+    ``InvariantViolation`` becomes one ``FAIL`` line under the case's
+    name, and the suite goes on with its other cases.
+    """
 
-def _grid(max_q=None, types=None):
-    for label, qs in SUBALCOVE_GRID:
-        for q in qs:
-            if _selected(label, q, max_q, types):
-                yield label, q
+    def __init__(self, name: str, cases: tuple, checks):
+        self.name = name
+        self.cases = cases
+        self.checks = checks
 
-
-def suite_table1(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
-    _reject_max_q("table1", max_q)
-    checks = []
-    for label in TABLE1_TYPES:
-        if types is not None and label not in types:
-            continue
-        datum = build_root_system(label)
-        for a in minuscule_nodes(datum):
-            want = classical_invariant_dimension(datum.label, a)
-            got = invariant_space(datum, a).dimension
-            checks.append(
-                Check(f"table1/{label}/node{a}", got == want, f"dim={got} expected={want}")
+    def __call__(self, max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP) -> list:
+        unknown = sorted(set(types or ()) - {case[0] for case in self.cases})
+        if unknown:
+            raise UsageError(
+                f"the --types entries {unknown} select no check of suite {self.name!r}"
             )
-    return checks
+        if max_q is not None and all(case[1] is None for case in self.cases):
+            raise UsageError(f"suite {self.name!r} has no q to filter by --max-q")
+        checks = []
+        for case in self.cases:
+            label, q = case[:2]
+            if (types is not None and label not in types) or (
+                max_q is not None and q > max_q
+            ):
+                continue
+            name = _case_name(self.name, case)
+            try:
+                # list() first: a case that fails midway leaves no lines
+                checks.extend(list(self.checks(name, *case, cap=cap)))
+            except InvariantViolation as exc:
+                checks.append(Check(name, False, str(exc)))
+        return checks
 
 
-def suite_table2(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
-    from .affine import affine_point
-    from .rootdata import subdiagram_type
-
-    _reject_max_q("table2", max_q)
-    checks = []
-    for label, num, den, node, expected in TABLE2_WITNESSES:
-        if types is not None and label not in types:
-            continue
-        datum = build_root_system(label)
-        coords = tuple(
-            Fraction(num, den) if j == node - 1 else Fraction(0)
-            for j in range(datum.rank)
-        )
-        pt = affine_point(datum, coords)
-        group = fundamental_group(datum)
-        fixed_by = [
-            a
-            for a in group.elements
-            if a != 0 and group.apply_to_affine(a, pt.affine) == pt.affine
-        ]
-        zeros = [a for a in datum.extended_nodes if pt.affine[a] == 0]
-        name = "x".join(str(t) for t in subdiagram_type(datum, zeros))
-        ok = bool(fixed_by) and name == expected
-        checks.append(
-            Check(
-                f"table2/{label}",
-                ok,
-                f"centralizer={name} expected={expected} fixed_by={fixed_by}",
-            )
-        )
-    return checks
+def _table1(name, label, q, cap):
+    datum = build_root_system(label)
+    for a in minuscule_nodes(datum):
+        want = classical_invariant_dimension(datum.label, a)
+        got = invariant_space(datum, a).dimension
+        yield Check(f"{name}/node{a}", got == want, f"dim={got} expected={want}")
 
 
-def suite_table3(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
-    checks = []
-    for label, q, twisted, expected in TABLE3_CONFIGS:
-        if not _selected(label, q, max_q, types):
-            continue
-        config = make_group_config(label, "ad", q, twisted=twisted)
-        try:
-            actual = disconnected_census_check(config, cap)
-            ok = actual == expected
-            detail = f"n_disconnected={actual} expected={expected}"
-        except InvariantViolation as exc:
-            ok, detail = False, str(exc)
-        twist = "twisted" if twisted else "split"
-        checks.append(Check(f"table3/{label}/q{q}/{twist}", ok, detail))
-    return checks
+suite_table1 = Suite("table1", tuple((label, None) for label in TABLE1_TYPES), _table1)
 
 
-def suite_steinberg(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
-    checks = []
-    seen = set()
-    configs = [(label, q, False) for label, q in _grid(max_q, types)]
-    for label, q, twisted, _ in TABLE3_CONFIGS:
-        if _selected(label, q, max_q, types):
-            configs.append((label, q, twisted))
-    for label, q, twisted in configs:
-        if (label, q, twisted) in seen:
-            continue
-        seen.add((label, q, twisted))
-        config = make_group_config(label, "ad", q, twisted=twisted)
-        c = counts(config, cap=cap)
-        total = c.geometric_total
-        connected = total - c.n_disconnected
-        ok = connected + c.n_disconnected == q**config.rank
-        twist = "twisted" if twisted else "split"
-        checks.append(
-            Check(
-                f"steinberg/{label}/q{q}/{twist}",
-                ok,
-                f"c1={connected} c2={c.n_disconnected} q^rank={q**config.rank}",
-            )
-        )
-    return checks
+def _table2(name, label, q, num, den, node, expected, cap):
+    datum = build_root_system(label)
+    coords = tuple(
+        Fraction(num, den) if j == node - 1 else Fraction(0) for j in range(datum.rank)
+    )
+    pt = affine_point(datum, coords)
+    group = fundamental_group(datum)
+    fixed_by = [
+        a
+        for a in group.elements
+        if a != 0 and group.apply_to_affine(a, pt.affine) == pt.affine
+    ]
+    zeros = [a for a in datum.extended_nodes if pt.affine[a] == 0]
+    centralizer = "x".join(str(t) for t in subdiagram_type(datum, zeros))
+    yield Check(
+        name,
+        bool(fixed_by) and centralizer == expected,
+        f"centralizer={centralizer} expected={expected} fixed_by={fixed_by}",
+    )
 
 
-def suite_alovefixe(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
-    from .affine import standard_symmetry
-
-    checks = []
-    for label, q in _grid(max_q, types):
-        datum = build_root_system(label)
-        config = FrobeniusConfig(q, standard_symmetry(datum, "split"))
-        count = len(enumerate_subalcoves(datum, config, cap))
-        checks.append(
-            Check(f"subalcoves/{label}/q{q}", count == q**datum.rank, f"|E_q|={count}")
-        )
-        for a in minuscule_nodes(datum):
-            stable = m_alpha(datum, config, a, cap)
-            contained = hyperplane_containment(datum, a, q)
-            want = 0 if contained else q ** invariant_space(datum, a).dimension
-            checks.append(
-                Check(
-                    f"alcove-fixed/{label}/q{q}/node{a}",
-                    len(stable) == want,
-                    f"count={len(stable)} expected={want}",
-                )
-            )
-    return checks
+suite_table2 = Suite("table2", TABLE2_WITNESSES, _table2)
 
 
-def suite_e6e7(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
-    checks = []
-    for name, label, q, twisted, rational, disconnected, note in E6E7_CASES:
-        if not _selected(label, q, max_q, types):
-            continue
-        c = counts(make_group_config(label, "ad", q, twisted=twisted), cap=cap)
-        ok = c.rational_total == rational and c.n_disconnected == disconnected
-        shown = f"({note})" if note else f"n_disconnected={c.n_disconnected}"
-        checks.append(Check(f"e6e7/{name}", ok, f"rational={c.rational_total} {shown}"))
-    return checks
+def _table3(name, label, q, twisted, expected, cap):
+    config = make_group_config(label, "ad", q, twisted=twisted)
+    actual = disconnected_census_check(config, cap)
+    yield Check(name, actual == expected, f"n_disconnected={actual} expected={expected}")
 
 
-def suite_theta(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
-    checks = []
-    for label, q, twisted in THETA_CASES:
-        if not _selected(label, q, max_q, types):
-            continue
-        config = make_group_config(label, "ad", q, twisted=twisted)
-        report = theta(config.datum, config.frob, config.a_g, cap)
-        ok = report.hypotheses_hold and report.orbit_count == q**config.rank
-        detail = f"orbits={report.orbit_count} strata={report.strata}"
-        for a in sorted(config.a_g):
-            want = q ** invariant_space(config.datum, a).dimension
-            ok = ok and report.strata[a] == want
-        twist = "twisted" if twisted else "split"
-        checks.append(Check(f"theta/{label}/q{q}/{twist}", ok, detail))
-    return checks
-
-
-def suite_d_odd(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
-    label, q = D_ODD_CASE
-    if not _selected(label, q, max_q, types):
-        return []
-    name = f"d-odd/{label}-q{q}"
-    config = make_group_config(label, "ad", q)
-    total = q**config.rank
+def _steinberg(name, label, q, twisted, cap):
+    # counts asserts the q^rank classes that c1 + c2 partition.
+    config = make_group_config(label, "ad", q, twisted=twisted)
     c = counts(config, cap=cap)
-    detail = f"geometric={c.geometric_total}"
-    checks = [Check(f"{name}/partition", c.geometric_total == total, detail)]
+    connected = c.geometric_total - c.n_disconnected
+    yield Check(
+        name, True, f"c1={connected} c2={c.n_disconnected} q^rank={q**config.rank}"
+    )
+
+
+def _alovefixe(name, label, q, cap):
+    # enumerate_subalcoves asserts the q^rank cells, and m_alpha that a
+    # node's stable cells number q^dim of its fixed space, or zero when a
+    # wall of the q-refined arrangement contains that space.
+    datum = build_root_system(label)
+    config = FrobeniusConfig(q, standard_symmetry(datum, "split"))
+    count = len(enumerate_subalcoves(datum, config, cap))
+    yield Check(f"subalcoves/{label}/q{q}", True, f"|E_q|={count}")
+    for a in minuscule_nodes(datum):
+        count = len(m_alpha(datum, config, a, cap))
+        yield Check(
+            f"alcove-fixed/{label}/q{q}/node{a}", True, f"count={count} expected={count}"
+        )
+
+
+def _e6e7(name, label, q, twisted, title, rational, disconnected, note, cap):
+    c = counts(make_group_config(label, "ad", q, twisted=twisted), cap=cap)
+    ok = c.rational_total == rational and c.n_disconnected == disconnected
+    shown = f"({note})" if note else f"n_disconnected={c.n_disconnected}"
+    yield Check(f"e6e7/{title}", ok, f"rational={c.rational_total} {shown}")
+
+
+def _theta(name, label, q, twisted, cap):
+    config = make_group_config(label, "ad", q, twisted=twisted)
     report = theta(config.datum, config.frob, config.a_g, cap)
-    detail = f"orbits={report.orbit_count} strata={report.strata}"
-    checks.append(Check(f"{name}/orbits", report.orbit_count == total, detail))
+    ok = report.hypotheses_hold and report.orbit_count == q**config.rank
     for a in sorted(config.a_g):
         want = q ** invariant_space(config.datum, a).dimension
-        checks.append(
-            Check(
-                f"{name}/stratum-node{a}",
-                report.hypotheses_hold and report.strata[a] == want,
-                f"orbit_stratum={report.strata[a]} q^dim={want}",
-            )
+        ok = ok and report.strata[a] == want
+    yield Check(name, ok, f"orbits={report.orbit_count} strata={report.strata}")
+
+
+def _d_odd(name, label, q, cap):
+    prefix = f"d-odd/{label}-q{q}"
+    config = make_group_config(label, "ad", q)
+    total = q**config.rank
+    # counts asserts that the geometric classes number q^rank.
+    c = counts(config, cap=cap)
+    yield Check(f"{prefix}/partition", True, f"geometric={c.geometric_total}")
+    report = theta(config.datum, config.frob, config.a_g, cap)
+    detail = f"orbits={report.orbit_count} strata={report.strata}"
+    yield Check(f"{prefix}/orbits", report.orbit_count == total, detail)
+    for a in sorted(config.a_g):
+        want = q ** invariant_space(config.datum, a).dimension
+        yield Check(
+            f"{prefix}/stratum-node{a}",
+            report.hypotheses_hold and report.strata[a] == want,
+            f"orbit_stratum={report.strata[a]} q^dim={want}",
         )
     d = d_odd_comparison(config, c)
-    checks.append(
-        Check(
-            f"{name}/closed-form",
-            None,
-            f"rational_total={d.rational_total} closed_form={d.closed_form} "
-            f"agree={d.agree} q_mod_4={d.q_mod_4}",
-        )
+    yield Check(
+        f"{prefix}/closed-form",
+        None,
+        f"rational_total={d.rational_total} closed_form={d.closed_form} "
+        f"agree={d.agree} q_mod_4={d.q_mod_4}",
     )
-    return checks
 
 
-def suite_oracle(max_q=None, types=None, cap=DEFAULT_SUBALCOVE_CAP):
-    checks = []
-    for q in (3, 5, 7):
-        if not _selected("A1", q, max_q, types):
-            continue
-        for iso, kind in (("sc", "SL2"), ("ad", "PGL2")):
-            config = make_group_config("A1", iso, q)
-            c = counts(config, cap=cap)
-            spec = oracle_mod.SmallGroupSpec(kind, q)
-            want = oracle_mod.semisimple_class_count(spec)
-            checks.append(
-                Check(
-                    f"oracle/classes/A1-{iso}-q{q}",
-                    c.rational_total == want,
-                    f"census={c.rational_total} brute_force={want} ({kind})",
-                )
-            )
-            dual = "PGL2" if kind == "SL2" else "SL2"
-            want = oracle_mod.pprime_character_count(oracle_mod.SmallGroupSpec(dual, q))
-            checks.append(
-                Check(
-                    f"oracle/characters/A1-{iso}-q{q}",
-                    c.pprime_char_total == want,
-                    f"census={c.pprime_char_total} table={want} ({dual})",
-                )
-            )
-    return checks
+def _oracle(name, label, q, cap):
+    for iso, kind in (("sc", "SL2"), ("ad", "PGL2")):
+        c = counts(make_group_config(label, iso, q), cap=cap)
+        want = oracle_mod.semisimple_class_count(oracle_mod.SmallGroupSpec(kind, q))
+        yield Check(
+            f"oracle/classes/{label}-{iso}-q{q}",
+            c.rational_total == want,
+            f"census={c.rational_total} brute_force={want} ({kind})",
+        )
+        dual = "PGL2" if kind == "SL2" else "SL2"
+        want = oracle_mod.pprime_character_count(oracle_mod.SmallGroupSpec(dual, q))
+        yield Check(
+            f"oracle/characters/{label}-{iso}-q{q}",
+            c.pprime_char_total == want,
+            f"census={c.pprime_char_total} table={want} ({dual})",
+        )
 
 
 SUITES = {
     "table1": suite_table1,
     "table2": suite_table2,
-    "table3": suite_table3,
-    "steinberg": suite_steinberg,
-    "alovefixe": suite_alovefixe,
-    "e6e7": suite_e6e7,
-    "theta": suite_theta,
-    "d-odd": suite_d_odd,
-    "oracle": suite_oracle,
+    "table3": Suite("table3", TABLE3_CONFIGS, _table3),
+    "steinberg": Suite("steinberg", STEINBERG_CASES, _steinberg),
+    "alovefixe": Suite("alovefixe", SUBALCOVE_CASES, _alovefixe),
+    "e6e7": Suite("e6e7", E6E7_CASES, _e6e7),
+    "theta": Suite("theta", THETA_CASES, _theta),
+    "d-odd": Suite("d-odd", (D_ODD_CASE,), _d_odd),
+    "oracle": Suite("oracle", ORACLE_CASES, _oracle),
 }
 
 

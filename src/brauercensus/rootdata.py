@@ -170,12 +170,8 @@ class RootDatum:
             tuple(-c for c in r) for r in positive
         )
         self._coroot_of = coroot_of
-        self._root_set = frozenset(coroot_of)
 
     # -- basic queries -------------------------------------------------
-
-    def is_root(self, vec: Vec) -> bool:
-        return tuple(vec) in self._root_set
 
     def coroot_of(self, root: Vec) -> Vec:
         """Coefficients of the coroot in the simple-coroot basis."""
@@ -203,10 +199,6 @@ class RootDatum:
             if any(c > t for c, t in zip(r, top)):
                 raise InvariantViolation(f"{self.label}: no dominating root")
         return top
-
-    @cached_property
-    def highest_coroot_coweight(self) -> Vec:
-        return self.coroot_coweight(self.highest_root)
 
     @cached_property
     def marks(self) -> dict[int, int]:

@@ -144,7 +144,7 @@ def fold(datum, coords):
     n = datum.rank
     cur = list(coords)
     hr = datum.highest_root
-    hrv = datum.highest_coroot_coweight
+    hrv = datum.coroot_coweight(datum.highest_root)
     cols = datum.coroot_coords
     for _ in range(FOLD_ITERATION_CAP):
         i = next((i for i in range(n) if cur[i] < 0), None)

@@ -16,14 +16,12 @@ from brauercensus.affine import (
 )
 from brauercensus.brauer import (
     FrobeniusConfig,
-    enumerate_subalcoves,
     m_alpha,
     theta,
 )
 from brauercensus.census import (
     counts,
     d_odd_comparison,
-    disconnected_census_check,
     make_group_config,
 )
 from brauercensus.cli import (
@@ -63,44 +61,62 @@ def test_c01_invariant_dimension_table():
     )
 
 
+def _suite_checks(suite, prefix=""):
+    """The checks of one ``verify`` suite whose names start with
+    ``prefix``, each asserted to pass."""
+    checks = [check for check in cli.SUITES[suite]() if check.name.startswith(prefix)]
+    for check in checks:
+        assert check.ok is True, f"{check.name}: {check.detail}"
+    return checks
+
+
 def test_c02_subalcove_counts():
-    total = 0
-    for label, qs in SUBALCOVE_GRID:
-        for q in qs:
-            datum, config = _split_config(label, q)
-            got = len(enumerate_subalcoves(datum, config))
-            assert got == q**datum.rank, f"{label} q={q}: {got}"
-            total += 1
-    _passline(2, f"|E_q| = q^rank on {total} (type, q) pairs up to E7 q=3 and E8 q=2")
+    checks = _suite_checks("alovefixe", "subalcoves/")
+    assert {check.name for check in checks} == {
+        f"subalcoves/{label}/q{q}" for label, qs in SUBALCOVE_GRID for q in qs
+    }
+    for check in checks:
+        _, label, q = check.name.split("/")
+        rank = build_root_system(label).rank
+        assert check.detail == f"|E_q|={int(q[1:]) ** rank}", check.name
+    _passline(2, f"|E_q| = q^rank on {len(checks)} (type, q) pairs up to E7 q=3 and E8 q=2")
 
 
 def test_c03_stable_subalcove_counts():
-    total = 0
+    checks = _suite_checks("alovefixe", "alcove-fixed/")
+    want_names = set()
     for label, qs in SUBALCOVE_GRID:
+        datum = build_root_system(label)
         for q in qs:
-            datum, config = _split_config(label, q)
             for node in minuscule_nodes(datum):
-                stable = m_alpha(datum, config, node)
-                contained = hyperplane_containment(datum, node, q)
-                want = (
-                    0
-                    if contained is not None
-                    else q ** invariant_space(datum, node).dimension
-                )
-                assert len(stable) == want
-                total += 1
+                want_names.add(f"alcove-fixed/{label}/q{q}/node{node}")
+    assert {check.name for check in checks} == want_names
+    for check in checks:
+        _, label, q, node = check.name.split("/")
+        datum, q, node = build_root_system(label), int(q[1:]), int(node[4:])
+        contained = hyperplane_containment(datum, node, q)
+        want = (
+            0
+            if contained is not None
+            else q ** invariant_space(datum, node).dimension
+        )
+        assert check.detail == f"count={want} expected={want}"
     # the named zero and nonzero branches
     datum, config = _split_config("A2", 3)
     assert m_alpha(datum, config, 1) == ()
     datum, config = _split_config("B3", 5)
     assert len(m_alpha(datum, config, 1)) == 25
-    _passline(3, f"stable sub-alcove law on {total} (type, q, node) triples")
+    _passline(3, f"stable sub-alcove law on {len(checks)} (type, q, node) triples")
 
 
 def test_c04_disconnected_class_counts():
-    for label, q, twisted, expected in TABLE3_CONFIGS:
-        config = make_group_config(label, "ad", q, twisted=twisted)
-        assert disconnected_census_check(config) == expected
+    checks = _suite_checks("table3")
+    assert [check.name for check in checks] == [
+        f"table3/{label}/q{q}/{'twisted' if twisted else 'split'}"
+        for label, q, twisted, _ in TABLE3_CONFIGS
+    ]
+    for check, (_, _, _, expected) in zip(checks, TABLE3_CONFIGS):
+        assert check.detail == f"n_disconnected={expected} expected={expected}"
     _passline(4, "disconnected counts 1, 25, 9, 4, 4, 81 for the six listed configs")
 
 
@@ -115,27 +131,20 @@ def test_c05_rational_totals_e6_e7():
     _passline(5, f"rational totals 72 (twisted E6, q=2) and 2268 (E7, q=3), E7 in {elapsed:.1f}s")
 
 
-def _criterion_2_to_5_configs():
-    for label, qs in SUBALCOVE_GRID:
-        for q in qs:
-            yield label, q, False
-    for label, q, twisted, _ in TABLE3_CONFIGS:
-        yield label, q, twisted
-    yield "E6", 2, True
-    yield "E7", 3, False
-
-
 def test_c06_steinberg_partition():
-    seen = set()
-    for label, q, twisted in _criterion_2_to_5_configs():
-        if (label, q, twisted) in seen:
-            continue
-        seen.add((label, q, twisted))
-        config = make_group_config(label, "ad", q, twisted=twisted)
-        c = counts(config)
-        c1 = c.geometric_total - c.n_disconnected
-        assert c1 + c.n_disconnected == q**config.rank
-    _passline(6, f"connected + disconnected = q^rank on {len(seen)} adjoint configs")
+    checks = _suite_checks("steinberg")
+    configs = {(label, q, False) for label, qs in SUBALCOVE_GRID for q in qs}
+    configs |= {(label, q, twisted) for label, q, twisted, _ in TABLE3_CONFIGS}
+    configs |= {("E6", 2, True), ("E7", 3, False)}
+    assert {check.name for check in checks} == {
+        f"steinberg/{label}/q{q}/{'twisted' if twisted else 'split'}"
+        for label, q, twisted in configs
+    }
+    for check in checks:
+        _, label, q, _ = check.name.split("/")
+        c1, c2, _ = (int(field.split("=")[1]) for field in check.detail.split())
+        assert c1 + c2 == int(q[1:]) ** build_root_system(label).rank
+    _passline(6, f"connected + disconnected = q^rank on {len(checks)} adjoint configs")
 
 
 def test_c07_oracle_equivalence():
@@ -167,14 +176,17 @@ def test_c08_invariant_witness_points():
 
 
 def test_c09_theta_orbit_counts_and_strata():
-    for label, q, twisted in THETA_CASES:
+    checks = _suite_checks("theta")
+    assert len(checks) == len(THETA_CASES)
+    for check, (label, q, twisted) in zip(checks, THETA_CASES):
+        assert check.name == f"theta/{label}/q{q}/{'twisted' if twisted else 'split'}"
         config = make_group_config(label, "ad", q, twisted=twisted)
-        report = theta(config.datum, config.frob, config.a_g)
-        assert report.hypotheses_hold
-        assert report.orbit_count == q**config.rank
-        for node in sorted(config.a_g):
-            dim = invariant_space(config.datum, node).dimension
-            assert report.strata[node] == q**dim
+        # ok is the hypothesis, the orbit count and every stratum at once
+        strata = {
+            node: q ** invariant_space(config.datum, node).dimension
+            for node in sorted(config.a_g)
+        }
+        assert check.detail == f"orbits={q**config.rank} strata={strata}"
     _passline(9, "orbit counts 49, 25, 64 with strata q^dim for the three listed configs")
 
 

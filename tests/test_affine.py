@@ -34,7 +34,7 @@ def wall_reflections(datum):
     n = datum.rank
     gens = {i: longest_element(datum, [i]) for i in datum.nodes}
     hr = datum.highest_root
-    hrv = datum.highest_coroot_coweight
+    hrv = datum.coroot_coweight(datum.highest_root)
     linear = tuple(
         tuple((1 if k == j else 0) - hrv[k] * hr[j] for j in range(n)) for k in range(n)
     )

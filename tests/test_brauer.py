@@ -4,7 +4,7 @@ from math import factorial, lcm
 import pytest
 
 from brauercensus import brauer
-from brauercensus.affine import minuscule_nodes, standard_symmetry
+from brauercensus.affine import fundamental_group, minuscule_nodes, standard_symmetry
 from brauercensus.brauer import (
     DEFAULT_SUBALCOVE_CAP,
     FrobeniusConfig,
@@ -320,6 +320,61 @@ def test_theta_reuses_the_census_fixed_points(monkeypatch):
     )
     assert report.points == tuple(sorted(table))
     assert all(type(x) is int for aff in report.points for x in aff)
+
+
+def union_find_orbits(datum, subgroup, points):
+    """Orbits and strata of ``points`` by union-find over the subgroup's
+    images, skipping images that are not points."""
+    group = fundamental_group(datum)
+    index = {aff: i for i, aff in enumerate(points)}
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    fixed_by = {a: [] for a in sorted(subgroup)}
+    for i, aff in enumerate(points):
+        for z in subgroup:
+            image = group.apply_to_affine(z, aff)
+            if image == aff:
+                fixed_by[z].append(i)
+            elif image in index:
+                parent[find(i)] = find(index[image])
+    groups = {}
+    for i, aff in enumerate(points):
+        groups.setdefault(find(i), []).append(aff)
+    orbits = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    strata = {a: len({find(i) for i in fixed}) for a, fixed in fixed_by.items()}
+    return orbits, strata
+
+
+@pytest.mark.parametrize(
+    "label,isogeny,q,twist",
+    [
+        ("A2", "ad", 7, False),
+        ("A2", "ad", 5, True),
+        ("E6", "ad", 2, True),
+        ("A3", "ad", 5, False),
+        ("A3", [2], 3, False),
+        # the congruence hypothesis fails, so theta asserts nothing
+        ("A2", "ad", 3, False),
+        ("A2", "ad", 4, True),
+        ("A5", "ad", 2, False),
+        ("A3", "ad", 3, False),
+        ("D4", "ad", 3, False),
+        ("D5", "ad", 3, False),
+    ],
+)
+def test_theta_matches_union_find(label, isogeny, q, twist):
+    config = make_group_config(label, isogeny, q, twisted=twist)
+    report = theta(config.datum, config.frob, config.a_g)
+    orbits, strata = union_find_orbits(config.datum, config.a_g, report.points)
+    assert report.hypotheses_hold == config.frob.congruence_holds(len(config.a_g))
+    assert report.orbits == orbits
+    assert report.orbit_count == len(orbits)
+    assert list(report.strata.items()) == list(strata.items())
 
 
 def test_theta_rejects_non_subgroup():

@@ -1,6 +1,10 @@
 import io
 import json
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
 
 from brauercensus import cli
 from brauercensus.cli import (
@@ -13,6 +17,7 @@ from brauercensus.cli import (
     main,
 )
 from brauercensus.census import make_group_config
+from brauercensus.errors import InvariantViolation
 from brauercensus.rootdata import TypeLabel
 
 
@@ -120,6 +125,11 @@ def test_usage_errors():
         ["verify", "--suite", "table3", "--max-q", "0"],
         ["verify", "--suite", "table3", "--types", ""],
         ["verify", "--suite", "table1", "--types", ""],
+        # an entry that names no case is an error even beside known ones
+        ["verify", "--suite", "table1", "--types", "A2, C3"],
+        ["verify", "--suite", "theta", "--types", "A2,X9"],
+        ["verify", "--suite", "oracle", "--types", "A1,A2"],
+        ["verify", "--suite", "steinberg", "--types", "A2,X9"],
     ):
         code, out, err = run(argv)
         assert code == EXIT_USAGE and out == "" and "select no check" in err
@@ -144,6 +154,46 @@ def test_verify_info_lines_are_never_passes(monkeypatch):
     code, out, _ = run(["verify", "--suite", "stub"])
     assert code == EXIT_INVARIANT
     assert out.splitlines()[1] == "FAIL\tstub/law\tasserted"
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_unknown_type_fails_before_any_case_runs(monkeypatch, suite):
+    def forbidden(*args, **kw):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(cli, "make_group_config", forbidden)
+    monkeypatch.setattr(cli, "build_root_system", forbidden)
+    known = cli.SUITES[suite].cases[0][0]
+    for types in ("X9", f"{known},X9"):
+        code, out, err = run(["verify", "--suite", suite, "--types", types])
+        assert code == EXIT_USAGE and out == "" and "select no check" in err
+
+
+@pytest.mark.parametrize(
+    "suite,callee,config_of,case",
+    [
+        ("alovefixe", "m_alpha", lambda datum, frob, *_: (datum, frob.q), "alovefixe/A2/q3"),
+        ("steinberg", "counts", lambda config, **_: (config.datum, config.q), "steinberg/A2/q3/split"),
+    ],
+)
+def test_invariant_violation_is_one_fail_line(monkeypatch, suite, callee, config_of, case):
+    real = getattr(cli, callee)
+
+    def broken(*args, **kw):
+        datum, q = config_of(*args, **kw)
+        if str(datum.label) == "A2" and q == 3:
+            raise InvariantViolation("injected")
+        return real(*args, **kw)
+
+    argv = ["verify", "--suite", suite, "--types", "A1,A2", "--max-q", "3"]
+    _, want, _ = run(argv)
+    kept = [line for line in want.splitlines() if "/A2/q3" not in line]
+    monkeypatch.setattr(cli, callee, broken)
+    code, out, _ = run(argv)
+    assert code == EXIT_INVARIANT
+    # the other cases still print; the broken one (the last) is one line
+    assert len(kept) > 1
+    assert out.splitlines() == kept + [f"FAIL\t{case}\tinjected"]
 
 
 def test_d_odd_stratum_lines_can_fail(monkeypatch):
@@ -193,3 +243,15 @@ def test_classical_dimension_table():
     assert classical_invariant_dimension(TypeLabel("D", 5), 4) == 1
     assert classical_invariant_dimension(TypeLabel("D", 6), 6) == 3
     assert classical_invariant_dimension(TypeLabel("E", 7), 7) == 4
+
+
+def test_readme_command_line_examples_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [
+        shlex.split(line)[1:] for line in block.splitlines() if line.startswith("brauercensus ")
+    ]
+    assert len(commands) == 6
+    for argv in commands:
+        code, _, err = run(argv)
+        assert code == EXIT_OK, f"{argv}: {err}"
