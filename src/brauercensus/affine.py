@@ -196,6 +196,9 @@ class FundamentalGroup:
             cur = self.mult[(cur, a)]
         return cur
 
+    def inverse(self, a: int) -> int:
+        return self.inv_perm[a](0)
+
     def subgroup(self, generators: Iterable[int]) -> frozenset[int]:
         closed = {0} | set(generators)
         grew = True

@@ -11,8 +11,9 @@ reflecting across walls, in coweight coordinates scaled by
 ``S = q * lcm(marks)`` so that all of it is integer arithmetic.  Each
 translate carries a unique point fixed by "translate after
 Frobenius-inverse after alcove stabilizer", solved from the images of
-the alcove vertices and kept as integer affine numerators over one
-common denominator.
+the alcove vertices for one (translate, stabilizer) pair per orbit of
+the stabilizers' action on those pairs, and kept as integer affine
+numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -235,21 +236,78 @@ def fixed_point(
     return CellPoint(tuple(x * den // pivot for x in nums))
 
 
+def central_frobenius_action(
+    datum: RootDatum, frobenius: FrobeniusConfig, z: int
+) -> int:
+    """Frobenius on the fundamental group: relabel by the twist inverse,
+    then raise to the q-th power.  This is the element F(z) with
+    ``F f_z F^-1 = f_F(z)`` modulo the affine Weyl group."""
+    group = fundamental_group(datum)
+    return group.power(frobenius.rho.inverse()(z), frobenius.q)
+
+
+class CellTable(NamedTuple):
+    """The fixed points of one (cell, node) pair per orbit of the node
+    subgroup, as integer affine numerators over one common denominator,
+    and the number of pairs solved, which is the number of pair orbits."""
+
+    points: tuple[tuple[int, ...], ...]
+    solves: int
+
+
 @lru_cache(maxsize=None)
 def cell_fixed_points(
     datum: RootDatum, config: FrobeniusConfig, nodes: frozenset[int], cap: int
-) -> tuple[tuple[int, ...], ...]:
-    """The distinct fixed points of every sub-alcove over the given
-    stabilizer nodes, solved once per configuration and shared by the
-    census and ``theta``.  They are integer affine numerators over one
-    common denominator D, the lcm of the points' own, so the tuples sort
-    in the order of the points' affine coordinates."""
+) -> CellTable:
+    """The fixed points of the (cell, node) pairs over the given
+    stabilizer nodes, one pair per orbit, solved once per configuration
+    and shared by the census and ``theta``.
+
+    The node subgroup acts on the pairs by ``b.(w, a) = (f_b(w),
+    a F(b) b^-1)``: since ``F f_b F^-1 = f_F(b)`` modulo the affine Weyl
+    group, ``f_b`` carries the fixed point of (w, a) to the fixed point
+    of the image pair, which has the same affine numerators permuted and
+    so the same orbit key.  The cell ``f_b(w)`` is read off the integer
+    vertex-sum key, and a pair is solved only when it is the least of its
+    images, ordered by (affine key, node).  The points are rescaled to one
+    common denominator D, the lcm of their own, so the tuples sort in the
+    order of the points' affine coordinates.
+    """
+    group = fundamental_group(datum)
+    order = sorted(nodes)
+    image_node = {}
+    for b in order:
+        fb = central_frobenius_action(datum, config, b)
+        for a in order:
+            image_node[a, b] = group.mult[group.mult[a, fb], group.inverse(b)]
+    if not nodes.issuperset(image_node.values()):
+        raise ValueError("the Frobenius does not stabilize the node subgroup")
+
+    subalcoves = enumerate_subalcoves(datum, config, cap)
+    cells = {sub.key for sub in subalcoves}
+    total = scale(datum, config.q) * (datum.rank + 1)
     points: dict[tuple, None] = {}
-    for sub in enumerate_subalcoves(datum, config, cap):
-        for a in sorted(nodes):
-            points[fixed_point(datum, config, sub, a).affine] = None
+    solves = 0
+    for sub in subalcoves:
+        key = _scaled_affine(datum, total, sub.key)
+        images = {b: group.apply_to_affine(b, key) for b in order}
+        for image in images.values():
+            if tuple(image[i] // datum.marks[i] for i in datum.nodes) not in cells:
+                raise InvariantViolation(
+                    f"{datum.label}, q={config.q}: an alcove stabilizer maps "
+                    f"the sub-alcove {sub.key} onto no sub-alcove"
+                )
+        if min(images.values()) < key:
+            continue
+        stabilizer = [b for b, image in images.items() if image == key]
+        for a in order:
+            if all(a <= image_node[a, b] for b in stabilizer):
+                solves += 1
+                points[fixed_point(datum, config, sub, a).affine] = None
     common = lcm(*(sum(aff) for aff in points))
-    return tuple(tuple(x * (common // sum(aff)) for x in aff) for aff in points)
+    return CellTable(
+        tuple(tuple(x * (common // sum(aff)) for x in aff) for aff in points), solves
+    )
 
 
 def m_alpha(
@@ -285,12 +343,16 @@ def m_alpha(
 class ThetaReport:
     """Fixed points over all stabilizer nodes of a subgroup, with orbits.
 
-    ``points`` are the distinct fixed points (the integer affine
-    numerators of ``cell_fixed_points``, sorted);
-    ``orbits`` partitions them under the subgroup's stabilizer maps;
+    ``points`` are the distinct fixed points of all (cell, node) pairs:
+    the subgroup images of the ``cell_fixed_points`` representatives,
+    over the same common denominator, sorted.  The subgroup permutes
+    them (``cell_fixed_points`` asserts that every image of a pair is a
+    pair); ``orbits`` partitions them under its stabilizer maps, and the
+    orbits are asserted to number ``q**rank`` whatever the hypothesis;
     ``strata[a]`` counts the orbits meeting the fixed space of node a.
-    Orbit counts and coverage are enforced only when ``hypotheses_hold``
-    (split with q = 1 mod the subgroup order, or twisted with q = -1).
+    Only the strata depend on ``hypotheses_hold`` (split with q = 1 mod
+    the subgroup order, or twisted with q = -1): they are the paper's
+    counts only when it holds.
     """
 
     points: tuple
@@ -310,34 +372,31 @@ def theta(
     nodes = frozenset(subgroup)
     if not group.is_subgroup(nodes):
         raise ValueError("the given node set is not a subgroup of the fundamental group")
-    hyp = config.congruence_holds(len(nodes))
-    points = tuple(sorted(cell_fixed_points(datum, config, nodes, cap)))
-
-    # The subgroup's orbit of a point is its set of images, so the least
-    # image keys the orbit, whether or not the other images are points.
-    point_set = set(points)
-    groups: dict[tuple, list] = {}
-    fixed_keys: dict[int, set] = {a: set() for a in sorted(nodes)}
-    for aff in points:
-        images = {z: group.apply_to_affine(z, aff) for z in nodes}
-        if hyp and not point_set.issuperset(images.values()):
-            raise InvariantViolation(
-                "stabilizer did not permute the fixed points under the congruence hypothesis"
-            )
-        key = min(images.values())
-        groups.setdefault(key, []).append(aff)
-        for z, image in images.items():
-            if image == aff:
-                fixed_keys[z].add(key)
-    orbits = tuple(sorted(tuple(g) for g in groups.values()))
-    if hyp and len(orbits) != config.q**datum.rank:
+    # Each representative's subgroup images are the fixed points of its
+    # pair orbit, so they make up the whole point table, and the least
+    # image keys the orbit.  The table is closed under the subgroup
+    # because cell_fixed_points asserts that every image of a pair is a
+    # pair.
+    groups: dict[tuple, set] = {}
+    for aff in cell_fixed_points(datum, config, nodes, cap).points:
+        images = [group.apply_to_affine(z, aff) for z in nodes]
+        groups.setdefault(min(images), set()).update(images)
+    expected = config.q**datum.rank
+    if len(groups) != expected:
         raise InvariantViolation(
-            f"{len(orbits)} stabilizer orbits, expected {config.q**datum.rank}"
+            f"{datum.label}, q={config.q}: {len(groups)} stabilizer orbits, "
+            f"expected {expected}"
         )
+    orbits = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    # The group is abelian, so a node fixing one point of an orbit fixes
+    # all of them, the least image among them.
     return ThetaReport(
-        points=points,
+        points=tuple(sorted(p for orbit in orbits for p in orbit)),
         orbits=orbits,
         orbit_count=len(orbits),
-        strata={a: len(keys) for a, keys in fixed_keys.items()},
-        hypotheses_hold=hyp,
+        strata={
+            a: sum(1 for key in groups if group.apply_to_affine(a, key) == key)
+            for a in sorted(nodes)
+        },
+        hypotheses_hold=config.congruence_holds(len(nodes)),
     )

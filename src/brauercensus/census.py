@@ -35,6 +35,7 @@ from .brauer import (
     DEFAULT_SUBALCOVE_CAP,
     FrobeniusConfig,
     cell_fixed_points,
+    central_frobenius_action,
     frobenius_image,
     validate_frobenius,
 )
@@ -197,13 +198,6 @@ def orbit_key(config: GroupConfig, affine: tuple) -> tuple:
     return min(group.apply_to_affine(z, affine) for z in sorted(config.a_g))
 
 
-def central_frobenius_action(config: GroupConfig, z: int) -> int:
-    """Frobenius on the fundamental group: relabel by the twist inverse,
-    then raise to the q-th power."""
-    group = fundamental_group(config.datum)
-    return group.power(config.frob.rho.inverse()(z), config.q)
-
-
 @dataclass(frozen=True)
 class ClassRecord:
     """One F-stable semisimple class of the configured group."""
@@ -249,7 +243,9 @@ def component_F_action(
     group = fundamental_group(config.datum)
     if not nodes <= config.a_g or not group.is_subgroup(nodes):
         raise ValueError("not a subgroup of the configured isogeny group")
-    action = {z: central_frobenius_action(config, z) for z in sorted(nodes)}
+    action = {
+        z: central_frobenius_action(config.datum, config.frob, z) for z in sorted(nodes)
+    }
     if set(action.values()) != set(nodes):
         raise ValueError("subgroup is not Frobenius-stable")
     fixed = sum(1 for z, w in action.items() if z == w)
@@ -286,22 +282,21 @@ def enumerate_classes(
 ) -> tuple[ClassRecord, ...]:
     """All F-stable semisimple classes, exactly ``q**rank`` of them.
 
-    Candidates are the stabilizer fixed points of every sub-alcove over
-    the subgroup's nodes, as integer affine numerators over one common
-    denominator.  They are grouped by canonical orbit key, and every
-    orbit is asserted to be Frobenius-stable and classified; only the
-    class representatives become rationals.
+    Candidates are the stabilizer fixed points of one (cell, node) pair
+    per orbit of the isogeny subgroup, as integer affine numerators over
+    one common denominator; the other pairs' points are their subgroup
+    images, with the same orbit keys.  The candidates are grouped by
+    canonical orbit key, and every orbit is asserted to be
+    Frobenius-stable and classified; only the class representatives
+    become rationals.
     """
     datum = config.datum
     q = config.q
     expected = q**datum.rank
     if expected > cap:
         raise ResourceCapExceeded(f"census of {expected} classes exceeds the cap {cap}")
-    candidates = cell_fixed_points(datum, config.frob, config.a_g, cap)
-
-    orbits: dict[tuple, None] = {}
-    for aff in candidates:
-        orbits[orbit_key(config, aff)] = None
+    table = cell_fixed_points(datum, config.frob, config.a_g, cap)
+    orbits = dict.fromkeys(orbit_key(config, aff) for aff in table.points)
 
     # The canonical keys must agree with the pairwise orbit relation on
     # the minuscule alcove vertices, where the key shortcut is least
@@ -330,6 +325,15 @@ def enumerate_classes(
         raise InvariantViolation(
             f"{datum.label} {config.isogeny_name()} q={q}: "
             f"{len(records)} stable classes, expected {expected}"
+        )
+    # Burnside: b fixes the pair (w, a) exactly when f_b fixes the cell
+    # and F(b) = b, so a class s is the image of |C_A(s)^F| pair orbits,
+    # and the pair orbits count the rational classes.
+    rational = sum(r.fixed_count for r in records)
+    if table.solves != rational:
+        raise InvariantViolation(
+            f"{datum.label} {config.isogeny_name()} q={q}: {table.solves} "
+            f"(cell, node) pair orbits, but the fixed counts sum to {rational}"
         )
     return tuple(records)
 

@@ -420,8 +420,9 @@ def _e6e7(name, label, q, twisted, title, rational, disconnected, note, cap):
 
 def _theta(name, label, q, twisted, cap):
     config = make_group_config(label, "ad", q, twisted=twisted)
+    # theta asserts that the orbits number q^rank.
     report = theta(config.datum, config.frob, config.a_g, cap)
-    ok = report.hypotheses_hold and report.orbit_count == q**config.rank
+    ok = report.hypotheses_hold
     for a in sorted(config.a_g):
         want = q ** invariant_space(config.datum, a).dimension
         ok = ok and report.strata[a] == want
@@ -431,13 +432,13 @@ def _theta(name, label, q, twisted, cap):
 def _d_odd(name, label, q, cap):
     prefix = f"d-odd/{label}-q{q}"
     config = make_group_config(label, "ad", q)
-    total = q**config.rank
     # counts asserts that the geometric classes number q^rank.
     c = counts(config, cap=cap)
     yield Check(f"{prefix}/partition", True, f"geometric={c.geometric_total}")
+    # theta asserts that the orbits number q^rank.
     report = theta(config.datum, config.frob, config.a_g, cap)
     detail = f"orbits={report.orbit_count} strata={report.strata}"
-    yield Check(f"{prefix}/orbits", report.orbit_count == total, detail)
+    yield Check(f"{prefix}/orbits", True, detail)
     for a in sorted(config.a_g):
         want = q ** invariant_space(config.datum, a).dimension
         yield Check(

@@ -7,7 +7,9 @@ into the alcove, the orbit test, the stability test and the fixed space
 of an alcove stabilizer (Gauss-Jordan elimination on the map
 ``z_a + coweight(a)``), on exact coweight coordinates, kept so that the
 tests can check the integer versions against them; plus the conversions
-between the two descriptions of a point and a rational square solver.
+between the two descriptions of a point and a rational square solver;
+plus the earlier all-pairs cell fixed-point table, which solves every
+(cell, node) pair instead of one per orbit of the node subgroup.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ from brauercensus.affine import (
     coords_from_affine,
     fundamental_group,
 )
+from brauercensus.brauer import enumerate_subalcoves, fixed_point
 from brauercensus.census import cocharacter_lattice
 from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import AffineMap, bareiss, vec_dot
@@ -208,3 +211,15 @@ def point(datum, affine):
     level = sum(affine)
     coords = tuple(Fraction(affine[i], datum.marks[i] * level) for i in datum.nodes)
     return affine_point(datum, coords)
+
+
+def all_pairs_fixed_points(datum, frobenius, nodes, cap):
+    """The distinct fixed points of every sub-alcove over every node, as
+    integer affine numerators over one common denominator, sorted."""
+    points = {
+        fixed_point(datum, frobenius, sub, a).affine
+        for sub in enumerate_subalcoves(datum, frobenius, cap)
+        for a in sorted(nodes)
+    }
+    common = lcm(*(sum(aff) for aff in points))
+    return tuple(sorted(tuple(x * (common // sum(aff)) for x in aff) for aff in points))

@@ -17,8 +17,8 @@ from brauercensus.brauer import (
     scale,
     theta,
 )
-from brauercensus.census import enumerate_classes, make_group_config
-from brauercensus.errors import ResourceCapExceeded
+from brauercensus.census import counts, enumerate_classes, make_group_config
+from brauercensus.errors import InvariantViolation, ResourceCapExceeded
 from brauercensus.linalg import AffineMap
 from brauercensus.rootdata import build_root_system
 
@@ -250,14 +250,33 @@ def test_cell_fixed_points_share_one_denominator():
         for sub in enumerate_subalcoves(datum, config)
         for a in nodes
     }
-    assert len(table) == len(points)
+    # one solve per pair orbit; every other pair's point is an image
+    assert table.solves < len(nodes) * 5**2
+    group = fundamental_group(datum)
+    images = {group.apply_to_affine(b, aff) for aff in table.points for b in nodes}
+    assert len(images) == len(points)
     common = lcm(*(sum(aff) for aff in points))
-    assert {sum(aff) for aff in table} == {common}
-    assert {reference.point(datum, aff) for aff in table} == {
+    assert {sum(aff) for aff in table.points} == {common}
+    assert {reference.point(datum, aff) for aff in images} == {
         reference.point(datum, aff) for aff in points
     }
     # integer order is the order of the rational affine coordinates
-    assert sorted(table, key=lambda aff: reference.point(datum, aff).affine) == sorted(table)
+    assert sorted(images, key=lambda aff: reference.point(datum, aff).affine) == sorted(
+        images
+    )
+
+
+def test_pair_image_outside_the_cells_raises(monkeypatch):
+    datum, config = split("A2", 7)
+    nodes = frozenset(minuscule_nodes(datum))
+    cells = enumerate_subalcoves(datum, config)
+    monkeypatch.setattr(brauer, "enumerate_subalcoves", lambda *args: cells[1:])
+    brauer.cell_fixed_points.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="onto no sub-alcove"):
+            cell_fixed_points(datum, config, nodes, DEFAULT_SUBALCOVE_CAP)
+    finally:
+        brauer.cell_fixed_points.cache_clear()
 
 
 def test_m_alpha_identity_node_is_everything():
@@ -310,15 +329,22 @@ def test_theta_reuses_the_census_fixed_points(monkeypatch):
     monkeypatch.setattr(brauer, "fixed_point", counted)
     config = make_group_config("A2", "ad", 7)
     enumerate_classes(config)
-    assert len(calls) == 49 * 3
+    # one solve per orbit of (cell, node) pairs, which count the rational
+    # classes: 51 for PGL3(7), against 49 * 3 pairs
+    solves = counts(config).rational_total
+    assert solves == 51
+    assert len(calls) == solves
     report = theta(config.datum, config.frob, config.a_g)
     assert report.orbit_count == 49
-    assert len(calls) == 49 * 3
-    # theta reads the census's integer table itself
+    assert len(calls) == solves
+    # theta's points are the subgroup images of the census's integer table
     table = brauer.cell_fixed_points(
         config.datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP
     )
-    assert report.points == tuple(sorted(table))
+    group = fundamental_group(config.datum)
+    assert report.points == tuple(
+        sorted({group.apply_to_affine(b, aff) for aff in table.points for b in config.a_g})
+    )
     assert all(type(x) is int for aff in report.points for x in aff)
 
 
@@ -358,7 +384,8 @@ def union_find_orbits(datum, subgroup, points):
         ("E6", "ad", 2, True),
         ("A3", "ad", 5, False),
         ("A3", [2], 3, False),
-        # the congruence hypothesis fails, so theta asserts nothing
+        # the congruence hypothesis fails: theta still asserts q^rank
+        # orbits, and only the strata lose their meaning
         ("A2", "ad", 3, False),
         ("A2", "ad", 4, True),
         ("A5", "ad", 2, False),
@@ -377,10 +404,37 @@ def test_theta_matches_union_find(label, isogeny, q, twist):
     assert list(report.strata.items()) == list(strata.items())
 
 
+def test_theta_missing_orbit_raises(monkeypatch):
+    # D5 ad q=3 fails the congruence hypothesis; a table that lacks the
+    # points of one orbit still raises
+    config = make_group_config("D5", "ad", 3)
+    assert not config.frob.congruence_holds(len(config.a_g))
+    datum = config.datum
+    group = fundamental_group(datum)
+    table = brauer.cell_fixed_points(datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP)
+
+    def key(aff):
+        return min(group.apply_to_affine(b, aff) for b in config.a_g)
+
+    dropped = key(table.points[0])
+    kept = tuple(aff for aff in table.points if key(aff) != dropped)
+    monkeypatch.setattr(
+        brauer, "cell_fixed_points", lambda *args: table._replace(points=kept)
+    )
+    with pytest.raises(InvariantViolation, match="242 stabilizer orbits, expected 243"):
+        theta(datum, config.frob, config.a_g)
+
+
 def test_theta_rejects_non_subgroup():
     datum, config = split("A4", 2)
     with pytest.raises(ValueError):
         theta(datum, config, frozenset({0, 2}))  # z_2 generates more
+    # triality moves node 1, so F(b) leaves the subgroup {0, 1} and the
+    # pairs over it are not closed under the subgroup
+    datum = build_root_system("D4")
+    config = FrobeniusConfig(3, standard_symmetry(datum, "triality"))
+    with pytest.raises(ValueError, match="does not stabilize"):
+        theta(datum, config, frozenset({0, 1}))
 
 
 def test_frobenius_map_twisted_action():

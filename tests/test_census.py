@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauercensus.affine import affine_point, fold_coords, fundamental_group
-from brauercensus.brauer import DEFAULT_SUBALCOVE_CAP, cell_fixed_points, frobenius_image
+from brauercensus import brauer
+from brauercensus.affine import FundamentalGroup, affine_point, fold_coords, fundamental_group
+from brauercensus.brauer import (
+    DEFAULT_SUBALCOVE_CAP,
+    cell_fixed_points,
+    frobenius_image,
+    theta,
+)
 from brauercensus.census import (
     cocharacter_lattice,
     component_F_action,
@@ -18,6 +24,7 @@ from brauercensus.census import (
     f_stable,
     make_group_config,
     orbit_equal,
+    orbit_key,
 )
 from brauercensus import census
 from brauercensus.errors import InvariantViolation, ResourceCapExceeded
@@ -129,7 +136,9 @@ def _grid_id(case):
 def test_integer_stability_matches_the_rational_reference(label, iso, q, kind):
     config = _grid_config(label, iso, q, kind)
     datum = config.datum
-    candidates = cell_fixed_points(datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP)
+    candidates = reference.all_pairs_fixed_points(
+        datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP
+    )
     vertices = tuple(
         reference.numerators(datum, v, reference.common_denominator(v))
         for v in datum.alcove_vertices
@@ -144,6 +153,79 @@ def test_integer_stability_matches_the_rational_reference(label, iso, q, kind):
         assert f_stable(config, aff) == reference.f_stable(config, lam)
     for aff in candidates:
         assert f_stable(config, aff) is not None
+
+
+# Split, twisted and triality; sc, ad and sub:; p dividing the isogeny
+# group order (A1 q=4, A2 q=3, A3 q=2, C3 q=2, D4 q=2, E7 q=2, A5 sub:2
+# q=3) and not.
+PAIR_ORBIT_GRID = [
+    ("A1", "ad", 3, "split"),
+    ("A1", "ad", 4, "split"),
+    ("A2", "ad", 7, "split"),
+    ("A2", "ad", 5, "split"),
+    ("A2", "ad", 3, "split"),
+    ("A2", "ad", 5, "twisted"),
+    ("A2", "ad", 3, "twisted"),
+    ("A3", "sc", 3, "split"),
+    ("A3", "ad", 5, "split"),
+    ("A3", "ad", 2, "split"),
+    ("A3", "ad", 3, "twisted"),
+    ("A3", [2], 3, "split"),
+    ("A5", [2], 3, "split"),
+    ("B2", "ad", 3, "split"),
+    ("C3", "ad", 2, "split"),
+    ("D4", "ad", 3, "split"),
+    ("D4", "ad", 2, "triality"),
+    ("D4", [1], 3, "split"),
+    ("D5", "ad", 3, "split"),
+    ("D5", [1], 3, "split"),
+    ("E6", "ad", 2, "split"),
+    ("E6", "ad", 2, "twisted"),
+    ("E7", "ad", 2, "split"),
+    ("G2", "sc", 3, "split"),
+]
+
+
+@pytest.mark.parametrize(
+    "label,iso,q,kind", PAIR_ORBIT_GRID, ids=map(_grid_id, PAIR_ORBIT_GRID)
+)
+def test_pair_orbits_match_the_all_pairs_table(label, iso, q, kind):
+    # One solve per orbit of (cell, node) pairs gives every orbit key of
+    # the table that solves every pair, theta's images of the solved
+    # points are that table, and the pair orbits count the rational classes.
+    config = _grid_config(label, iso, q, kind)
+    datum = config.datum
+    table = cell_fixed_points(datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP)
+    every = reference.all_pairs_fixed_points(
+        datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP
+    )
+    assert {orbit_key(config, aff) for aff in table.points} == {
+        orbit_key(config, aff) for aff in every
+    }
+    assert theta(datum, config.frob, config.a_g).points == every
+    assert table.solves == counts(config).rational_total
+    assert table.solves <= q**datum.rank * len(config.a_g)
+
+
+@pytest.mark.parametrize("drop", ["F(b)", "b^-1"])
+@pytest.mark.parametrize("label,q", [("A2", 7), ("D5", 3)])
+def test_pair_action_mutants_break_the_burnside_identity(monkeypatch, drop, label, q):
+    # The node of the image pair is a F(b) b^-1; with either factor
+    # dropped, the solved pairs no longer count the rational classes.
+    if drop == "F(b)":
+        monkeypatch.setattr(brauer, "central_frobenius_action", lambda *args: 0)
+    else:
+        monkeypatch.setattr(FundamentalGroup, "inverse", lambda self, a: 0)
+    brauer.cell_fixed_points.cache_clear()
+    try:
+        with pytest.raises(
+            InvariantViolation,
+            match=rf"{label} ad q={q}: \d+ \(cell, node\) pair orbits, "
+            r"but the fixed counts sum to \d+",
+        ):
+            enumerate_classes(make_group_config(label, "ad", q))
+    finally:
+        brauer.cell_fixed_points.cache_clear()
 
 
 @settings(max_examples=60, deadline=None)
