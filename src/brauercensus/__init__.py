@@ -3,7 +3,6 @@ algebraic groups over finite fields, computed through alcove geometry.
 """
 
 from .affine import (
-    AffinePoint,
     DiagramSymmetry,
     FundamentalGroup,
     affine_point,
@@ -24,15 +23,12 @@ from .brauer import (
 from .census import (
     ClassRecord,
     GroupConfig,
-    Lattice,
     component_F_action,
     counts,
     d_odd_comparison,
     disconnected_census_check,
     enumerate_classes,
-    f_stable,
     make_group_config,
-    orbit_equal,
 )
 from .errors import InvariantViolation, ResourceCapExceeded
 from .oracle import SmallGroupSpec, pprime_character_count, semisimple_class_count

@@ -41,10 +41,6 @@ def affine_coords(datum: RootDatum, coords: Vec) -> tuple:
     return (1 - sum(simple),) + simple
 
 
-def coords_from_affine(datum: RootDatum, affine: tuple) -> Vec:
-    return tuple(Fraction(affine[i], datum.marks[i]) for i in datum.nodes)
-
-
 @dataclass(frozen=True)
 class AffinePoint:
     """A point of V with both coordinate descriptions precomputed."""
@@ -55,10 +51,6 @@ class AffinePoint:
 
 def affine_point(datum: RootDatum, coords: Vec) -> AffinePoint:
     return AffinePoint(tuple(coords), affine_coords(datum, coords))
-
-
-def point_from_affine(datum: RootDatum, affine: tuple) -> AffinePoint:
-    return AffinePoint(coords_from_affine(datum, affine), tuple(affine))
 
 
 # ---------------------------------------------------------------------------

@@ -310,20 +310,26 @@ def cell_fixed_points(
     )
 
 
+def stable_cell_count(datum: RootDatum, node: int, q: int) -> int:
+    """m_b, the number of sub-alcoves that ``f_node`` maps to themselves:
+    ``q**dim`` of the node's fixed space when that space lies in no
+    hyperplane of the q-refined arrangement, and zero otherwise.  It
+    takes no enumeration."""
+    if hyperplane_containment(datum, node, q) is not None:
+        return 0
+    return q ** invariant_space(datum, node).dimension
+
+
 def m_alpha(
     datum: RootDatum,
     config: FrobeniusConfig,
     node: int,
     cap: int = DEFAULT_SUBALCOVE_CAP,
 ) -> tuple[SubAlcove, ...]:
-    """Sub-alcoves mapped to themselves by the stabilizer of ``node``.
-
-    The count is ``q**dim`` of the node's fixed space when that space is
-    contained in no hyperplane of the q-refined arrangement, and zero
-    otherwise; both branches are enforced.
+    """Sub-alcoves mapped to themselves by the stabilizer of ``node``,
+    asserted to number ``stable_cell_count``, in both of its branches.
     """
-    contained = hyperplane_containment(datum, node, config.q)
-    expected = 0 if contained is not None else config.q ** invariant_space(datum, node).dimension
+    expected = stable_cell_count(datum, node, config.q)
     group = fundamental_group(datum)
     total = scale(datum, config.q) * (datum.rank + 1)
     stable = []
@@ -341,22 +347,16 @@ def m_alpha(
 
 @dataclass(frozen=True)
 class ThetaReport:
-    """Fixed points over all stabilizer nodes of a subgroup, with orbits.
+    """The orbits of a subgroup of alcove stabilizers on the fixed points
+    of all its (cell, node) pairs.
 
-    ``points`` are the distinct fixed points of all (cell, node) pairs:
-    the subgroup images of the ``cell_fixed_points`` representatives,
-    over the same common denominator, sorted.  The subgroup permutes
-    them (``cell_fixed_points`` asserts that every image of a pair is a
-    pair); ``orbits`` partitions them under its stabilizer maps, and the
-    orbits are asserted to number ``q**rank`` whatever the hypothesis;
-    ``strata[a]`` counts the orbits meeting the fixed space of node a.
-    Only the strata depend on ``hypotheses_hold`` (split with q = 1 mod
-    the subgroup order, or twisted with q = -1): they are the paper's
-    counts only when it holds.
+    The orbits are asserted to number ``q**rank`` whatever the
+    hypothesis; ``strata[a]`` counts the orbits meeting the fixed space
+    of node a.  Only the strata depend on ``hypotheses_hold`` (split with
+    q = 1 mod the subgroup order, or twisted with q = -1): they are the
+    paper's counts only when it holds.
     """
 
-    points: tuple
-    orbits: tuple
     orbit_count: int
     strata: dict
     hypotheses_hold: bool
@@ -372,30 +372,25 @@ def theta(
     nodes = frozenset(subgroup)
     if not group.is_subgroup(nodes):
         raise ValueError("the given node set is not a subgroup of the fundamental group")
-    # Each representative's subgroup images are the fixed points of its
-    # pair orbit, so they make up the whole point table, and the least
-    # image keys the orbit.  The table is closed under the subgroup
-    # because cell_fixed_points asserts that every image of a pair is a
-    # pair.
-    groups: dict[tuple, set] = {}
-    for aff in cell_fixed_points(datum, config, nodes, cap).points:
-        images = [group.apply_to_affine(z, aff) for z in nodes]
-        groups.setdefault(min(images), set()).update(images)
+    # The subgroup images of the representatives are the fixed points of
+    # all pairs (cell_fixed_points asserts that every image of a pair is
+    # a pair), and the least image keys an orbit.
+    keys = {
+        min(group.apply_to_affine(z, aff) for z in nodes)
+        for aff in cell_fixed_points(datum, config, nodes, cap).points
+    }
     expected = config.q**datum.rank
-    if len(groups) != expected:
+    if len(keys) != expected:
         raise InvariantViolation(
-            f"{datum.label}, q={config.q}: {len(groups)} stabilizer orbits, "
+            f"{datum.label}, q={config.q}: {len(keys)} stabilizer orbits, "
             f"expected {expected}"
         )
-    orbits = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
     # The group is abelian, so a node fixing one point of an orbit fixes
     # all of them, the least image among them.
     return ThetaReport(
-        points=tuple(sorted(p for orbit in orbits for p in orbit)),
-        orbits=orbits,
-        orbit_count=len(orbits),
+        orbit_count=len(keys),
         strata={
-            a: sum(1 for key in groups if group.apply_to_affine(a, key) == key)
+            a: sum(1 for key in keys if group.apply_to_affine(a, key) == key)
             for a in sorted(nodes)
         },
         hypotheses_hold=config.congruence_holds(len(nodes)),

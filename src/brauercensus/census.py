@@ -12,23 +12,21 @@ Frobenius action on that component group, from which the rational class
 and semisimple character counts follow.
 
 Points are integer affine numerators over one common denominator from
-the fixed-point solve to the stability assertion; orbit keys are int
-tuples, and only the class representatives become rationals.
+the fixed-point solve to the class records: orbit keys are int tuples,
+and each record carries its key, which only the serializer turns into
+rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .affine import (
-    AffinePoint,
     fold_coords,
     fundamental_group,
     minuscule_nodes,
-    point_from_affine,
     standard_symmetry,
 )
 from .brauer import (
@@ -37,9 +35,10 @@ from .brauer import (
     cell_fixed_points,
     central_frobenius_action,
     frobenius_image,
+    stable_cell_count,
     validate_frobenius,
 )
-from .errors import InvariantViolation, ResourceCapExceeded
+from .errors import InvariantViolation
 from .linalg import Vec, hermite_normal_form, lattice_contains, unit_vec
 from .rootdata import RootDatum, TypeLabel, build_root_system, subdiagram_type
 
@@ -200,9 +199,11 @@ def orbit_key(config: GroupConfig, affine: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class ClassRecord:
-    """One F-stable semisimple class of the configured group."""
+    """One F-stable semisimple class of the configured group, keyed by
+    the integer affine numerators of its canonical representative, whose
+    sum is their denominator."""
 
-    rep: AffinePoint
+    key: tuple[int, ...]
     i_lambda: tuple[int, ...]
     centralizer_components: tuple[TypeLabel, ...]
     torus_rank: int
@@ -253,8 +254,7 @@ def component_F_action(
 
 
 def _classify(config: GroupConfig, key: tuple) -> ClassRecord:
-    """Classify the orbit with integer affine numerators ``key``; the
-    representative is turned into exact rationals here, for output."""
+    """Classify the orbit with integer affine numerators ``key``."""
     datum = config.datum
     group = fundamental_group(datum)
     zeros = tuple(a for a in datum.extended_nodes if key[a] == 0)
@@ -265,9 +265,8 @@ def _classify(config: GroupConfig, key: tuple) -> ClassRecord:
     if not group.is_subgroup(comp_group):
         raise InvariantViolation("point stabilizer is not a subgroup")
     action, fixed = component_F_action(config, comp_group)
-    level = sum(key)
     return ClassRecord(
-        rep=point_from_affine(datum, tuple(Fraction(x, level) for x in key)),
+        key=key,
         i_lambda=zeros,
         centralizer_components=comps,
         torus_rank=datum.rank - len(zeros),
@@ -287,14 +286,11 @@ def enumerate_classes(
     one common denominator; the other pairs' points are their subgroup
     images, with the same orbit keys.  The candidates are grouped by
     canonical orbit key, and every orbit is asserted to be
-    Frobenius-stable and classified; only the class representatives
-    become rationals.
+    Frobenius-stable and classified.
     """
     datum = config.datum
     q = config.q
     expected = q**datum.rank
-    if expected > cap:
-        raise ResourceCapExceeded(f"census of {expected} classes exceeds the cap {cap}")
     table = cell_fixed_points(datum, config.frob, config.a_g, cap)
     orbits = dict.fromkeys(orbit_key(config, aff) for aff in table.points)
 
@@ -328,12 +324,23 @@ def enumerate_classes(
         )
     # Burnside: b fixes the pair (w, a) exactly when f_b fixes the cell
     # and F(b) = b, so a class s is the image of |C_A(s)^F| pair orbits,
-    # and the pair orbits count the rational classes.
+    # and the pair orbits count the rational classes.  Counted per b
+    # instead, an F-fixed b fixes its m_b stable cells with every node.
     rational = sum(r.fixed_count for r in records)
     if table.solves != rational:
         raise InvariantViolation(
             f"{datum.label} {config.isogeny_name()} q={q}: {table.solves} "
             f"(cell, node) pair orbits, but the fixed counts sum to {rational}"
+        )
+    fixed_cells = sum(
+        stable_cell_count(datum, b, q)
+        for b in config.a_g
+        if central_frobenius_action(datum, config.frob, b) == b
+    )
+    if fixed_cells != rational:
+        raise InvariantViolation(
+            f"{datum.label} {config.isogeny_name()} q={q}: the stable cells of the "
+            f"F-fixed nodes sum to {fixed_cells}, but the fixed counts sum to {rational}"
         )
     return tuple(records)
 
@@ -432,7 +439,6 @@ class DOddComparison:
     rational_total: int
     closed_form: int
     agree: bool
-    by_component_order: tuple[tuple[int, int], ...]
     q_mod_4: int
 
 
@@ -451,6 +457,5 @@ def d_odd_comparison(config: GroupConfig, census_counts: CensusCounts) -> DOddCo
         rational_total=census_counts.rational_total,
         closed_form=closed,
         agree=census_counts.rational_total == closed,
-        by_component_order=census_counts.by_component_order,
         q_mod_4=q % 4,
     )

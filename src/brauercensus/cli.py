@@ -153,14 +153,15 @@ def classical_invariant_dimension(label: TypeLabel, node: int) -> int:
 # serialization helpers
 
 
-def _rat(x) -> str:
-    return str(Fraction(x))
-
-
-def _record_payload(record) -> dict:
+def _record_payload(datum, record) -> dict:
+    """A record with its integer key written as exact rationals: affine
+    coordinate i is ``key[i] / sum(key)``, coweight coordinate i that
+    over its node's mark."""
+    key, marks = record.key, datum.marks
+    level = sum(key)
     return {
-        "rep_affine": [_rat(x) for x in record.rep.affine],
-        "rep_coords": [_rat(x) for x in record.rep.coords],
+        "rep_affine": [str(Fraction(x, level)) for x in key],
+        "rep_coords": [str(Fraction(key[i], marks[i] * level)) for i in datum.nodes],
         "i_lambda": list(record.i_lambda),
         "centralizer": {
             "components": [str(t) for t in record.centralizer_components],
@@ -195,7 +196,7 @@ def census_report(config: GroupConfig, cap: int = DEFAULT_SUBALCOVE_CAP) -> dict
             "congruence_holds": config.frob.congruence_holds(order),
             "p_divides_isogeny_order": order % config.p == 0,
         },
-        "classes": [_record_payload(r) for r in records],
+        "classes": [_record_payload(config.datum, r) for r in records],
         "counts": {
             "geometric_total": c.geometric_total,
             "n_disconnected": c.n_disconnected,
@@ -582,10 +583,7 @@ def main(argv=None) -> int:
                 print(f"{check.status}\t{check.name}\t{check.detail}")
             return EXIT_INVARIANT if any(c.ok is False for c in checks) else EXIT_OK
         raise UsageError("no command given")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceCapExceeded as exc:

@@ -18,7 +18,6 @@ from math import lcm
 from brauercensus.affine import (
     FOLD_ITERATION_CAP,
     affine_point,
-    coords_from_affine,
     fundamental_group,
 )
 from brauercensus.brauer import enumerate_subalcoves, fixed_point
@@ -191,6 +190,11 @@ def f_stable(config, lam):
     return orbit_equal(config, lam, folded)
 
 
+def coords_from_affine(datum, affine):
+    """Coweight coordinates of rational affine coordinates."""
+    return tuple(Fraction(affine[i], datum.marks[i]) for i in datum.nodes)
+
+
 def common_denominator(coords):
     """The least common denominator of rational coweight coordinates."""
     return lcm(*(Fraction(c).denominator for c in coords))
@@ -211,6 +215,14 @@ def point(datum, affine):
     level = sum(affine)
     coords = tuple(Fraction(affine[i], datum.marks[i] * level) for i in datum.nodes)
     return affine_point(datum, coords)
+
+
+def pair_images(datum, nodes, points):
+    """The subgroup images of ``points``, sorted: applied to the
+    ``cell_fixed_points`` representatives, the fixed points of every
+    (cell, node) pair."""
+    group = fundamental_group(datum)
+    return tuple(sorted({group.apply_to_affine(b, aff) for aff in points for b in nodes}))
 
 
 def all_pairs_fixed_points(datum, frobenius, nodes, cap):

@@ -171,9 +171,7 @@ def test_coordinate_permutation_law(label, data):
     )
     total = sum(weights)
     affine = tuple(Fraction(w, total) for w in weights)
-    from brauercensus.affine import point_from_affine
-
-    pt = point_from_affine(datum, affine)
+    pt = affine_point(datum, reference.coords_from_affine(datum, affine))
     assert reference.in_alcove(pt)
     for a in group.elements:
         image = reference.f_map(datum, a).apply(pt.coords)

@@ -293,9 +293,13 @@ def test_m_alpha_nonzero_and_zero_branches():
 
 def test_theta_trivial_subgroup():
     datum, config = split("A2", 3)
-    report = theta(datum, config, frozenset({0}))
+    nodes = frozenset({0})
+    report = theta(datum, config, nodes)
     assert report.orbit_count == 9
-    assert all(len(o) == 1 for o in report.orbits)
+    assert report.strata == {0: 9}
+    # the identity alone: each of the 9 points is its own orbit
+    table = cell_fixed_points(datum, config, nodes, DEFAULT_SUBALCOVE_CAP)
+    assert len(reference.pair_images(datum, nodes, table.points)) == 9
 
 
 def test_theta_orbits_full_group():
@@ -337,15 +341,16 @@ def test_theta_reuses_the_census_fixed_points(monkeypatch):
     report = theta(config.datum, config.frob, config.a_g)
     assert report.orbit_count == 49
     assert len(calls) == solves
-    # theta's points are the subgroup images of the census's integer table
+    # theta's orbits are those of the subgroup images of the census's
+    # integer table
     table = brauer.cell_fixed_points(
         config.datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP
     )
-    group = fundamental_group(config.datum)
-    assert report.points == tuple(
-        sorted({group.apply_to_affine(b, aff) for aff in table.points for b in config.a_g})
-    )
-    assert all(type(x) is int for aff in report.points for x in aff)
+    points = reference.pair_images(config.datum, config.a_g, table.points)
+    assert all(type(x) is int for aff in points for x in aff)
+    orbits, strata = union_find_orbits(config.datum, config.a_g, points)
+    assert report.orbit_count == len(orbits)
+    assert report.strata == strata
 
 
 def union_find_orbits(datum, subgroup, points):
@@ -397,9 +402,12 @@ def union_find_orbits(datum, subgroup, points):
 def test_theta_matches_union_find(label, isogeny, q, twist):
     config = make_group_config(label, isogeny, q, twisted=twist)
     report = theta(config.datum, config.frob, config.a_g)
-    orbits, strata = union_find_orbits(config.datum, config.a_g, report.points)
+    table = cell_fixed_points(
+        config.datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP
+    )
+    points = reference.pair_images(config.datum, config.a_g, table.points)
+    orbits, strata = union_find_orbits(config.datum, config.a_g, points)
     assert report.hypotheses_hold == config.frob.congruence_holds(len(config.a_g))
-    assert report.orbits == orbits
     assert report.orbit_count == len(orbits)
     assert list(report.strata.items()) == list(strata.items())
 

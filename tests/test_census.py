@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+import textwrap
 from fractions import Fraction
 from math import gcd
 
@@ -191,7 +194,7 @@ PAIR_ORBIT_GRID = [
 )
 def test_pair_orbits_match_the_all_pairs_table(label, iso, q, kind):
     # One solve per orbit of (cell, node) pairs gives every orbit key of
-    # the table that solves every pair, theta's images of the solved
+    # the table that solves every pair, the subgroup images of the solved
     # points are that table, and the pair orbits count the rational classes.
     config = _grid_config(label, iso, q, kind)
     datum = config.datum
@@ -202,7 +205,8 @@ def test_pair_orbits_match_the_all_pairs_table(label, iso, q, kind):
     assert {orbit_key(config, aff) for aff in table.points} == {
         orbit_key(config, aff) for aff in every
     }
-    assert theta(datum, config.frob, config.a_g).points == every
+    assert reference.pair_images(datum, config.a_g, table.points) == every
+    assert theta(datum, config.frob, config.a_g).orbit_count == q**datum.rank
     assert table.solves == counts(config).rational_total
     assert table.solves <= q**datum.rank * len(config.a_g)
 
@@ -226,6 +230,26 @@ def test_pair_action_mutants_break_the_burnside_identity(monkeypatch, drop, labe
             enumerate_classes(make_group_config(label, "ad", q))
     finally:
         brauer.cell_fixed_points.cache_clear()
+
+
+@pytest.mark.parametrize("label,q", [("D5", 3), ("A2", 5)])
+def test_burnside_mutant_counting_every_node_raises(label, q):
+    # enumerate_classes with the F(b) = b condition cut out of its
+    # fixed-space sum: the stable cells of every b no longer count the
+    # rational classes.
+    source = textwrap.dedent(inspect.getsource(census.enumerate_classes))
+    condition = "if central_frobenius_action(datum, config.frob, b) == b"
+    assert source.count(condition) == 1
+    namespace = dict(vars(census))
+    exec(source.replace(condition, ""), namespace)
+    with pytest.raises(
+        InvariantViolation,
+        match=rf"{label} ad q={q}: the stable cells of the F-fixed nodes sum to "
+        r"\d+, but the fixed counts sum to \d+",
+    ):
+        namespace["enumerate_classes"](make_group_config(label, "ad", q))
+    # the unmutated census passes the same identity
+    enumerate_classes(make_group_config(label, "ad", q))
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,18 +288,43 @@ def test_enumerate_classes_a1():
     ad = make_group_config("A1", "ad", 3)
     recs = enumerate_classes(ad)
     assert len(recs) == 3
-    by_rep = {r.rep.coords: r for r in recs}
-    central = by_rep[(Fraction(1),)]  # canonical rep of the 0 ~ 1 orbit
+    # keys are affine numerators over the common denominator 4
+    by_key = {r.key: r for r in recs}
+    central = by_key[(0, 4)]  # canonical rep of the 0 ~ 1 orbit
     assert central.comp_group_order == 1
     assert str(central.centralizer_components[0]) == "A1"
-    half = by_rep[(Fraction(1, 2),)]
+    half = by_key[(2, 2)]
     assert half.comp_group == (0, 1)
     assert half.fixed_count == 2 and half.h1_count == 2
     # the canonical representative of the {1/4, 3/4} orbit is the point
-    # with the lexicographically smaller affine coordinates
-    quarter = by_rep[(Fraction(3, 4),)]
+    # with the lexicographically smaller affine coordinates, (1/4, 3/4)
+    quarter = by_key[(1, 3)]
     assert quarter.comp_group_order == 1
     assert quarter.torus_rank == 1
+
+
+def _leaves(value):
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _leaves(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for x in value:
+            yield from _leaves(x)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize(
+    "label,q,twisted", [("A1", 3, False), ("D5", 3, False), ("E6", 2, True)]
+)
+def test_class_records_hold_no_rationals(label, q, twisted):
+    # the records stay integer; only the serializer builds rationals
+    config = make_group_config(label, "ad", q, twisted=twisted)
+    records = enumerate_classes(config)
+    assert {type(x) for r in records for x in _leaves(r)} <= {int, str}
+    denominators = {sum(r.key) for r in records}
+    assert len(denominators) == 1
+    assert all(orbit_key(config, r.key) == r.key for r in records)
 
 
 def test_component_f_action_split_and_twisted():
