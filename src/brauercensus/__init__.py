@@ -31,7 +31,6 @@ from .census import (
     make_group_config,
 )
 from .errors import InvariantViolation, ResourceCapExceeded
-from .oracle import SmallGroupSpec, pprime_character_count, semisimple_class_count
 from .rootdata import (
     RootDatum,
     TypeLabel,

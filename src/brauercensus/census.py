@@ -443,7 +443,8 @@ class DOddComparison:
 
 
 def d_odd_comparison(config: GroupConfig, census_counts: CensusCounts) -> DOddComparison:
-    """Compare the counts of this configuration's census with the closed form."""
+    """Compare the counts of this configuration's census with the split closed
+    form, which it reports on a twisted census too."""
     datum = config.datum
     if datum.label.family != "D" or datum.rank % 2 == 0:
         raise ValueError("requires an odd-rank D type")

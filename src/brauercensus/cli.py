@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import oracle as oracle_mod
 from .affine import (
     affine_point,
     fundamental_group,
@@ -457,6 +456,8 @@ def _d_odd(name, label, q, cap):
 
 
 def _oracle(name, label, q, cap):
+    from . import oracle as oracle_mod
+
     for iso, kind in (("sc", "SL2"), ("ad", "PGL2")):
         c = counts(make_group_config(label, iso, q), cap=cap)
         want = oracle_mod.semisimple_class_count(oracle_mod.SmallGroupSpec(kind, q))

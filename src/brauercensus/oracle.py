@@ -1,9 +1,9 @@
 """Brute-force ground truth on small matrix groups.
 
-Builds SL2/PGL2/SL3/PGL3 over tiny fields by closing a standard
-generating set (transvections, plus one diagonal for the projective
-groups), partitions the group into conjugacy classes, and counts the
-classes of elements whose order is prime to the field characteristic.
+Builds SL2/PGL2/SL3/PGL3 over tiny fields as index tables by closing a
+small generating set, partitions the group into conjugacy classes by
+table lookups alone, and counts the classes of elements whose order is
+prime to the field characteristic.
 The results share no logic with the census machinery beyond integer
 arithmetic, so they anchor its outputs independently.
 
@@ -14,7 +14,6 @@ validated against the class counts and the group order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -36,8 +35,8 @@ _REDUCTIONS = {
 class FiniteField:
     """A finite field of order at most 9 with table-based arithmetic.
 
-    Elements are integers 0..q-1 encoding base-p digit tuples; 0 and 1
-    are the additive and multiplicative identities.
+    Elements 0..q-1 are coefficient tuples in base p, constant term first;
+    0 and `one` = p^(f-1) are the identities for + and ×.
     """
 
     def __init__(self, q: int):
@@ -138,134 +137,135 @@ class SmallGroupSpec:
         return gl // (q - 1)
 
 
-def _mat_mul(field: FiniteField, n: int, a, b):
-    mul, add = field.mul, field.add
-    out = []
-    for i in range(n):
-        row = a[i * n : (i + 1) * n]
+def _matrix(n: int, entries) -> tuple:
+    """The n×n matrix, as a tuple of rows, with the given {(i, j): entry}, else 0."""
+    return tuple(tuple(entries.get((i, j), 0) for j in range(n)) for i in range(n))
+
+
+def _row_table(field: FiniteField, mat) -> dict:
+    """Right multiplication by mat on row vectors: row ↦ row·mat.  A group
+    element is the tuple of its rows, so x·mat is one lookup per row."""
+    add, mul, n = field.add, field.mul, len(mat)
+    table = {}
+    for row in product(range(field.q), repeat=n):
+        out = []
         for j in range(n):
             acc = 0
             for k in range(n):
-                acc = add[acc][mul[row[k]][b[k * n + j]]]
+                acc = add[acc][mul[row[k]][mat[k][j]]]
             out.append(acc)
-    return tuple(out)
+        table[row] = tuple(out)
+    return table
 
 
-def _projectivize(field: FiniteField, mat):
-    lead = next(x for x in mat if x != 0)
-    if lead == field.one:
-        return mat
-    s = field.inv[lead]
-    return tuple(field.mul[s][x] for x in mat)
-
-
-def _mat_inv(field: FiniteField, n: int, mat):
-    # Gauss-Jordan over the field tables.
-    aug = [
-        [mat[i * n + j] for j in range(n)]
-        + [field.one if i == j else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        s = field.inv[aug[c][c]]
-        aug[c] = [field.mul[s][x] for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [
-                    field.add[x][field.neg[field.mul[f][y]]]
-                    for x, y in zip(aug[r], aug[c])
-                ]
-    return tuple(aug[i][n + j] for i in range(n) for j in range(n))
+@lru_cache(maxsize=None)
+def _canonical(spec: SmallGroupSpec):
+    """Canonical forms of elements: for PGL, the scalar multiple whose
+    first nonzero entry, which lies in the first row, is 1."""
+    if not spec.projective:
+        return lambda x: x
+    field, n = _field(spec.q), spec.n
+    scaled = [_row_table(field, _matrix(n, {(i, i): c for i in range(n)})) for c in range(spec.q)]
+    normal = {row: scaled[field.inv[next((x for x in row if x), 0)]] for row in scaled[0]}
+    return lambda x: tuple(map(normal[x[0]].__getitem__, x))
 
 
 def _generators(spec: SmallGroupSpec, field: FiniteField):
-    n = spec.n
-    identity = tuple(
-        field.one if i == j else 0 for i in range(n) for j in range(n)
-    )
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for t in range(1, field.q):
-                g = list(identity)
-                g[i * n + j] = t
-                gens.append(tuple(g))
+    """The identity and a generating set: x12(t) for t over an F_p-basis
+    of F_q, the n-cycle signed to determinant 1, and diag(ω, 1, …) for
+    PGL.  The root subgroups these reach already generate SL_n(q); the
+    closure's order check proves that they do."""
+    n, one = spec.n, field.one
+    diag = {(i, i): one for i in range(n)}
+    gens = [_matrix(n, {**diag, (0, 1): field.p**k}) for k in range(field.f)]
+    cycle = {(i, i + 1): one for i in range(n - 1)}
+    cycle[n - 1, 0] = one if n % 2 else field.neg[one]
+    gens.append(_matrix(n, cycle))
     if spec.projective and field.q > 2:
-        g = list(identity)
-        g[0] = field.primitive_element()
-        gens.append(_projectivize(field, tuple(g)))
-    return identity, gens
+        gens.append(_matrix(n, {**diag, (0, 0): field.primitive_element()}))
+    return _matrix(n, diag), gens
 
 
 @lru_cache(maxsize=None)
 def _build_group(spec: SmallGroupSpec):
-    """All elements (canonical forms) and the generating set, by closure."""
+    """The group as integer indices, by breadth-first closure.
+
+    Returns the elements (canonical, identity first), each one's
+    search-tree parent and generator, so that element x is element
+    parent[x] times generator via[x], and for each generator s its
+    right-multiplication table: right[s][x] is the index of x·s.
+    """
     if spec.order > GROUP_ORDER_CAP:
         raise ResourceCapExceeded(
             f"{spec.kind}({spec.q}) has order {spec.order}, over the cap {GROUP_ORDER_CAP}"
         )
-    field = _field(spec.q)
+    field, canon = _field(spec.q), _canonical(spec)
     identity, gens = _generators(spec, field)
-    canon = (lambda m: _projectivize(field, m)) if spec.projective else (lambda m: m)
-    gens = [canon(g) for g in gens]
-    seen = {identity}
-    queue = deque([identity])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = canon(_mat_mul(field, spec.n, x, g))
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if len(seen) != spec.order:
+    elements, index, parent, via = [identity], {identity: 0}, [0], [0]
+    times = [_row_table(field, g).__getitem__ for g in gens]
+    right = [[] for _ in gens]
+    for x, rows in enumerate(elements):
+        for s, times_s in enumerate(times):
+            y = canon(tuple(map(times_s, rows)))
+            j = index.setdefault(y, len(elements))
+            if j == len(elements):
+                elements.append(y)
+                parent.append(x)
+                via.append(s)
+            right[s].append(j)
+    if len(elements) != spec.order:
         raise InvariantViolation(
-            f"generated {len(seen)} elements of {spec.kind}({spec.q}), "
+            f"generated {len(elements)} elements of {spec.kind}({spec.q}), "
             f"expected {spec.order}"
         )
-    return frozenset(seen), tuple(gens), identity
+    return elements, parent, via, right
 
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(spec: SmallGroupSpec) -> tuple[tuple, ...]:
-    """Class representatives with sizes, partition-checked against the order."""
-    elements, gens, identity = _build_group(spec)
-    field = _field(spec.q)
-    n = spec.n
-    canon = (lambda m: _projectivize(field, m)) if spec.projective else (lambda m: m)
-    ginv = [(g, _mat_inv(field, n, g)) for g in gens]
-    unvisited = set(elements)
+    """Class representatives, each the least flat matrix of its class, with
+    the class sizes, in increasing order; the sizes must sum to the group
+    order and divide it.  No matrix is multiplied: left multiplication by
+    s⁻¹ follows the search tree, s⁻¹·x = (s⁻¹·parent[x])·via[x], and
+    conjugation x ↦ s⁻¹·x·s is that table after right[s]."""
+    elements, parent, via, right = _build_group(spec)
+    conj = []
+    for r in right:
+        left = [r.index(0)]
+        for x in range(1, len(elements)):
+            left.append(right[via[x]][left[parent[x]]])
+        conj.append([left[y] for y in r])
+    seen = bytearray(len(elements))
     classes = []
-    while unvisited:
-        rep = min(unvisited)
-        orbit = {rep}
-        queue = deque([rep])
-        while queue:
-            x = queue.popleft()
-            for g, gi in ginv:
-                y = canon(_mat_mul(field, n, _mat_mul(field, n, g, x), gi))
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        unvisited -= orbit
-        classes.append((rep, len(orbit)))
-    if sum(size for _, size in classes) != spec.order:
-        raise InvariantViolation("conjugacy classes do not partition the group")
-    return tuple(classes)
+    for start in range(len(elements)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        for x in orbit:
+            for c in conj:
+                y = c[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        classes.append((min(map(elements.__getitem__, orbit)), len(orbit)))
+    sizes = [size for _, size in classes]
+    if sum(sizes) != spec.order or any(spec.order % size for size in sizes):
+        raise InvariantViolation(
+            f"conjugacy classes of {spec.kind}({spec.q}) do not partition the group "
+            f"into divisors of {spec.order}: sizes {sorted(sizes)}"
+        )
+    return tuple((sum(rep, ()), size) for rep, size in sorted(classes))
 
 
 def _element_order(spec: SmallGroupSpec, mat) -> int:
-    field = _field(spec.q)
-    n = spec.n
-    canon = (lambda m: _projectivize(field, m)) if spec.projective else (lambda m: m)
-    identity = tuple(field.one if i == j else 0 for i in range(n) for j in range(n))
-    k, cur = 1, mat
-    while cur != identity:
-        cur = canon(_mat_mul(field, n, cur, mat))
+    n, canon = spec.n, _canonical(spec)
+    rows = tuple(mat[i : i + n] for i in range(0, n * n, n))
+    times = _row_table(_field(spec.q), rows).__getitem__
+    identity = _build_group(spec)[0][0]
+    k, x = 1, rows
+    while x != identity:
+        x = canon(tuple(map(times, x)))
         k += 1
     return k
 

@@ -446,6 +446,16 @@ def test_d_odd_comparison_shape():
         d_odd_comparison(d4, counts(d4))
 
 
+@pytest.mark.parametrize("q,total", [(3, 276), (5, 3250)])
+def test_twisted_d5_adjoint_rational_total(q, total):
+    # Σ_{F(b)=b} m_b under the graph twist: q^5 + [q odd]·q^3 + 2q·[q ≡ 3
+    # mod 4]; d_odd_comparison still reports the split closed form
+    config = make_group_config("D5", "ad", q, twisted=True)
+    c = counts(config)
+    assert c.rational_total == total
+    assert d_odd_comparison(config, c).closed_form == q**5 + q**3 + 2 * q**2
+
+
 def test_component_groups_are_subgroups():
     # component groups always sit inside the isogeny subgroup, and for a
     # prime-order subgroup every disconnected class carries all of it

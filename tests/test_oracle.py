@@ -1,6 +1,7 @@
 import pytest
 
-from brauercensus.errors import ResourceCapExceeded
+from brauercensus import oracle
+from brauercensus.errors import InvariantViolation, ResourceCapExceeded
 from brauercensus.oracle import (
     FiniteField,
     SmallGroupSpec,
@@ -59,6 +60,52 @@ def test_semisimple_class_counts(kind, q, expected):
     assert semisimple_class_count(SmallGroupSpec(kind, q)) == expected
 
 
+def _classical_class_number(kind, q):
+    if kind == "SL2":
+        return q + 4 if q % 2 else q + 1
+    if kind == "PGL2":
+        return q + 2 if q % 2 else q + 1
+    extra = 0 if (q - 1) % 3 else 8 if kind == "SL3" else 2
+    return q * q + q + extra
+
+
+CLASS_NUMBER_CASES = [
+    (kind, q)
+    for kind in ("SL2", "PGL2", "SL3", "PGL3")
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    if SmallGroupSpec(kind, q).order <= 60480
+]
+
+
+@pytest.mark.parametrize(
+    "kind,q", CLASS_NUMBER_CASES, ids=[f"{kind}-q{q}" for kind, q in CLASS_NUMBER_CASES]
+)
+def test_class_numbers_match_classical_formulas(kind, q):
+    # k(SL2) = q+4 or q+1, k(PGL2) = q+2 or q+1 (q odd or even);
+    # k(SL3) = q²+q+8 and k(PGL3) = q²+q+2 when 3 | q-1, else q²+q
+    assert len(conjugacy_classes(SmallGroupSpec(kind, q))) == _classical_class_number(kind, q)
+
+
+def test_dropped_generator_fails_the_order_check(monkeypatch):
+    # without diag(ω, 1, 1) the closure is PSL3(4), of index 3 in PGL3(4)
+    generators = oracle._generators
+
+    def without_last(spec, field):
+        identity, gens = generators(spec, field)
+        return identity, gens[:-1]
+
+    monkeypatch.setattr(oracle, "_generators", without_last)
+    oracle._build_group.cache_clear()
+    oracle.conjugacy_classes.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation) as raised:
+            conjugacy_classes(SmallGroupSpec("PGL3", 4))
+        assert "generated 20160 elements of PGL3(4), expected 60480" in str(raised.value)
+    finally:
+        oracle._build_group.cache_clear()
+        oracle.conjugacy_classes.cache_clear()
+
+
 def test_classes_partition_the_group():
     for kind, q in [("SL2", 5), ("PGL2", 4), ("SL3", 2)]:
         spec = SmallGroupSpec(kind, q)
@@ -107,3 +154,9 @@ def test_census_cross_checks():
         counts(make_group_config("A2", "ad", 3)).rational_total
         == semisimple_class_count(SmallGroupSpec("PGL3", 3))
     )
+    # q = 4 is the first anchor with 3 | q-1, where the adjoint census
+    # has a disconnected class
+    sc, ad = (counts(make_group_config("A2", iso, 4)) for iso in ("sc", "ad"))
+    assert ad.n_disconnected == 1
+    assert sc.rational_total == semisimple_class_count(SmallGroupSpec("SL3", 4)) == 16
+    assert ad.rational_total == semisimple_class_count(SmallGroupSpec("PGL3", 4)) == 18
