@@ -320,7 +320,6 @@ def fold_coords(datum: RootDatum, affine: tuple[int, ...]) -> tuple[int, ...]:
 class InvariantSpace:
     """The affine fixed space of an alcove-stabilizer map."""
 
-    node: int
     dimension: int
     point: Vec
     basis: tuple[Vec, ...]
@@ -369,7 +368,7 @@ def invariant_space(datum: RootDatum, node: int) -> InvariantSpace:
             f"f_{node} has {len(barycenters)} vertex orbits but the kernel "
             f"of z_{node} - I has dimension {datum.rank - rank}"
         )
-    return InvariantSpace(node, len(basis), point, basis)
+    return InvariantSpace(len(basis), point, basis)
 
 
 def hyperplane_containment(

@@ -31,11 +31,9 @@ from .affine import (
     invariant_space,
     validate_symmetry,
 )
-from .errors import InvariantViolation, ResourceCapExceeded
+from .errors import InvariantViolation
 from .linalg import Vec, bareiss, vec_dot
 from .rootdata import RootDatum
-
-DEFAULT_SUBALCOVE_CAP = 10**6
 
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:
@@ -124,7 +122,7 @@ class SubAlcove:
 
 @lru_cache(maxsize=None)
 def enumerate_subalcoves(
-    datum: RootDatum, config: FrobeniusConfig, cap: int = DEFAULT_SUBALCOVE_CAP
+    datum: RootDatum, config: FrobeniusConfig
 ) -> tuple[SubAlcove, ...]:
     """All ``q**rank`` sub-alcoves, found by breadth-first wall reflection.
 
@@ -132,16 +130,13 @@ def enumerate_subalcoves(
     rank+1 walls: the apex opposite the wall ``(beta, k)`` moves to
     ``apex - (<beta, apex> - k) * beta^vee``, and a candidate survives
     when that stays in the closed alcove (the shared facet already
-    does).  The exact count is enforced as a postcondition.
+    does).  The exact count is enforced: a search that finds one cell
+    too many stops there, and one that finds too few fails at the end.
     """
     validate_frobenius(datum, config)
     n = datum.rank
     q = config.q
     expected = q**n
-    if expected > cap:
-        raise ResourceCapExceeded(
-            f"{datum.label}, q={q}: {expected} sub-alcoves exceed the cap {cap}"
-        )
     hr = datum.highest_root
     s = scale(datum, q)
 
@@ -166,8 +161,10 @@ def enumerate_subalcoves(
             key = tuple(x - offset * y for x, y in zip(cur.key, bv))
             if key in seen:
                 continue
-            if len(seen) >= cap:
-                raise ResourceCapExceeded("sub-alcove cap exceeded during search")
+            if len(seen) == expected:
+                raise InvariantViolation(
+                    f"{datum.label}, q={q}: found more than {expected} sub-alcoves"
+                )
             new_walls = []
             for i, (gamma, d) in enumerate(cur.walls):
                 if i == j:
@@ -257,7 +254,7 @@ class CellTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def cell_fixed_points(
-    datum: RootDatum, config: FrobeniusConfig, nodes: frozenset[int], cap: int
+    datum: RootDatum, config: FrobeniusConfig, nodes: frozenset[int]
 ) -> CellTable:
     """The fixed points of the (cell, node) pairs over the given
     stabilizer nodes, one pair per orbit, solved once per configuration
@@ -283,7 +280,7 @@ def cell_fixed_points(
     if not nodes.issuperset(image_node.values()):
         raise ValueError("the Frobenius does not stabilize the node subgroup")
 
-    subalcoves = enumerate_subalcoves(datum, config, cap)
+    subalcoves = enumerate_subalcoves(datum, config)
     cells = {sub.key for sub in subalcoves}
     total = scale(datum, config.q) * (datum.rank + 1)
     points: dict[tuple, None] = {}
@@ -321,10 +318,7 @@ def stable_cell_count(datum: RootDatum, node: int, q: int) -> int:
 
 
 def m_alpha(
-    datum: RootDatum,
-    config: FrobeniusConfig,
-    node: int,
-    cap: int = DEFAULT_SUBALCOVE_CAP,
+    datum: RootDatum, config: FrobeniusConfig, node: int
 ) -> tuple[SubAlcove, ...]:
     """Sub-alcoves mapped to themselves by the stabilizer of ``node``,
     asserted to number ``stable_cell_count``, in both of its branches.
@@ -333,7 +327,7 @@ def m_alpha(
     group = fundamental_group(datum)
     total = scale(datum, config.q) * (datum.rank + 1)
     stable = []
-    for sub in enumerate_subalcoves(datum, config, cap):
+    for sub in enumerate_subalcoves(datum, config):
         key = _scaled_affine(datum, total, sub.key)
         if group.apply_to_affine(node, key) == key:
             stable.append(sub)
@@ -363,10 +357,7 @@ class ThetaReport:
 
 
 def theta(
-    datum: RootDatum,
-    config: FrobeniusConfig,
-    subgroup: Iterable[int],
-    cap: int = DEFAULT_SUBALCOVE_CAP,
+    datum: RootDatum, config: FrobeniusConfig, subgroup: Iterable[int]
 ) -> ThetaReport:
     group = fundamental_group(datum)
     nodes = frozenset(subgroup)
@@ -377,7 +368,7 @@ def theta(
     # a pair), and the least image keys an orbit.
     keys = {
         min(group.apply_to_affine(z, aff) for z in nodes)
-        for aff in cell_fixed_points(datum, config, nodes, cap).points
+        for aff in cell_fixed_points(datum, config, nodes).points
     }
     expected = config.q**datum.rank
     if len(keys) != expected:

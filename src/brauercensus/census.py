@@ -30,7 +30,6 @@ from .affine import (
     standard_symmetry,
 )
 from .brauer import (
-    DEFAULT_SUBALCOVE_CAP,
     FrobeniusConfig,
     cell_fixed_points,
     central_frobenius_action,
@@ -47,8 +46,7 @@ class Lattice:
     """An integer lattice between the coroot and coweight lattices."""
 
     def __init__(self, generators: Iterable[Sequence[int]]):
-        self.generators = tuple(tuple(g) for g in generators)
-        self.basis = hermite_normal_form(self.generators)
+        self.basis = hermite_normal_form(generators)
 
     def contains(self, vec: Vec) -> bool:
         return lattice_contains(self.basis, vec)
@@ -276,9 +274,7 @@ def _classify(config: GroupConfig, key: tuple) -> ClassRecord:
     )
 
 
-def enumerate_classes(
-    config: GroupConfig, cap: int = DEFAULT_SUBALCOVE_CAP
-) -> tuple[ClassRecord, ...]:
+def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
     """All F-stable semisimple classes, exactly ``q**rank`` of them.
 
     Candidates are the stabilizer fixed points of one (cell, node) pair
@@ -291,7 +287,7 @@ def enumerate_classes(
     datum = config.datum
     q = config.q
     expected = q**datum.rank
-    table = cell_fixed_points(datum, config.frob, config.a_g, cap)
+    table = cell_fixed_points(datum, config.frob, config.a_g)
     orbits = dict.fromkeys(orbit_key(config, aff) for aff in table.points)
 
     # The canonical keys must agree with the pairwise orbit relation on
@@ -358,9 +354,7 @@ class CensusCounts:
 
 
 def counts(
-    config: GroupConfig,
-    records: Optional[Sequence[ClassRecord]] = None,
-    cap: int = DEFAULT_SUBALCOVE_CAP,
+    config: GroupConfig, records: Optional[Sequence[ClassRecord]] = None
 ) -> CensusCounts:
     """Counting identities over the census records.
 
@@ -371,7 +365,7 @@ def counts(
     configured one.
     """
     if records is None:
-        records = enumerate_classes(config, cap)
+        records = enumerate_classes(config)
     by_order: dict[int, int] = {}
     for r in records:
         by_order[r.comp_group_order] = by_order.get(r.comp_group_order, 0) + 1
@@ -416,12 +410,10 @@ def expected_disconnected_count(config: GroupConfig) -> tuple[str, int]:
     raise ValueError(f"no closed form for type {datum.label}")
 
 
-def disconnected_census_check(
-    config: GroupConfig, cap: int = DEFAULT_SUBALCOVE_CAP
-) -> int:
+def disconnected_census_check(config: GroupConfig) -> int:
     """The disconnected-class count, asserted against its closed form."""
     rule, expected = expected_disconnected_count(config)
-    actual = counts(config, cap=cap).n_disconnected
+    actual = counts(config).n_disconnected
     if actual != expected:
         raise InvariantViolation(
             f"{config.datum.label} q={config.q}: {actual} disconnected classes, "

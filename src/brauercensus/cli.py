@@ -21,14 +21,7 @@ from .affine import (
     minuscule_nodes,
     standard_symmetry,
 )
-from .brauer import (
-    DEFAULT_SUBALCOVE_CAP,
-    FrobeniusConfig,
-    enumerate_subalcoves,
-    m_alpha,
-    prime_power,
-    theta,
-)
+from .brauer import FrobeniusConfig, enumerate_subalcoves, m_alpha, theta
 from .census import (
     GroupConfig,
     counts,
@@ -44,6 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_RESOURCE = 3
+
+DEFAULT_SUBALCOVE_CAP = 10**6
 
 # Case tables of the verification suites.  Every case starts with
 # (type, q or None); the rest is what the suite's checks need.  q runs
@@ -177,8 +172,17 @@ def _record_payload(datum, record) -> dict:
     }
 
 
-def census_report(config: GroupConfig, cap: int = DEFAULT_SUBALCOVE_CAP) -> dict:
-    records = enumerate_classes(config, cap)
+def _check_subalcove_cap(label: TypeLabel, q: int, cap: int) -> None:
+    """The Brauer complex of a type and q has exactly ``q**rank``
+    sub-alcoves, so the cap is checked before any work."""
+    if q**label.rank > cap:
+        raise ResourceCapExceeded(
+            f"{label}, q={q}: {q**label.rank} sub-alcoves exceed the cap {cap}"
+        )
+
+
+def census_report(config: GroupConfig) -> dict:
+    records = enumerate_classes(config)
     c = counts(config, records)
     order = len(config.a_g)
     payload = {
@@ -305,15 +309,16 @@ def _case_name(suite: str, case: tuple) -> str:
 
 class Suite:
     """A verification suite: a case table and a generator that yields the
-    checks of one case, called as ``checks(name, *case, cap=cap)`` with
-    the case's name from ``_case_name``.
+    checks of one case, called as ``checks(name, *case)`` with the case's
+    name from ``_case_name``.
 
     Calling the suite runs the cases that ``types`` and ``max_q`` select
-    and returns their checks.  The filters are checked before any case
-    runs: a type that no case has, or ``max_q`` on a suite whose cases
-    have no q, is a usage error.  A case whose checks raise
-    ``InvariantViolation`` becomes one ``FAIL`` line under the case's
-    name, and the suite goes on with its other cases.
+    and returns their checks.  The filters and the cap are checked before
+    any case runs: a type that no case has, or ``max_q`` on a suite whose
+    cases have no q, is a usage error, and a selected case with more
+    sub-alcoves than ``cap`` raises ``ResourceCapExceeded``.  A case whose
+    checks raise ``InvariantViolation`` becomes one ``FAIL`` line under
+    the case's name, and the suite goes on with its other cases.
     """
 
     def __init__(self, name: str, cases: tuple, checks):
@@ -329,23 +334,27 @@ class Suite:
             )
         if max_q is not None and all(case[1] is None for case in self.cases):
             raise UsageError(f"suite {self.name!r} has no q to filter by --max-q")
+        selected = [
+            case
+            for case in self.cases
+            if (types is None or case[0] in types)
+            and (max_q is None or case[1] <= max_q)
+        ]
+        for label, q, *_ in selected:
+            if q is not None:
+                _check_subalcove_cap(TypeLabel.parse(label), q, cap)
         checks = []
-        for case in self.cases:
-            label, q = case[:2]
-            if (types is not None and label not in types) or (
-                max_q is not None and q > max_q
-            ):
-                continue
+        for case in selected:
             name = _case_name(self.name, case)
             try:
                 # list() first: a case that fails midway leaves no lines
-                checks.extend(list(self.checks(name, *case, cap=cap)))
+                checks.extend(list(self.checks(name, *case)))
             except InvariantViolation as exc:
                 checks.append(Check(name, False, str(exc)))
         return checks
 
 
-def _table1(name, label, q, cap):
+def _table1(name, label, q):
     datum = build_root_system(label)
     for a in minuscule_nodes(datum):
         want = classical_invariant_dimension(datum.label, a)
@@ -356,7 +365,7 @@ def _table1(name, label, q, cap):
 suite_table1 = Suite("table1", tuple((label, None) for label in TABLE1_TYPES), _table1)
 
 
-def _table2(name, label, q, num, den, node, expected, cap):
+def _table2(name, label, q, num, den, node, expected):
     datum = build_root_system(label)
     coords = tuple(
         Fraction(num, den) if j == node - 1 else Fraction(0) for j in range(datum.rank)
@@ -380,48 +389,48 @@ def _table2(name, label, q, num, den, node, expected, cap):
 suite_table2 = Suite("table2", TABLE2_WITNESSES, _table2)
 
 
-def _table3(name, label, q, twisted, expected, cap):
+def _table3(name, label, q, twisted, expected):
     config = make_group_config(label, "ad", q, twisted=twisted)
-    actual = disconnected_census_check(config, cap)
+    actual = disconnected_census_check(config)
     yield Check(name, actual == expected, f"n_disconnected={actual} expected={expected}")
 
 
-def _steinberg(name, label, q, twisted, cap):
+def _steinberg(name, label, q, twisted):
     # counts asserts the q^rank classes that c1 + c2 partition.
     config = make_group_config(label, "ad", q, twisted=twisted)
-    c = counts(config, cap=cap)
+    c = counts(config)
     connected = c.geometric_total - c.n_disconnected
     yield Check(
         name, True, f"c1={connected} c2={c.n_disconnected} q^rank={q**config.rank}"
     )
 
 
-def _alovefixe(name, label, q, cap):
+def _alovefixe(name, label, q):
     # enumerate_subalcoves asserts the q^rank cells, and m_alpha that a
     # node's stable cells number q^dim of its fixed space, or zero when a
     # wall of the q-refined arrangement contains that space.
     datum = build_root_system(label)
     config = FrobeniusConfig(q, standard_symmetry(datum, "split"))
-    count = len(enumerate_subalcoves(datum, config, cap))
+    count = len(enumerate_subalcoves(datum, config))
     yield Check(f"subalcoves/{label}/q{q}", True, f"|E_q|={count}")
     for a in minuscule_nodes(datum):
-        count = len(m_alpha(datum, config, a, cap))
+        count = len(m_alpha(datum, config, a))
         yield Check(
             f"alcove-fixed/{label}/q{q}/node{a}", True, f"count={count} expected={count}"
         )
 
 
-def _e6e7(name, label, q, twisted, title, rational, disconnected, note, cap):
-    c = counts(make_group_config(label, "ad", q, twisted=twisted), cap=cap)
+def _e6e7(name, label, q, twisted, title, rational, disconnected, note):
+    c = counts(make_group_config(label, "ad", q, twisted=twisted))
     ok = c.rational_total == rational and c.n_disconnected == disconnected
     shown = f"({note})" if note else f"n_disconnected={c.n_disconnected}"
     yield Check(f"e6e7/{title}", ok, f"rational={c.rational_total} {shown}")
 
 
-def _theta(name, label, q, twisted, cap):
+def _theta(name, label, q, twisted):
     config = make_group_config(label, "ad", q, twisted=twisted)
     # theta asserts that the orbits number q^rank.
-    report = theta(config.datum, config.frob, config.a_g, cap)
+    report = theta(config.datum, config.frob, config.a_g)
     ok = report.hypotheses_hold
     for a in sorted(config.a_g):
         want = q ** invariant_space(config.datum, a).dimension
@@ -429,14 +438,14 @@ def _theta(name, label, q, twisted, cap):
     yield Check(name, ok, f"orbits={report.orbit_count} strata={report.strata}")
 
 
-def _d_odd(name, label, q, cap):
+def _d_odd(name, label, q):
     prefix = f"d-odd/{label}-q{q}"
     config = make_group_config(label, "ad", q)
     # counts asserts that the geometric classes number q^rank.
-    c = counts(config, cap=cap)
+    c = counts(config)
     yield Check(f"{prefix}/partition", True, f"geometric={c.geometric_total}")
     # theta asserts that the orbits number q^rank.
-    report = theta(config.datum, config.frob, config.a_g, cap)
+    report = theta(config.datum, config.frob, config.a_g)
     detail = f"orbits={report.orbit_count} strata={report.strata}"
     yield Check(f"{prefix}/orbits", True, detail)
     for a in sorted(config.a_g):
@@ -455,11 +464,11 @@ def _d_odd(name, label, q, cap):
     )
 
 
-def _oracle(name, label, q, cap):
+def _oracle(name, label, q):
     from . import oracle as oracle_mod
 
     for iso, kind in (("sc", "SL2"), ("ad", "PGL2")):
-        c = counts(make_group_config(label, iso, q), cap=cap)
+        c = counts(make_group_config(label, iso, q))
         want = oracle_mod.semisimple_class_count(oracle_mod.SmallGroupSpec(kind, q))
         yield Check(
             f"oracle/classes/{label}-{iso}-q{q}",
@@ -555,8 +564,6 @@ def main(argv=None) -> int:
             print(json.dumps(report, indent=2, sort_keys=True))
             return EXIT_OK
         if args.command == "census":
-            if prime_power(args.q) is None:
-                raise UsageError(f"q = {args.q} is not a prime power >= 2")
             config = make_group_config(
                 args.type,
                 _parse_isogeny(args.isogeny),
@@ -564,7 +571,8 @@ def main(argv=None) -> int:
                 twisted=args.twisted,
                 triality=args.triality,
             )
-            report = census_report(config, cap=args.max_subalcoves)
+            _check_subalcove_cap(config.datum.label, config.q, args.max_subalcoves)
+            report = census_report(config)
             if args.format == "tsv":
                 sys.stdout.write(census_tsv(report))
             else:

@@ -224,10 +224,11 @@ def _build_group(spec: SmallGroupSpec):
 @lru_cache(maxsize=None)
 def conjugacy_classes(spec: SmallGroupSpec) -> tuple[tuple, ...]:
     """Class representatives, each the least flat matrix of its class, with
-    the class sizes, in increasing order; the sizes must sum to the group
-    order and divide it.  No matrix is multiplied: left multiplication by
-    s⁻¹ follows the search tree, s⁻¹·x = (s⁻¹·parent[x])·via[x], and
-    conjugation x ↦ s⁻¹·x·s is that table after right[s]."""
+    the class sizes, in increasing order; every conjugation must fix the
+    identity, and the sizes must sum to the group order and divide it.
+    No matrix is multiplied: left multiplication by s⁻¹ follows the
+    search tree, s⁻¹·x = (s⁻¹·parent[x])·via[x], and conjugation
+    x ↦ s⁻¹·x·s is that table after right[s]."""
     elements, parent, via, right = _build_group(spec)
     conj = []
     for r in right:
@@ -235,6 +236,10 @@ def conjugacy_classes(spec: SmallGroupSpec) -> tuple[tuple, ...]:
         for x in range(1, len(elements)):
             left.append(right[via[x]][left[parent[x]]])
         conj.append([left[y] for y in r])
+    if any(c[0] for c in conj):
+        raise InvariantViolation(
+            f"a conjugation table of {spec.kind}({spec.q}) moves the identity"
+        )
     seen = bytearray(len(elements))
     classes = []
     for start in range(len(elements)):

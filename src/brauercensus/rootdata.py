@@ -173,10 +173,6 @@ class RootDatum:
 
     # -- basic queries -------------------------------------------------
 
-    def coroot_of(self, root: Vec) -> Vec:
-        """Coefficients of the coroot in the simple-coroot basis."""
-        return self._coroot_of[tuple(root)]
-
     @lru_cache(maxsize=None)
     def coroot_coweight(self, root: Vec) -> Vec:
         """Coordinates of the coroot of ``root`` in the coweight basis."""

@@ -225,12 +225,12 @@ def pair_images(datum, nodes, points):
     return tuple(sorted({group.apply_to_affine(b, aff) for aff in points for b in nodes}))
 
 
-def all_pairs_fixed_points(datum, frobenius, nodes, cap):
+def all_pairs_fixed_points(datum, frobenius, nodes):
     """The distinct fixed points of every sub-alcove over every node, as
     integer affine numerators over one common denominator, sorted."""
     points = {
         fixed_point(datum, frobenius, sub, a).affine
-        for sub in enumerate_subalcoves(datum, frobenius, cap)
+        for sub in enumerate_subalcoves(datum, frobenius)
         for a in sorted(nodes)
     }
     common = lcm(*(sum(aff) for aff in points))

@@ -6,7 +6,6 @@ import pytest
 from brauercensus import brauer
 from brauercensus.affine import fundamental_group, minuscule_nodes, standard_symmetry
 from brauercensus.brauer import (
-    DEFAULT_SUBALCOVE_CAP,
     FrobeniusConfig,
     cell_fixed_points,
     enumerate_subalcoves,
@@ -18,7 +17,7 @@ from brauercensus.brauer import (
     theta,
 )
 from brauercensus.census import counts, enumerate_classes, make_group_config
-from brauercensus.errors import InvariantViolation, ResourceCapExceeded
+from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import AffineMap
 from brauercensus.rootdata import build_root_system
 
@@ -105,12 +104,6 @@ def test_subalcoves_one_dimensional():
 def test_subalcove_count(label, q):
     datum, config = split(label, q)
     assert len(enumerate_subalcoves(datum, config)) == q**datum.rank
-
-
-def test_subalcove_cap():
-    datum, config = split("E6", 3)
-    with pytest.raises(ResourceCapExceeded):
-        enumerate_subalcoves(datum, config, cap=100)
 
 
 def _simplex_volume(vertices):
@@ -244,7 +237,7 @@ def test_fixed_points_have_pprime_denominators_and_stay_inside(label, q):
 def test_cell_fixed_points_share_one_denominator():
     datum, config = split("B2", 5)
     nodes = frozenset(minuscule_nodes(datum))
-    table = cell_fixed_points(datum, config, nodes, DEFAULT_SUBALCOVE_CAP)
+    table = cell_fixed_points(datum, config, nodes)
     points = {
         fixed_point(datum, config, sub, a).affine
         for sub in enumerate_subalcoves(datum, config)
@@ -274,7 +267,7 @@ def test_pair_image_outside_the_cells_raises(monkeypatch):
     brauer.cell_fixed_points.cache_clear()
     try:
         with pytest.raises(InvariantViolation, match="onto no sub-alcove"):
-            cell_fixed_points(datum, config, nodes, DEFAULT_SUBALCOVE_CAP)
+            cell_fixed_points(datum, config, nodes)
     finally:
         brauer.cell_fixed_points.cache_clear()
 
@@ -298,7 +291,7 @@ def test_theta_trivial_subgroup():
     assert report.orbit_count == 9
     assert report.strata == {0: 9}
     # the identity alone: each of the 9 points is its own orbit
-    table = cell_fixed_points(datum, config, nodes, DEFAULT_SUBALCOVE_CAP)
+    table = cell_fixed_points(datum, config, nodes)
     assert len(reference.pair_images(datum, nodes, table.points)) == 9
 
 
@@ -343,9 +336,7 @@ def test_theta_reuses_the_census_fixed_points(monkeypatch):
     assert len(calls) == solves
     # theta's orbits are those of the subgroup images of the census's
     # integer table
-    table = brauer.cell_fixed_points(
-        config.datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP
-    )
+    table = brauer.cell_fixed_points(config.datum, config.frob, config.a_g)
     points = reference.pair_images(config.datum, config.a_g, table.points)
     assert all(type(x) is int for aff in points for x in aff)
     orbits, strata = union_find_orbits(config.datum, config.a_g, points)
@@ -402,9 +393,7 @@ def union_find_orbits(datum, subgroup, points):
 def test_theta_matches_union_find(label, isogeny, q, twist):
     config = make_group_config(label, isogeny, q, twisted=twist)
     report = theta(config.datum, config.frob, config.a_g)
-    table = cell_fixed_points(
-        config.datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP
-    )
+    table = cell_fixed_points(config.datum, config.frob, config.a_g)
     points = reference.pair_images(config.datum, config.a_g, table.points)
     orbits, strata = union_find_orbits(config.datum, config.a_g, points)
     assert report.hypotheses_hold == config.frob.congruence_holds(len(config.a_g))
@@ -419,7 +408,7 @@ def test_theta_missing_orbit_raises(monkeypatch):
     assert not config.frob.congruence_holds(len(config.a_g))
     datum = config.datum
     group = fundamental_group(datum)
-    table = brauer.cell_fixed_points(datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP)
+    table = brauer.cell_fixed_points(datum, config.frob, config.a_g)
 
     def key(aff):
         return min(group.apply_to_affine(b, aff) for b in config.a_g)

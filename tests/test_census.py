@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from brauercensus import brauer
 from brauercensus.affine import FundamentalGroup, affine_point, fold_coords, fundamental_group
 from brauercensus.brauer import (
-    DEFAULT_SUBALCOVE_CAP,
     cell_fixed_points,
     frobenius_image,
     theta,
@@ -30,7 +29,7 @@ from brauercensus.census import (
     orbit_key,
 )
 from brauercensus import census
-from brauercensus.errors import InvariantViolation, ResourceCapExceeded
+from brauercensus.errors import InvariantViolation
 
 import fraction_reference as reference
 
@@ -139,9 +138,7 @@ def _grid_id(case):
 def test_integer_stability_matches_the_rational_reference(label, iso, q, kind):
     config = _grid_config(label, iso, q, kind)
     datum = config.datum
-    candidates = reference.all_pairs_fixed_points(
-        datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP
-    )
+    candidates = reference.all_pairs_fixed_points(datum, config.frob, config.a_g)
     vertices = tuple(
         reference.numerators(datum, v, reference.common_denominator(v))
         for v in datum.alcove_vertices
@@ -198,10 +195,8 @@ def test_pair_orbits_match_the_all_pairs_table(label, iso, q, kind):
     # points are that table, and the pair orbits count the rational classes.
     config = _grid_config(label, iso, q, kind)
     datum = config.datum
-    table = cell_fixed_points(datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP)
-    every = reference.all_pairs_fixed_points(
-        datum, config.frob, config.a_g, DEFAULT_SUBALCOVE_CAP
-    )
+    table = cell_fixed_points(datum, config.frob, config.a_g)
+    every = reference.all_pairs_fixed_points(datum, config.frob, config.a_g)
     assert {orbit_key(config, aff) for aff in table.points} == {
         orbit_key(config, aff) for aff in every
     }
@@ -427,12 +422,6 @@ def test_unstable_orbit_raises(monkeypatch):
         match=r"A2 sc q=3: orbit \(\d+, \d+, \d+\) over \d+ is not F-stable",
     ):
         enumerate_classes(make_group_config("A2", "sc", 3))
-
-
-def test_enumeration_cap():
-    cfg = make_group_config("E6", "ad", 3)
-    with pytest.raises(ResourceCapExceeded):
-        enumerate_classes(cfg, cap=100)
 
 
 def test_d_odd_comparison_shape():

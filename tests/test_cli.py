@@ -10,6 +10,7 @@ from brauercensus import cli
 from brauercensus.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
+    EXIT_RESOURCE,
     EXIT_USAGE,
     Check,
     census_report,
@@ -109,7 +110,9 @@ def test_census_sub_isogeny():
 
 def test_usage_errors():
     assert run(["info", "--type", "Z9"])[0] == EXIT_USAGE
-    assert run(["census", "--type", "A1", "--isogeny", "ad", "--q", "6"])[0] == EXIT_USAGE
+    code, out, err = run(["census", "--type", "A1", "--isogeny", "ad", "--q", "6"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "usage error: q = 6 is not a prime power >= 2\n"
     assert run(["census", "--type", "A1", "--isogeny", "xx", "--q", "3"])[0] == EXIT_USAGE
     assert run(["census", "--type", "B3", "--isogeny", "ad", "--q", "3", "--twisted"])[0] == EXIT_USAGE
     assert run(["verify", "--suite", "nope"])[0] == EXIT_USAGE
@@ -215,7 +218,27 @@ def test_resource_cap_exit():
         ["census", "--type", "E7", "--isogeny", "ad", "--q", "3",
          "--max-subalcoves", "10"]
     )
-    assert code == 3
+    assert code == EXIT_RESOURCE
+    assert err == "resource cap: E7, q=3: 2187 sub-alcoves exceed the cap 10\n"
+
+
+def test_census_cap_is_the_subalcove_count():
+    # A2 at q=3 has exactly 9 sub-alcoves
+    argv = ["census", "--type", "A2", "--q", "3", "--max-subalcoves"]
+    code, out, err = run(argv + ["8"])
+    assert code == EXIT_RESOURCE and out == ""
+    assert err == "resource cap: A2, q=3: 9 sub-alcoves exceed the cap 8\n"
+    assert run(argv + ["9"])[0] == EXIT_OK
+
+
+def test_verify_cap_is_checked_before_any_case_runs(monkeypatch):
+    def forbidden(*args, **kw):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(cli, "build_root_system", forbidden)
+    code, out, err = run(["verify", "--suite", "alovefixe", "--max-subalcoves", "100"])
+    assert code == EXIT_RESOURCE and out == ""
+    assert err == "resource cap: B3, q=5: 125 sub-alcoves exceed the cap 100\n"
 
 
 def test_verify_small_suites():

@@ -106,6 +106,25 @@ def test_dropped_generator_fails_the_order_check(monkeypatch):
         oracle.conjugacy_classes.cache_clear()
 
 
+def test_wrong_search_tree_fails_the_identity_check(monkeypatch):
+    # rotate every element's generator label by one: the left tables then
+    # follow the wrong search tree, and a conjugation moves the identity
+    build = oracle._build_group
+
+    def rotated(spec):
+        elements, parent, via, right = build(spec)
+        via = [0] + [(s + 1) % len(right) for s in via[1:]]
+        return elements, parent, via, right
+
+    monkeypatch.setattr(oracle, "_build_group", rotated)
+    oracle.conjugacy_classes.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match=r"SL3\(2\) moves the identity"):
+            conjugacy_classes(SmallGroupSpec("SL3", 2))
+    finally:
+        oracle.conjugacy_classes.cache_clear()
+
+
 def test_classes_partition_the_group():
     for kind, q in [("SL2", 5), ("PGL2", 4), ("SL3", 2)]:
         spec = SmallGroupSpec(kind, q)
