@@ -266,10 +266,13 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
 
 
 @lru_cache(maxsize=None)
-def _wall_reflections(datum: RootDatum) -> tuple[tuple[int, tuple], ...]:
+def wall_reflections(datum: RootDatum) -> tuple[tuple[int, tuple], ...]:
     """Per extended node i: its mark n_i and the nonzero
-    ``(j, n_j * <a_j, a_i^vee>)``, so that the reflection in wall i lowers
-    affine coordinate j by that coefficient times ``x_i / n_i``."""
+    ``(j, n_j * <a_j, a_i^vee>)``.  Row i serves twice: the reflection in
+    wall i lowers affine coordinate j of a point by that coefficient
+    times ``x_i / n_i`` (``fold_coords``), and it moves vertex i of an
+    alcove to ``v_i - sum_j(coefficient * v_j) / n_i``, the vertex
+    exchange of ``brauer.enumerate_subalcoves``."""
     marks = datum.marks
     return tuple(
         (
@@ -295,7 +298,7 @@ def fold_coords(datum: RootDatum, affine: tuple[int, ...]) -> tuple[int, ...]:
     integral and divisible by the marks, and preserves D.  It is
     homogeneous, so one code path serves every denominator.
     """
-    reflections = _wall_reflections(datum)
+    reflections = wall_reflections(datum)
     cur = list(affine)
     if any(x % mark for x, (mark, _) in zip(cur, reflections)):
         raise ValueError("an affine numerator is not divisible by its mark")

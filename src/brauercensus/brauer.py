@@ -7,22 +7,23 @@ permutation induced by rho inverse, so its inverse contracts V by 1/q
 and sends alcove vertex b to vertex rho(b) of the small alcove.  The
 small alcove tiles the alcove in exactly ``q**rank`` translates under
 the q-refined affine Weyl group, which this module enumerates by
-reflecting across walls, in coweight coordinates scaled by
-``S = q * lcm(marks)`` so that all of it is integer arithmetic.  Each
-translate carries a unique point fixed by "translate after
-Frobenius-inverse after alcove stabilizer", solved from the images of
-the alcove vertices for one (translate, stabilizer) pair per orbit of
-the stabilizers' action on those pairs, and kept as integer affine
-numerators over one common denominator.
+exchanging one vertex at a time across a facet.  Everything is kept in
+one coordinate system: integer affine numerators, with the sub-alcove
+vertices over ``S = q * lcm(marks)``.  Each translate carries a unique
+point fixed by "translate after Frobenius-inverse after alcove
+stabilizer", solved from the images of the alcove vertices for one
+(translate, stabilizer) pair per orbit of the stabilizers' action on
+those pairs, and kept as integer affine numerators over one common
+denominator.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .affine import (
     DiagramSymmetry,
@@ -30,22 +31,11 @@ from .affine import (
     hyperplane_containment,
     invariant_space,
     validate_symmetry,
+    wall_reflections,
 )
 from .errors import InvariantViolation
-from .linalg import Vec, bareiss, vec_dot
+from .linalg import bareiss, prime_power
 from .rootdata import RootDatum
-
-
-def prime_power(q: int) -> Optional[tuple[int, int]]:
-    """(p, f) with q = p**f, or None if q is not a prime power >= 2."""
-    if q < 2:
-        return None
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    f, rest = 0, q
-    while rest % p == 0:
-        rest //= p
-        f += 1
-    return (p, f) if rest == 1 else None
 
 
 @dataclass(frozen=True)
@@ -59,7 +49,7 @@ class FrobeniusConfig:
         if prime_power(self.q) is None:
             raise ValueError(f"q = {self.q} is not a prime power >= 2")
 
-    @property
+    @cached_property
     def p(self) -> int:
         return prime_power(self.q)[0]
 
@@ -97,95 +87,83 @@ def scale(datum: RootDatum, q: int) -> int:
     return q * lcm(*datum.marks.values())
 
 
-def _scaled_affine(datum: RootDatum, total: int, vec: Vec) -> tuple[int, ...]:
-    """Affine coordinates of ``vec / total``, multiplied by ``total``."""
-    simple = tuple(datum.marks[i] * vec[i - 1] for i in datum.nodes)
-    return (total - sum(simple),) + simple
-
-
 @dataclass(frozen=True)
 class SubAlcove:
     """One translate of the small alcove inside the fundamental alcove,
-    in coweight coordinates scaled by ``S = scale(datum, q)``.
+    as integer affine numerators over ``S = scale(datum, q)``.
 
     ``vertices[j]`` is the image of the j-th small-alcove vertex (vertex
-    0 is the image of the origin), ``walls[j]`` the pair (positive root
-    beta, k) of the hyperplane ``<beta, X> = k`` through the facet
-    opposite vertex j, and ``key`` the vertex sum, which identifies the
-    simplex uniquely.
+    0 is the image of the origin), a nonnegative integer vector indexed
+    by extended node that sums to S, and ``key`` the vertex sum, which
+    identifies the simplex uniquely.
     """
 
-    vertices: tuple[Vec, ...]
-    key: Vec
-    walls: tuple[tuple[Vec, int], ...]
+    vertices: tuple[tuple[int, ...], ...]
+    key: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def enumerate_subalcoves(
     datum: RootDatum, config: FrobeniusConfig
 ) -> tuple[SubAlcove, ...]:
-    """All ``q**rank`` sub-alcoves, found by breadth-first wall reflection.
+    """All ``q**rank`` sub-alcoves, found breadth-first across facets.
 
-    Each neighbor of a sub-alcove is its mirror image across one of its
-    rank+1 walls: the apex opposite the wall ``(beta, k)`` moves to
-    ``apex - (<beta, apex> - k) * beta^vee``, and a candidate survives
-    when that stays in the closed alcove (the shared facet already
-    does).  The exact count is enforced: a search that finds one cell
-    too many stops there, and one that finds too few fails at the end.
+    The neighbour across the facet opposite vertex j keeps the other
+    vertices and replaces v_j with ``v_j - sum_i(c_ji * v_i) / n_j``, the
+    coefficients ``c_ji = n_i <a_i, a_j^vee>`` of row j of
+    ``wall_reflections``: that is the reflection of the small alcove's
+    vertex j in its wall j.  Since the marks span the kernel of the
+    extended Cartan matrix, the coefficients of the v_i sum to 1, so the
+    rule is an affine combination and holds on every translate, with an
+    exact division.  The neighbour stays in the closed alcove when the
+    new vertex does (the shared facet already is), which is when its
+    numerators are nonnegative: numerator 0 is ``S - <theta, x>``.  The
+    exact count is enforced: a search that finds one cell too many stops
+    there, and one that finds too few fails at the end.
     """
     validate_frobenius(datum, config)
-    n = datum.rank
     q = config.q
-    expected = q**n
-    hr = datum.highest_root
+    expected = q**datum.rank
     s = scale(datum, q)
+    exchange = wall_reflections(datum)
 
-    base_vertices = ((0,) * n,) + tuple(
-        tuple(s // (q * datum.marks[i]) if j == i - 1 else 0 for j in range(n))
-        for i in datum.nodes
+    # Small-alcove vertex j is alcove vertex j over q: 1/q of the way from
+    # vertex 0 to vertex j in barycentric terms.
+    small = s // q
+    base_vertices = ((s,) + (0,) * datum.rank,) + tuple(
+        (s - small,) + tuple(small if i == j else 0 for i in datum.nodes)
+        for j in datum.nodes
     )
-    base_walls = ((hr, s // q),) + tuple((datum.node_root(i), 0) for i in datum.nodes)
-    base = SubAlcove(base_vertices, tuple(map(sum, zip(*base_vertices))), base_walls)
+    base = SubAlcove(base_vertices, tuple(map(sum, zip(*base_vertices))))
 
     seen = {base.key: base}
     queue = deque([base])
     while queue:
         cur = queue.popleft()
-        for j, (beta, k) in enumerate(cur.walls):
-            bv = datum.coroot_coweight(beta)
+        for j, (mark, row) in enumerate(exchange):
             apex = cur.vertices[j]
-            offset = vec_dot(beta, apex) - k
-            new_apex = tuple(x - offset * y for x, y in zip(apex, bv))
-            if any(x < 0 for x in new_apex) or vec_dot(hr, new_apex) > s:
+            step = [0] * len(apex)
+            for i, c in row:
+                step = [d + c * x for d, x in zip(step, cur.vertices[i])]
+            new_apex = tuple(x - d // mark for x, d in zip(apex, step))
+            if min(new_apex) < 0:
                 continue
-            key = tuple(x - offset * y for x, y in zip(cur.key, bv))
+            key = tuple(k - x + y for k, x, y in zip(cur.key, apex, new_apex))
             if key in seen:
                 continue
             if len(seen) == expected:
                 raise InvariantViolation(
                     f"{datum.label}, q={q}: found more than {expected} sub-alcoves"
                 )
-            new_walls = []
-            for i, (gamma, d) in enumerate(cur.walls):
-                if i == j:
-                    new_walls.append((gamma, d))
-                    continue
-                pairing = vec_dot(gamma, bv)
-                image = tuple(g - pairing * b for g, b in zip(gamma, beta))
-                d2 = d - k * pairing
-                if any(x < 0 for x in image):
-                    image = tuple(-x for x in image)
-                    d2 = -d2
-                new_walls.append((image, d2))
             vertices = cur.vertices[:j] + (new_apex,) + cur.vertices[j + 1 :]
-            sub = SubAlcove(vertices, key, tuple(new_walls))
+            sub = SubAlcove(vertices, key)
             seen[key] = sub
             queue.append(sub)
     if len(seen) != expected:
         raise InvariantViolation(
             f"{datum.label}, q={q}: found {len(seen)} sub-alcoves, expected {expected}"
         )
-    return tuple(sorted(seen.values(), key=lambda sub: sub.key))
+    return tuple(seen.values())
 
 
 class CellPoint(NamedTuple):
@@ -204,22 +182,19 @@ def fixed_point(
 
     The map sends alcove vertex b to ``sub.vertices[rho(perm(b))]``, so
     in affine coordinates (barycentric for the alcove vertices) it is the
-    matrix whose column b holds that vertex's affine coordinates; scaled
-    by S it is an integer matrix N with column sums S.  The fixed point
-    solves ``(N - S*I) x = 0``, its first equation (implied by the rest)
-    replaced by ``sum(x) = 1``.  The map contracts by 1/q, so the system
-    is never singular, and the denominators are coprime to p.
+    matrix N whose column b is that vertex: an integer matrix with column
+    sums S.  The fixed point solves ``(N - S*I) x = 0``, its first
+    equation (implied by the rest) replaced by ``sum(x) = 1``.  The map
+    contracts by 1/q, so the system is never singular, and the
+    denominators are coprime to p.
     """
     group = fundamental_group(datum)
     if node not in group.perm:
         raise ValueError(f"node {node} is not minuscule in {datum.label}")
     s = scale(datum, config.q)
     perm, rho = group.perm[node], config.rho
-    columns = [
-        _scaled_affine(datum, s, sub.vertices[rho(perm(b))])
-        for b in datum.extended_nodes
-    ]
-    rows = [[col[i] for col in columns] for i in datum.extended_nodes]
+    columns = [sub.vertices[rho(perm(b))] for b in datum.extended_nodes]
+    rows = [list(row) for row in zip(*columns)]
     for i, row in enumerate(rows):
         row[i] -= s
     rows[0] = [1] * len(rows)
@@ -229,7 +204,10 @@ def fixed_point(
     coweights = [(nums[i], datum.marks[i] * pivot) for i in datum.nodes]
     den = lcm(*(d // gcd(x, d) for x, d in coweights))
     if den % config.p == 0:
-        raise InvariantViolation("fixed point has a denominator divisible by p")
+        raise InvariantViolation(
+            f"{datum.label}, q={config.q}: fixed point has a denominator "
+            "divisible by p"
+        )
     return CellPoint(tuple(x * den // pivot for x in nums))
 
 
@@ -264,11 +242,11 @@ def cell_fixed_points(
     a F(b) b^-1)``: since ``F f_b F^-1 = f_F(b)`` modulo the affine Weyl
     group, ``f_b`` carries the fixed point of (w, a) to the fixed point
     of the image pair, which has the same affine numerators permuted and
-    so the same orbit key.  The cell ``f_b(w)`` is read off the integer
-    vertex-sum key, and a pair is solved only when it is the least of its
-    images, ordered by (affine key, node).  The points are rescaled to one
-    common denominator D, the lcm of their own, so the tuples sort in the
-    order of the points' affine coordinates.
+    so the same orbit key.  It permutes the vertex-sum key of w the same
+    way into that of ``f_b(w)``, and a pair is solved only when it is the
+    least of its images, ordered by (key, node).  The points are rescaled
+    to one common denominator D, the lcm of their own, so the tuples sort
+    in the order of the points' affine coordinates.
     """
     group = fundamental_group(datum)
     order = sorted(nodes)
@@ -282,21 +260,19 @@ def cell_fixed_points(
 
     subalcoves = enumerate_subalcoves(datum, config)
     cells = {sub.key for sub in subalcoves}
-    total = scale(datum, config.q) * (datum.rank + 1)
     points: dict[tuple, None] = {}
     solves = 0
     for sub in subalcoves:
-        key = _scaled_affine(datum, total, sub.key)
-        images = {b: group.apply_to_affine(b, key) for b in order}
+        images = {b: group.apply_to_affine(b, sub.key) for b in order}
         for image in images.values():
-            if tuple(image[i] // datum.marks[i] for i in datum.nodes) not in cells:
+            if image not in cells:
                 raise InvariantViolation(
                     f"{datum.label}, q={config.q}: an alcove stabilizer maps "
                     f"the sub-alcove {sub.key} onto no sub-alcove"
                 )
-        if min(images.values()) < key:
+        if min(images.values()) < sub.key:
             continue
-        stabilizer = [b for b, image in images.items() if image == key]
+        stabilizer = [b for b, image in images.items() if image == sub.key]
         for a in order:
             if all(a <= image_node[a, b] for b in stabilizer):
                 solves += 1
@@ -325,12 +301,11 @@ def m_alpha(
     """
     expected = stable_cell_count(datum, node, config.q)
     group = fundamental_group(datum)
-    total = scale(datum, config.q) * (datum.rank + 1)
-    stable = []
-    for sub in enumerate_subalcoves(datum, config):
-        key = _scaled_affine(datum, total, sub.key)
-        if group.apply_to_affine(node, key) == key:
-            stable.append(sub)
+    stable = [
+        sub
+        for sub in enumerate_subalcoves(datum, config)
+        if group.apply_to_affine(node, sub.key) == sub.key
+    ]
     if len(stable) != expected:
         raise InvariantViolation(
             f"{datum.label}, q={config.q}, node {node}: "

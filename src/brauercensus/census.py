@@ -261,7 +261,10 @@ def _classify(config: GroupConfig, key: tuple) -> ClassRecord:
         z for z in config.a_g if group.apply_to_affine(z, key) == key
     )
     if not group.is_subgroup(comp_group):
-        raise InvariantViolation("point stabilizer is not a subgroup")
+        raise InvariantViolation(
+            f"{datum.label} {config.isogeny_name()} q={config.q}: "
+            "point stabilizer is not a subgroup"
+        )
     action, fixed = component_F_action(config, comp_group)
     return ClassRecord(
         key=key,
@@ -298,7 +301,10 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
         for aff_b in vertex_affines[i + 1 :]:
             same_key = orbit_key(config, aff_a) == orbit_key(config, aff_b)
             if same_key != (orbit_equal(config, aff_a, aff_b) is not None):
-                raise InvariantViolation("orbit key disagrees with the orbit relation")
+                raise InvariantViolation(
+                    f"{datum.label} {config.isogeny_name()} q={q}: "
+                    "orbit key disagrees with the orbit relation"
+                )
 
     records = []
     for key in sorted(orbits):

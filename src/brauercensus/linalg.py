@@ -5,16 +5,18 @@ that are Python ints or exact rationals.  Nothing in this package ever
 touches floating point; the two kinds of entries compare and hash
 consistently, so mixed tuples are safe as dict keys.
 
-Three integer algorithms live here: fraction-free (Bareiss) elimination
+Four integer algorithms live here: fraction-free (Bareiss) elimination
 for square systems, with integer numerators over a positive pivot; the
-Hermite normal form, which gives ranks and canonical lattice bases; and
-lattice membership by exact division against that form.
+Hermite normal form, which gives ranks and canonical lattice bases;
+lattice membership by exact division against that form; and the
+prime-power test for field sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import isqrt
+from typing import Iterable, Optional, Sequence
 
 Vec = tuple
 Mat = tuple
@@ -22,6 +24,20 @@ Mat = tuple
 
 class SingularMatrixError(ValueError):
     """A linear solve met a singular system."""
+
+
+def prime_power(q: int) -> Optional[tuple[int, int]]:
+    """(p, f) with q = p**f, or None if q is not a prime power >= 2.
+    Trial division stops at the square root: a q with no divisor up to
+    there is prime."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    f, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        f += 1
+    return (p, f) if rest == 1 else None
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:

@@ -20,6 +20,7 @@ from itertools import product
 from math import gcd
 
 from .errors import InvariantViolation, ResourceCapExceeded
+from .linalg import prime_power
 
 GROUP_ORDER_CAP = 10**6
 
@@ -86,18 +87,12 @@ class FiniteField:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError("field order must be at least 2")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    f, rest = 0, q
-    while rest % p == 0:
-        rest //= p
-        f += 1
-    if rest != 1:
+    factors = prime_power(q)
+    if factors is None:
         raise ValueError(f"{q} is not a prime power")
-    if f > 1 and (p, f) not in _REDUCTIONS:
+    if factors[1] > 1 and factors not in _REDUCTIONS:
         raise ValueError(f"field of order {q} not supported")
-    return p, f
+    return factors
 
 
 @lru_cache(maxsize=None)

@@ -34,11 +34,21 @@ def twisted(label, q):
     return datum, FrobeniusConfig(q, standard_symmetry(datum, "twisted"))
 
 
+def coweight_vertices(datum, sub):
+    """The vertices of a sub-alcove in S-scaled coweight coordinates: the
+    affine numerator of each simple node over its mark."""
+    return tuple(
+        tuple(v[i] // datum.marks[i] for i in datum.nodes) for v in sub.vertices
+    )
+
+
 def base_subalcove(datum, q, subalcoves):
     """The small alcove itself: vertex j is alcove vertex j scaled by 1/q."""
     s = scale(datum, q)
     vertices = tuple(tuple(s * x / q for x in v) for v in datum.alcove_vertices)
-    return next(sub for sub in subalcoves if sub.vertices == vertices)
+    return next(
+        sub for sub in subalcoves if coweight_vertices(datum, sub) == vertices
+    )
 
 
 def subalcove_map(datum, q, sub):
@@ -46,10 +56,11 @@ def subalcove_map(datum, q, sub):
     its vertex images in unscaled coweight coordinates: the origin goes
     to vertex 0, and the small-alcove vertex on coweight i to vertex i."""
     s = scale(datum, q)
-    origin = sub.vertices[0]
+    vertices = coweight_vertices(datum, sub)
+    origin = vertices[0]
     linear = tuple(
         tuple(
-            Fraction((sub.vertices[i][k] - origin[k]) * q * datum.marks[i], s)
+            Fraction((vertices[i][k] - origin[k]) * q * datum.marks[i], s)
             for i in datum.nodes
         )
         for k in range(datum.rank)
@@ -84,6 +95,9 @@ def test_prime_power():
     assert prime_power(9) == (3, 2)
     assert prime_power(6) is None
     assert prime_power(1) is None
+    assert prime_power(1_000_000_007) == (1_000_000_007, 1)
+    assert prime_power(2**31) == (2, 31)
+    assert prime_power(3 * 2**20) is None
 
 
 def test_frobenius_config_rejects_bad_q():
@@ -96,7 +110,9 @@ def test_subalcoves_one_dimensional():
     datum, config = split("A1", 3)
     subs = enumerate_subalcoves(datum, config)
     assert scale(datum, 3) == 3
-    intervals = sorted(tuple(sorted(v[0] for v in s.vertices)) for s in subs)
+    intervals = sorted(
+        tuple(sorted(v[0] for v in coweight_vertices(datum, s))) for s in subs
+    )
     assert intervals == [(0, 1), (1, 2), (2, 3)]
 
 
@@ -132,7 +148,7 @@ def test_subalcoves_tile_the_alcove(label, q):
     assert len(keys) == len(subs)
     assert all(s.key == tuple(map(sum, zip(*s.vertices))) for s in subs)
     assert all(isinstance(x, int) for s in subs for v in s.vertices for x in v)
-    total = sum(_simplex_volume(s.vertices) for s in subs)
+    total = sum(_simplex_volume(coweight_vertices(datum, s)) for s in subs)
     alcove = tuple(tuple(scale(datum, q) * x for x in v) for v in datum.alcove_vertices)
     assert total == _simplex_volume(alcove)
 
@@ -144,7 +160,7 @@ def test_subalcove_maps_are_exact():
     base = base_subalcove(datum, 3, subs)
     for sub in subs:
         image = subalcove_map(datum, 3, sub)
-        for u, v in zip(base.vertices, sub.vertices):
+        for u, v in zip(coweight_vertices(datum, base), coweight_vertices(datum, sub)):
             assert image.apply(tuple(Fraction(x, s) for x in u)) == tuple(
                 Fraction(x, s) for x in v
             )
@@ -157,23 +173,51 @@ def test_subalcove_maps_are_exact():
         )
         assert det in (1, -1)
         assert all((3 * t).denominator == 1 for t in image.translation)
-        # every wall (beta, k) passes through the vertices off its facet
-        for j, (beta, k) in enumerate(sub.walls):
-            for i, v in enumerate(sub.vertices):
-                on_wall = sum(b * x for b, x in zip(beta, v)) == k
-                assert on_wall == (i != j)
+
+
+@pytest.mark.parametrize(
+    "label,q", [("A2", 4), ("B2", 5), ("G2", 4), ("C3", 3), ("F4", 2), ("E6", 2)]
+)
+def test_subalcoves_are_closed_under_facet_exchange(label, q):
+    datum, config = split(label, q)
+    s = scale(datum, q)
+    marks = datum.marks
+    subs = enumerate_subalcoves(datum, config)
+    by_key = {sub.key: sub for sub in subs}
+    for sub in subs:
+        for v in sub.vertices:
+            assert len(v) == datum.rank + 1
+            assert all(type(x) is int and x >= 0 for x in v)
+            assert sum(v) == s
+        assert sub.key == tuple(map(sum, zip(*sub.vertices)))
+        # the reflection of vertex j in the facet through the others is
+        # v_j - sum_i n_i <a_i, a_j^vee> v_i / n_j; the neighbour it gives
+        # either leaves the alcove or is a cell, with vertex j exchanged
+        for j, apex in enumerate(sub.vertices):
+            step = [
+                sum(marks[i] * datum.extended_pairing(i, j) * v[k]
+                    for i, v in enumerate(sub.vertices))
+                for k in datum.extended_nodes
+            ]
+            assert all(d % marks[j] == 0 for d in step)
+            new = tuple(x - d // marks[j] for x, d in zip(apex, step))
+            if min(new) < 0:
+                continue
+            vertices = sub.vertices[:j] + (new,) + sub.vertices[j + 1 :]
+            key = tuple(map(sum, zip(*vertices)))
+            assert key in by_key and by_key[key].vertices == vertices
 
 
 def test_fixed_point_base_cases():
     datum, config = split("A1", 3)
     subs = enumerate_subalcoves(datum, config)
     base = base_subalcove(datum, 3, subs)
-    assert base.vertices == ((0,), (1,))
+    assert coweight_vertices(datum, base) == ((0,), (1,))
     assert fixed_point(datum, config, base, 0).affine == (1, 0)
     by_key = {s.key: s for s in subs}
-    middle = by_key[(3,)]
-    third = by_key[(5,)]
-    assert middle.vertices == ((2,), (1,))
+    middle = by_key[(3, 3)]
+    third = by_key[(1, 5)]
+    assert coweight_vertices(datum, middle) == ((2,), (1,))
     assert fixed_point(datum, config, middle, 0).affine == (1, 1)
     assert fixed_point(datum, config, third, 0).affine == (0, 1)
     assert coords(datum, fixed_point(datum, config, base, 0)) == (0,)
@@ -227,7 +271,7 @@ def test_fixed_points_have_pprime_denominators_and_stay_inside(label, q):
             # the fixed point lies inside its own sub-alcove: its barycentric
             # coordinates with respect to the simplex are nonnegative
             s = scale(datum, q)
-            rows = list(zip(*[tuple(v) + (s,) for v in sub.vertices]))
+            rows = list(zip(*[v + (s,) for v in coweight_vertices(datum, sub)]))
             bary = reference.solve_linear(
                 tuple(rows), tuple(s * x for x in pt.coords) + (s,)
             )

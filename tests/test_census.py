@@ -424,6 +424,13 @@ def test_unstable_orbit_raises(monkeypatch):
         enumerate_classes(make_group_config("A2", "sc", 3))
 
 
+def test_orbit_relation_mismatch_names_the_configuration(monkeypatch):
+    monkeypatch.setattr(census, "orbit_equal", lambda *args: None)
+    with pytest.raises(InvariantViolation, match="orbit key disagrees") as info:
+        enumerate_classes(make_group_config("D4", "ad", 3))
+    assert "D4" in str(info.value) and "q=3" in str(info.value)
+
+
 def test_d_odd_comparison_shape():
     cfg = make_group_config("D3", "ad", 3)
     c = counts(cfg)

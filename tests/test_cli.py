@@ -222,6 +222,14 @@ def test_resource_cap_exit():
     assert err == "resource cap: E7, q=3: 2187 sub-alcoves exceed the cap 10\n"
 
 
+def test_large_prime_q_reaches_the_cap_check():
+    code, out, err = run(["census", "--type", "A1", "--q", "10000019"])
+    assert code == EXIT_RESOURCE and out == ""
+    assert err == (
+        "resource cap: A1, q=10000019: 10000019 sub-alcoves exceed the cap 1000000\n"
+    )
+
+
 def test_census_cap_is_the_subalcove_count():
     # A2 at q=3 has exactly 9 sub-alcoves
     argv = ["census", "--type", "A2", "--q", "3", "--max-subalcoves"]

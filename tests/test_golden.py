@@ -4,9 +4,9 @@ Every ``census``, ``info`` and ``verify`` invocation of the benchmark's
 workloads (``perfbench/run.py``) runs in-process through ``cli.main``,
 and the sha256 of its stdout must equal the digest recorded for it in
 ``perfbench/golden.json``.  So must the census configurations of
-``golden_ladder.json``, which those workloads miss: E8, F4, G2, B3, C3
-and E6 adjoint, D4 triality, a D6 ``sub:`` type and twisted A3 at
-q = 9.  The benchmark's tracer, which wraps the package's layer
+``golden_ladder.json``, which those workloads miss: E8, E7, F4, G2,
+B3, C3 and E6 adjoint, D4 triality, a D6 ``sub:`` type and twisted A3
+at q = 9.  The benchmark's tracer, which wraps the package's layer
 functions by name, must still run and reproduce a digest.
 """
 
