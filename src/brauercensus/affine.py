@@ -19,13 +19,13 @@ law ``z_a z_b = z_{z_a(b)}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from math import lcm
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantViolation
-from .linalg import AffineMap, Vec, hermite_normal_form, unit_vec, vec_dot
+from .linalg import AffineMap, Vec, hermite_normal_form, unit_vec, vec_add, vec_dot
 from .rootdata import RootDatum, longest_element
 
 FOLD_ITERATION_CAP = 100_000
@@ -41,8 +41,7 @@ def affine_coords(datum: RootDatum, coords: Vec) -> tuple:
     return (1 - sum(simple),) + simple
 
 
-@dataclass(frozen=True)
-class AffinePoint:
+class AffinePoint(NamedTuple):
     """A point of V with both coordinate descriptions precomputed."""
 
     coords: Vec
@@ -57,8 +56,7 @@ def affine_point(datum: RootDatum, coords: Vec) -> AffinePoint:
 # diagram symmetries
 
 
-@dataclass(frozen=True)
-class DiagramSymmetry:
+class DiagramSymmetry(NamedTuple):
     """A permutation of the extended node set preserving bonds and marks."""
 
     perm: tuple[int, ...]  # image of node i at index i; index 0 is node 0
@@ -97,11 +95,12 @@ def validate_symmetry(datum: RootDatum, sym: DiagramSymmetry) -> None:
     """Reject permutations that do not preserve the extended diagram."""
     if len(sym.perm) != datum.rank + 1 or sorted(sym.perm) != list(datum.extended_nodes):
         raise ValueError("permutation does not cover the extended node set")
+    cartan = datum.extended_cartan
     for a in datum.extended_nodes:
         if datum.marks[sym(a)] != datum.marks[a]:
             raise ValueError("permutation does not preserve marks")
         for b in datum.extended_nodes:
-            if datum.extended_pairing(sym(a), sym(b)) != datum.extended_pairing(a, b):
+            if cartan[sym(a)][sym(b)] != cartan[a][b]:
                 raise ValueError("permutation does not preserve the extended diagram")
 
 
@@ -155,8 +154,7 @@ def coweight_lift(datum: RootDatum, node: int) -> Vec:
     return unit_vec(datum.rank, node - 1)
 
 
-@dataclass(frozen=True)
-class FundamentalGroup:
+class FundamentalGroup(NamedTuple):
     """The stabilizer of the alcove, indexed by minuscule nodes.
 
     ``elements`` lists the minuscule nodes with node 0 as the identity;
@@ -217,9 +215,19 @@ class FundamentalGroup:
 
 @lru_cache(maxsize=None)
 def fundamental_group(datum: RootDatum) -> FundamentalGroup:
+    """The alcove stabilizers f_a, found on the alcove vertices scaled by
+    ``L = lcm(marks)`` so that everything stays integral: vertex b is
+    ``(L / n_b) e_b`` (the origin for node 0), and f_a sends it to
+    ``z_a v + L lift[a]``, which must be a scaled vertex again."""
     n = datum.rank
     mins = minuscule_nodes(datum)
-    vertex_of = {datum.alcove_vertices[a]: a for a in datum.extended_nodes}
+    marks = datum.marks
+    scale = lcm(*marks.values())
+    vertices = [(0,) * n] + [
+        tuple(scale // marks[i] if j == i - 1 else 0 for j in range(n))
+        for i in datum.nodes
+    ]
+    vertex_of = {v: b for b, v in enumerate(vertices)}
     weyl = {0: AffineMap.identity(n)}
     perm = {0: DiagramSymmetry.identity(n)}
     lift = {a: coweight_lift(datum, a) for a in mins}
@@ -229,19 +237,21 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
             continue
         wa = longest_element(datum, [i for i in datum.nodes if i != a])
         z = wa.compose(w0)
+        shift = tuple(scale * x for x in lift[a])
         images = []
-        for b in datum.extended_nodes:
-            target = tuple(
-                x + y for x, y in zip(z.apply(datum.alcove_vertices[b]), lift[a])
-            )
-            node = vertex_of.get(target)
+        for v in vertices:
+            node = vertex_of.get(vec_add(z.apply(v), shift))
             if node is None:
-                raise InvariantViolation(f"f_{a} does not permute the alcove vertices")
+                raise InvariantViolation(
+                    f"{datum.label}: f_{a} does not permute the alcove vertices"
+                )
             images.append(node)
         sym = DiagramSymmetry(tuple(images))
         validate_symmetry(datum, sym)
         if sym(0) != a:
-            raise InvariantViolation(f"z_{a} sends node 0 to {sym(0)}, expected {a}")
+            raise InvariantViolation(
+                f"{datum.label}: z_{a} sends node 0 to {sym(0)}, expected {a}"
+            )
         weyl[a] = z
         perm[a] = sym
     mult = {(a, b): perm[a](b) for a in mins for b in mins}
@@ -249,7 +259,9 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
     for a in mins:
         for b in mins:
             if weyl[a].compose(weyl[b]) != weyl[mult[(a, b)]]:
-                raise InvariantViolation("fundamental group law violated on matrices")
+                raise InvariantViolation(
+                    f"{datum.label}: fundamental group law violated on matrices"
+                )
     inv_perm = {a: perm[a].inverse() for a in mins}
     return FundamentalGroup(
         elements=mins,
@@ -273,14 +285,14 @@ def wall_reflections(datum: RootDatum) -> tuple[tuple[int, tuple], ...]:
     times ``x_i / n_i`` (``fold_coords``), and it moves vertex i of an
     alcove to ``v_i - sum_j(coefficient * v_j) / n_i``, the vertex
     exchange of ``brauer.enumerate_subalcoves``."""
-    marks = datum.marks
+    marks, cartan = datum.marks, datum.extended_cartan
     return tuple(
         (
             marks[i],
             tuple(
-                (j, marks[j] * datum.extended_pairing(j, i))
+                (j, marks[j] * cartan[j][i])
                 for j in datum.extended_nodes
-                if datum.extended_pairing(j, i)
+                if cartan[j][i]
             ),
         )
         for i in datum.extended_nodes
@@ -312,15 +324,16 @@ def fold_coords(datum: RootDatum, affine: tuple[int, ...]) -> tuple[int, ...]:
         steps = x // mark
         for j, c in row:
             cur[j] -= c * steps
-    raise InvariantViolation("folding did not terminate within the iteration cap")
+    raise InvariantViolation(
+        f"{datum.label}: folding did not terminate within the iteration cap"
+    )
 
 
 # ---------------------------------------------------------------------------
 # invariant subspaces and their hyperplane containments
 
 
-@dataclass(frozen=True)
-class InvariantSpace:
+class InvariantSpace(NamedTuple):
     """The affine fixed space of an alcove-stabilizer map."""
 
     dimension: int
@@ -368,7 +381,7 @@ def invariant_space(datum: RootDatum, node: int) -> InvariantSpace:
     )
     if len(basis) != datum.rank - rank:
         raise InvariantViolation(
-            f"f_{node} has {len(barycenters)} vertex orbits but the kernel "
+            f"{datum.label}: f_{node} has {len(barycenters)} vertex orbits but the kernel "
             f"of z_{node} - I has dimension {datum.rank - rank}"
         )
     return InvariantSpace(len(basis), point, basis)
@@ -395,6 +408,8 @@ def hyperplane_containment(
         if scaled.denominator != 1:
             continue
         if c == 0 or (beta == datum.highest_root and c == 1):
-            raise InvariantViolation("fixed space contained in an alcove wall")
+            raise InvariantViolation(
+                f"{datum.label}, q={q}: fixed space contained in an alcove wall"
+            )
         return beta, int(scaled)
     return None

@@ -19,8 +19,7 @@ denominator.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
@@ -38,16 +37,15 @@ from .linalg import bareiss, prime_power
 from .rootdata import RootDatum
 
 
-@dataclass(frozen=True)
-class FrobeniusConfig:
-    """Field size and graph twist defining the Frobenius action on V."""
+class FrobeniusConfig(namedtuple("FrobeniusConfig", "q rho")):
+    """Field size q and graph twist rho (a ``DiagramSymmetry``) defining
+    the Frobenius action on V.  It declares no ``__slots__``, so that
+    the cached ``p`` has an instance dict to live in."""
 
-    q: int
-    rho: DiagramSymmetry
-
-    def __post_init__(self):
-        if prime_power(self.q) is None:
-            raise ValueError(f"q = {self.q} is not a prime power >= 2")
+    def __new__(cls, q: int, rho: DiagramSymmetry):
+        if prime_power(q) is None:
+            raise ValueError(f"q = {q} is not a prime power >= 2")
+        return super().__new__(cls, q, rho)
 
     @cached_property
     def p(self) -> int:
@@ -87,8 +85,7 @@ def scale(datum: RootDatum, q: int) -> int:
     return q * lcm(*datum.marks.values())
 
 
-@dataclass(frozen=True)
-class SubAlcove:
+class SubAlcove(NamedTuple):
     """One translate of the small alcove inside the fundamental alcove,
     as integer affine numerators over ``S = scale(datum, q)``.
 
@@ -314,8 +311,7 @@ def m_alpha(
     return tuple(stable)
 
 
-@dataclass(frozen=True)
-class ThetaReport:
+class ThetaReport(NamedTuple):
     """The orbits of a subgroup of alcove stabilizers on the fixed points
     of all its (cell, node) pairs.
 

@@ -19,9 +19,8 @@ rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .affine import (
     fold_coords,
@@ -59,8 +58,7 @@ class Lattice:
         return det
 
 
-@dataclass(frozen=True)
-class GroupConfig:
+class GroupConfig(NamedTuple):
     """Root datum, isogeny subgroup (as minuscule nodes) and Frobenius."""
 
     datum: RootDatum
@@ -135,6 +133,7 @@ def cocharacter_lattice(config: GroupConfig) -> Lattice:
     expected = group.order // len(config.a_g)
     if lat.index_in_coweights != expected:
         raise InvariantViolation(
+            f"{config.datum.label} {config.isogeny_name()} q={config.q}: "
             f"cocharacter lattice has index {lat.index_in_coweights}, expected {expected}"
         )
     return lat
@@ -195,8 +194,7 @@ def orbit_key(config: GroupConfig, affine: tuple) -> tuple:
     return min(group.apply_to_affine(z, affine) for z in sorted(config.a_g))
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """One F-stable semisimple class of the configured group, keyed by
     the integer affine numerators of its canonical representative, whose
     sum is their denominator."""
@@ -347,8 +345,7 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
     return tuple(records)
 
 
-@dataclass(frozen=True)
-class CensusCounts:
+class CensusCounts(NamedTuple):
     """Aggregated class counts for one configuration."""
 
     geometric_total: int
@@ -356,7 +353,7 @@ class CensusCounts:
     rational_total: int
     pprime_char_total: int
     by_component_order: tuple[tuple[int, int], ...]
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+    warnings: tuple[str, ...] = ()
 
 
 def counts(
@@ -428,8 +425,7 @@ def disconnected_census_check(config: GroupConfig) -> int:
     return actual
 
 
-@dataclass(frozen=True)
-class DOddComparison:
+class DOddComparison(NamedTuple):
     """Rational-class total of an odd-rank adjoint D census against the
     closed form ``q^(2n+1) + q^(2n-1) + 2 q^n``, with the strata that
     feed it reported alongside."""

@@ -2,7 +2,8 @@
 
 All payload output is deterministic: JSON is emitted with sorted keys
 and exact rationals as strings, TSV with a fixed column order, and no
-timestamps appear anywhere.  Exit codes: 0 success, 1 usage error,
+timestamps appear anywhere.  A census is written only after every one
+of its assertions has run.  Exit codes: 0 success, 1 usage error,
 2 invariant violation, 3 resource cap exceeded.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .affine import (
@@ -23,6 +25,7 @@ from .affine import (
 )
 from .brauer import FrobeniusConfig, enumerate_subalcoves, m_alpha, theta
 from .census import (
+    ClassRecord,
     GroupConfig,
     counts,
     d_odd_comparison,
@@ -31,7 +34,7 @@ from .census import (
     make_group_config,
 )
 from .errors import InvariantViolation, ResourceCapExceeded
-from .rootdata import TypeLabel, build_root_system, subdiagram_type
+from .rootdata import RootDatum, TypeLabel, build_root_system, subdiagram_type
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,8 +123,6 @@ def classical_invariant_dimension(label: TypeLabel, node: int) -> int:
     dimension is (rank-3)/2, matching the orbit count of the induced
     node permutation.
     """
-    from math import gcd
-
     n = label.rank
     if node == 0:
         return n
@@ -147,29 +148,54 @@ def classical_invariant_dimension(label: TypeLabel, node: int) -> int:
 # serialization helpers
 
 
-def _record_payload(datum, record) -> dict:
-    """A record with its integer key written as exact rationals: affine
-    coordinate i is ``key[i] / sum(key)``, coweight coordinate i that
-    over its node's mark."""
+def _ratio(num: int, den: int) -> str:
+    """``num/den`` in lowest terms, or the integer when it divides, as
+    ``str(Fraction(num, den))`` writes it for a nonnegative num."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _json_list(items, indent: str) -> str:
+    """A list of already encoded items, laid out as ``json.dumps`` with
+    ``indent=2`` lays it out at the given indentation."""
+    if not items:
+        return "[]"
+    pad = "\n" + indent + "  "
+    return "[" + pad + ("," + pad).join(items) + "\n" + indent + "]"
+
+
+def _json_strings(items, indent: str) -> str:
+    """``_json_list`` of strings that need no escaping."""
+    return _json_list([f'"{x}"' for x in items], indent)
+
+
+def _record_json(datum: RootDatum, record: ClassRecord) -> str:
+    """One class of the ``classes`` list, with sorted keys, as
+    ``json.dumps(indent=2, sort_keys=True)`` writes it: affine coordinate
+    i is ``key[i] / sum(key)``, coweight coordinate i that over its
+    node's mark."""
     key, marks = record.key, datum.marks
     level = sum(key)
-    return {
-        "rep_affine": [str(Fraction(x, level)) for x in key],
-        "rep_coords": [str(Fraction(key[i], marks[i] * level)) for i in datum.nodes],
-        "i_lambda": list(record.i_lambda),
-        "centralizer": {
-            "components": [str(t) for t in record.centralizer_components],
-            "torus_rank": record.torus_rank,
-            "name": record.centralizer_name(),
-        },
-        "component_group": {
-            "nodes": list(record.comp_group),
-            "order": record.comp_group_order,
-            "frobenius_action": [list(pair) for pair in record.f_action],
-        },
-        "fixed_count": record.fixed_count,
-        "h1_count": record.h1_count,
-    }
+    affine = [_ratio(x, level) for x in key]
+    coords = [_ratio(key[i], marks[i] * level) for i in datum.nodes]
+    pairs = [_json_list([str(a), str(b)], " " * 10) for a, b in record.f_action]
+    return f"""    {{
+      "centralizer": {{
+        "components": {_json_strings(record.centralizer_components, " " * 8)},
+        "name": "{record.centralizer_name()}",
+        "torus_rank": {record.torus_rank}
+      }},
+      "component_group": {{
+        "frobenius_action": {_json_list(pairs, " " * 8)},
+        "nodes": {_json_list([str(a) for a in record.comp_group], " " * 8)},
+        "order": {record.comp_group_order}
+      }},
+      "fixed_count": {record.fixed_count},
+      "h1_count": {record.h1_count},
+      "i_lambda": {_json_list([str(a) for a in record.i_lambda], " " * 6)},
+      "rep_affine": {_json_strings(affine, " " * 6)},
+      "rep_coords": {_json_strings(coords, " " * 6)}
+    }}"""
 
 
 def _check_subalcove_cap(label: TypeLabel, q: int, cap: int) -> None:
@@ -182,6 +208,10 @@ def _check_subalcove_cap(label: TypeLabel, q: int, cap: int) -> None:
 
 
 def census_report(config: GroupConfig) -> dict:
+    """The census payload: every key of the JSON report, with
+    ``classes`` holding the ``ClassRecord``s themselves, which
+    ``census_json`` and ``census_tsv`` format.  Every assertion of the
+    census has run when it returns."""
     records = enumerate_classes(config)
     c = counts(config, records)
     order = len(config.a_g)
@@ -199,7 +229,7 @@ def census_report(config: GroupConfig) -> dict:
             "congruence_holds": config.frob.congruence_holds(order),
             "p_divides_isogeny_order": order % config.p == 0,
         },
-        "classes": [_record_payload(config.datum, r) for r in records],
+        "classes": records,
         "counts": {
             "geometric_total": c.geometric_total,
             "n_disconnected": c.n_disconnected,
@@ -224,6 +254,19 @@ def census_report(config: GroupConfig) -> dict:
     return payload
 
 
+def census_json(datum: RootDatum, report: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` of the report
+    with its records written out.  The header, every key but
+    ``classes``, goes through ``json.dumps``; ``classes`` is the first
+    key in sorted order and never empty (a census has q**rank classes),
+    so its records are written in front of the header's keys."""
+    header = json.dumps(
+        {k: v for k, v in report.items() if k != "classes"}, indent=2, sort_keys=True
+    )
+    records = ",\n".join(_record_json(datum, r) for r in report["classes"])
+    return '{\n  "classes": [\n' + records + "\n  ],\n" + header[2:]
+
+
 def census_tsv(report: dict) -> str:
     cols = (
         "rep_affine",
@@ -235,15 +278,16 @@ def census_tsv(report: dict) -> str:
     )
     lines = ["\t".join(cols)]
     for rec in report["classes"]:
+        level = sum(rec.key)
         lines.append(
             "\t".join(
                 (
-                    ",".join(rec["rep_affine"]),
-                    ",".join(str(i) for i in rec["i_lambda"]),
-                    rec["centralizer"]["name"],
-                    str(rec["component_group"]["order"]),
-                    str(rec["fixed_count"]),
-                    str(rec["h1_count"]),
+                    ",".join(_ratio(x, level) for x in rec.key),
+                    ",".join(str(i) for i in rec.i_lambda),
+                    rec.centralizer_name(),
+                    str(rec.comp_group_order),
+                    str(rec.fixed_count),
+                    str(rec.h1_count),
                 )
             )
         )
@@ -576,7 +620,7 @@ def main(argv=None) -> int:
             if args.format == "tsv":
                 sys.stdout.write(census_tsv(report))
             else:
-                print(json.dumps(report, indent=2, sort_keys=True))
+                print(census_json(config.datum, report))
             return EXIT_OK
         if args.command == "verify":
             runner = SUITES.get(args.suite)

@@ -14,9 +14,8 @@ prime-power test for field sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Vec = tuple
 Mat = tuple
@@ -102,8 +101,7 @@ def bareiss(matrix: Mat, rhs: Vec) -> tuple[tuple[int, ...], int]:
     return tuple(nums), prev
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """An exact affine transformation ``x -> linear @ x + translation``."""
 
     linear: Mat

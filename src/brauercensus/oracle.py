@@ -14,7 +14,7 @@ validated against the class counts and the group order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -103,17 +103,16 @@ def _field(q: int) -> FiniteField:
 _KINDS = {"SL2": 2, "PGL2": 2, "SL3": 3, "PGL3": 3}
 
 
-@dataclass(frozen=True)
-class SmallGroupSpec:
+class SmallGroupSpec(namedtuple("SmallGroupSpec", "kind q")):
     """A small matrix group: kind in SL2/PGL2/SL3/PGL3, q a prime power."""
 
-    kind: str
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unsupported kind {self.kind!r}")
-        _factor_prime_power(self.q)
+    def __new__(cls, kind: str, q: int):
+        if kind not in _KINDS:
+            raise ValueError(f"unsupported kind {kind!r}")
+        _factor_prime_power(q)
+        return super().__new__(cls, kind, q)
 
     @property
     def n(self) -> int:

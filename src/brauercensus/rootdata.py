@@ -14,7 +14,7 @@ plates; node 0 denotes the extra node of the extended Dynkin diagram
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -53,21 +53,21 @@ _ROOT_COUNTS = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class TypeLabel:
-    """An irreducible Cartan type, e.g. ``TypeLabel("E", 6)``."""
+class TypeLabel(namedtuple("TypeLabel", "family rank")):
+    """An irreducible Cartan type, e.g. ``TypeLabel("E", 6)``; labels
+    sort by (family, rank)."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _RANK_RANGES:
-            raise ValueError(f"unknown family {self.family!r}")
-        lo, hi = _RANK_RANGES[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise ValueError(f"invalid rank {self.rank} for family {self.family}")
-        if self.family == "E" and self.rank not in (6, 7, 8):
-            raise ValueError(f"invalid rank {self.rank} for family E")
+    def __new__(cls, family: str, rank: int):
+        if family not in _RANK_RANGES:
+            raise ValueError(f"unknown family {family!r}")
+        lo, hi = _RANK_RANGES[family]
+        if rank < lo or (hi is not None and rank > hi):
+            raise ValueError(f"invalid rank {rank} for family {family}")
+        if family == "E" and rank not in (6, 7, 8):
+            raise ValueError(f"invalid rank {rank} for family E")
+        return super().__new__(cls, family, rank)
 
     @classmethod
     def parse(cls, text: str) -> "TypeLabel":
@@ -219,11 +219,17 @@ class RootDatum:
             return tuple(-c for c in self.highest_root)
         return tuple(1 if j == node - 1 else 0 for j in range(self.rank))
 
+    @cached_property
+    def extended_cartan(self) -> Mat:
+        """The extended Cartan matrix: row a, column b is
+        ``<root(a), coroot(b)>`` over the extended nodes, node 0 first."""
+        roots = [self.node_root(a) for a in self.extended_nodes]
+        coroots = [self.coroot_coweight(r) for r in roots]
+        return tuple(tuple(vec_dot(r, c) for c in coroots) for r in roots)
+
     def extended_pairing(self, node_a: int, node_b: int) -> int:
         """``<root(a), coroot(b)>`` over extended nodes."""
-        ra = self.node_root(node_a)
-        rb = self.node_root(node_b)
-        return self.root_pairing(ra, rb)
+        return self.extended_cartan[node_a][node_b]
 
     @cached_property
     def alcove_vertices(self) -> tuple[Vec, ...]:

@@ -9,7 +9,9 @@ of an alcove stabilizer (Gauss-Jordan elimination on the map
 tests can check the integer versions against them; plus the conversions
 between the two descriptions of a point and a rational square solver;
 plus the earlier all-pairs cell fixed-point table, which solves every
-(cell, node) pair instead of one per orbit of the node subgroup.
+(cell, node) pair instead of one per orbit of the node subgroup; plus
+the earlier census serializer, which built one ``Fraction`` per printed
+coordinate into a payload dict for ``json.dumps``, and its TSV.
 """
 
 from fractions import Fraction
@@ -235,3 +237,60 @@ def all_pairs_fixed_points(datum, frobenius, nodes):
     }
     common = lcm(*(sum(aff) for aff in points))
     return tuple(sorted(tuple(x * (common // sum(aff)) for x in aff) for aff in points))
+
+
+def record_payload(datum, record):
+    """A record with its integer key written as exact rationals: affine
+    coordinate i is ``key[i] / sum(key)``, coweight coordinate i that
+    over its node's mark."""
+    key, marks = record.key, datum.marks
+    level = sum(key)
+    return {
+        "rep_affine": [str(Fraction(x, level)) for x in key],
+        "rep_coords": [str(Fraction(key[i], marks[i] * level)) for i in datum.nodes],
+        "i_lambda": list(record.i_lambda),
+        "centralizer": {
+            "components": [str(t) for t in record.centralizer_components],
+            "torus_rank": record.torus_rank,
+            "name": record.centralizer_name(),
+        },
+        "component_group": {
+            "nodes": list(record.comp_group),
+            "order": record.comp_group_order,
+            "frobenius_action": [list(pair) for pair in record.f_action],
+        },
+        "fixed_count": record.fixed_count,
+        "h1_count": record.h1_count,
+    }
+
+
+def report_payload(datum, report):
+    """The census report with every record as its payload dict."""
+    return {**report, "classes": [record_payload(datum, r) for r in report["classes"]]}
+
+
+def payload_tsv(payload):
+    """The TSV of a census payload, one line per class."""
+    cols = (
+        "rep_affine",
+        "i_lambda",
+        "centralizer",
+        "component_group_order",
+        "fixed_count",
+        "h1_count",
+    )
+    lines = ["\t".join(cols)]
+    for rec in payload["classes"]:
+        lines.append(
+            "\t".join(
+                (
+                    ",".join(rec["rep_affine"]),
+                    ",".join(str(i) for i in rec["i_lambda"]),
+                    rec["centralizer"]["name"],
+                    str(rec["component_group"]["order"]),
+                    str(rec["fixed_count"]),
+                    str(rec["h1_count"]),
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -291,12 +290,19 @@ def test_invariant_space_dimension_check_fires(monkeypatch):
     # the identity permutation has 3 orbits, but z_1 fixes only the origin
     a2 = build_root_system("A2")
     group = fundamental_group(a2)
-    corrupted = dataclasses.replace(
-        group, perm={**group.perm, 1: DiagramSymmetry.identity(2)}
-    )
+    corrupted = group._replace(perm={**group.perm, 1: DiagramSymmetry.identity(2)})
     monkeypatch.setattr(affine, "fundamental_group", lambda datum: corrupted)
     with pytest.raises(InvariantViolation, match="vertex orbits"):
         invariant_space.__wrapped__(a2, 1)
+
+
+def test_fundamental_group_violation_names_the_type(monkeypatch):
+    # with every longest element the identity, z_a is the identity and
+    # f_a translates the alcove by the coweight of a, off its vertices
+    a2 = build_root_system("A2")
+    monkeypatch.setattr(affine, "longest_element", lambda datum, nodes: AffineMap.identity(2))
+    with pytest.raises(InvariantViolation, match=r"^A2: f_1 does not permute"):
+        fundamental_group.__wrapped__(a2)
 
 
 def test_hyperplane_containment_cases():

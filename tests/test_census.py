@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import textwrap
 from fractions import Fraction
@@ -30,6 +29,7 @@ from brauercensus.census import (
 )
 from brauercensus import census
 from brauercensus.errors import InvariantViolation
+from brauercensus.rootdata import TypeLabel
 
 import fraction_reference as reference
 
@@ -298,11 +298,27 @@ def test_enumerate_classes_a1():
     assert quarter.torus_rank == 1
 
 
+def test_value_types_are_immutable_and_labels_still_validate_and_sort():
+    config = make_group_config("A2", "ad", 7)
+    record = enumerate_classes(config)[0]
+    for value, field in (
+        (config.datum.label, "rank"),
+        (config.frob, "q"),
+        (config, "a_g"),
+        (record, "fixed_count"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+    with pytest.raises(ValueError, match="invalid rank 9 for family E"):
+        TypeLabel("E", 9)
+    labels = [TypeLabel("G", 2), TypeLabel("A", 7), TypeLabel("E", 6), TypeLabel("A", 2)]
+    assert [str(t) for t in sorted(labels)] == ["A2", "A7", "E6", "G2"]
+    assert TypeLabel("B", 3) < TypeLabel("C", 2) < TypeLabel("C", 3)
+
+
 def _leaves(value):
-    if dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _leaves(getattr(value, f.name))
-    elif isinstance(value, tuple):
+    # records and type labels are named tuples
+    if isinstance(value, tuple):
         for x in value:
             yield from _leaves(x)
     else:
@@ -313,7 +329,7 @@ def _leaves(value):
     "label,q,twisted", [("A1", 3, False), ("D5", 3, False), ("E6", 2, True)]
 )
 def test_class_records_hold_no_rationals(label, q, twisted):
-    # the records stay integer; only the serializer builds rationals
+    # the records stay integer; only the serializer writes ratios
     config = make_group_config(label, "ad", q, twisted=twisted)
     records = enumerate_classes(config)
     assert {type(x) for r in records for x in _leaves(r)} <= {int, str}

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -20,6 +23,10 @@ from brauercensus.cli import (
 from brauercensus.census import make_group_config
 from brauercensus.errors import InvariantViolation
 from brauercensus.rootdata import TypeLabel
+
+import fraction_reference as reference
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -267,6 +274,63 @@ def test_d_odd_report_block():
     assert "d_odd_comparison" in report
     block = report["d_odd_comparison"]
     assert set(block) == {"rational_total", "closed_form", "agree", "q_mod_4"}
+
+
+def _torus_and_multi_pair_classes(report):
+    return any(not r.centralizer_components for r in report["classes"]) and any(
+        len(r.f_action) > 1 for r in report["classes"]
+    )
+
+
+@pytest.mark.parametrize(
+    "label,isogeny,q,twisted,triality,covers",
+    [
+        ("A2", "ad", 7, False, False, _torus_and_multi_pair_classes),
+        ("A1", "ad", 2, False, False, lambda report: report["warnings"]),
+        ("A3", "ad", 3, True, False, lambda report: report["twisted"]),
+        ("D4", "ad", 2, True, True, lambda report: report["twist_order"] == 3),
+        ("D4", [1], 3, False, False, lambda report: report["isogeny"] == "sub:1"),
+        ("D3", "ad", 3, False, False, lambda report: "d_odd_comparison" in report),
+        ("C3", "ad", 5, False, False, _torus_and_multi_pair_classes),
+    ],
+)
+def test_census_writers_match_the_fraction_reference(
+    label, isogeny, q, twisted, triality, covers
+):
+    config = make_group_config(label, isogeny, q, twisted=twisted, triality=triality)
+    report = census_report(config)
+    assert covers(report)
+    payload = reference.report_payload(config.datum, report)
+    assert cli.census_json(config.datum, report) == json.dumps(
+        payload, indent=2, sort_keys=True
+    )
+    assert cli.census_tsv(report) == reference.payload_tsv(payload)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_census_violation_writes_nothing(monkeypatch, fmt):
+    # d_odd_comparison is the census report's last step
+    def broken(*args):
+        raise InvariantViolation("injected")
+
+    monkeypatch.setattr(cli, "d_odd_comparison", broken)
+    code, out, err = run(["census", "--type", "D3", "--q", "3", "--format", fmt])
+    assert code == EXIT_INVARIANT and out == ""
+    assert err == "invariant violation: injected\n"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
+    # pytest itself has imported dataclasses, so a fresh interpreter checks
+    probe = (
+        "import brauercensus.cli, sys; "
+        "print([m for m in ('dataclasses', 'brauercensus.oracle') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_classical_dimension_table():
