@@ -19,13 +19,12 @@ law ``z_a z_b = z_{z_a(b)}``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantViolation
-from .linalg import AffineMap, Vec, hermite_normal_form, unit_vec, vec_add, vec_dot
+from .linalg import AffineMap, Vec, hermite_normal_form, unit_vec, vec_add
 from .rootdata import RootDatum, longest_element
 
 FOLD_ITERATION_CAP = 100_000
@@ -190,22 +189,15 @@ class FundamentalGroup(NamedTuple):
         return self.inv_perm[a](0)
 
     def subgroup(self, generators: Iterable[int]) -> frozenset[int]:
-        closed = {0} | set(generators)
-        grew = True
-        while grew:
-            grew = False
-            for a in list(closed):
-                for b in list(closed):
-                    c = self.mult[(a, b)]
-                    if c not in closed:
-                        closed.add(c)
-                        grew = True
-        return frozenset(closed)
+        """The generated subgroup, which is <g_1> <g_2> ... as A is abelian."""
+        closed = frozenset({0})
+        for g in generators:
+            while not closed.issuperset(grown := {self.mult[a, g] for a in closed}):
+                closed |= grown
+        return closed
 
     def is_subgroup(self, nodes: frozenset[int]) -> bool:
-        return 0 in nodes and all(
-            self.mult[(a, b)] in nodes for a in nodes for b in nodes
-        )
+        return nodes.issubset(self.elements) and self.subgroup(nodes) == nodes
 
     def apply_to_affine(self, node: int, affine: tuple) -> tuple:
         """Action of ``f_node`` on affine coordinates (inverse node permutation)."""
@@ -255,10 +247,13 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
         weyl[a] = z
         perm[a] = sym
     mult = {(a, b): perm[a](b) for a in mins for b in mins}
-    # The node law must agree with matrix composition.
+    # The node law must agree with composition.  Each f_c maps the alcove
+    # vertices by perm[c] (checked above), and an affine map is fixed by its
+    # values on rank+1 affinely independent points, so equal permutations
+    # give f_a f_b = f_{ab}, and the matrix law z_a z_b = z_{ab} follows.
     for a in mins:
         for b in mins:
-            if weyl[a].compose(weyl[b]) != weyl[mult[(a, b)]]:
+            if perm[a].compose(perm[b]) != perm[mult[(a, b)]]:
                 raise InvariantViolation(
                     f"{datum.label}: fundamental group law violated on matrices"
                 )
@@ -334,82 +329,77 @@ def fold_coords(datum: RootDatum, affine: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class InvariantSpace(NamedTuple):
-    """The affine fixed space of an alcove-stabilizer map."""
+    """The affine fixed space of a subgroup H of alcove stabilizers: its
+    dimension and the sorted H-orbits on the extended nodes, node 0's first."""
 
     dimension: int
-    point: Vec
-    basis: tuple[Vec, ...]
+    orbits: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
-def invariant_space(datum: RootDatum, node: int) -> InvariantSpace:
-    """Fixed space of ``f_node``, with its dimension checked two ways.
+def invariant_space(datum: RootDatum, subgroup: frozenset[int]) -> InvariantSpace:
+    """Fixed space of a node subgroup H (a single node a is its cyclic
+    subgroup ``group.subgroup([a])``), with its dimension checked two ways.
 
-    ``f_node`` permutes the alcove vertices by the node permutation
-    ``perm[node]``, so a point is fixed exactly when its affine
-    coordinates are constant on each orbit of that permutation.  The
-    fixed space is therefore the affine span of the orbits' vertex
-    barycenters, and its dimension is the orbit count minus one; the
-    point is the barycenter of node 0's orbit and the basis runs from it
-    to the other barycenters.  The dimension must also equal the kernel
-    dimension of the integer matrix ``z_node - I``, whose rank is the
-    number of rows of its Hermite normal form; a mismatch would mean
-    corrupted group data.
+    Each ``f_h`` permutes the alcove vertices by ``perm[h]``, so a point
+    is fixed by H exactly when its affine coordinates are constant on each
+    H-orbit of nodes, and the dimension is the orbit count minus one.  It
+    must equal the kernel dimension of the integer rows of ``z_h - I``
+    stacked over h in H, whose rank is the row count of their Hermite
+    normal form; a mismatch would mean corrupted group data.
     """
     group = fundamental_group(datum)
-    if node not in group.elements:
-        raise ValueError(f"node {node} is not minuscule in {datum.label}")
-    sym = group.perm[node]
-    barycenters = []
-    seen: set[int] = set()
-    for a in datum.extended_nodes:
-        orbit = []
-        while a not in seen:
-            seen.add(a)
-            orbit.append(a)
-            a = sym(a)
-        if orbit:
-            vertices = [datum.alcove_vertices[b] for b in orbit]
-            barycenters.append(tuple(sum(col) / len(orbit) for col in zip(*vertices)))
-    point, *others = barycenters
-    basis = tuple(tuple(x - p for x, p in zip(c, point)) for c in others)
-    z = group.weyl[node].linear
+    nodes = sorted(subgroup)
+    if not group.is_subgroup(subgroup):
+        raise ValueError(f"{nodes} is not a node subgroup of {datum.label}")
+    orbits = sorted(
+        {tuple(sorted({group.perm[h](a) for h in nodes})) for a in datum.extended_nodes}
+    )
     rank = len(
         hermite_normal_form(
-            [x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(z)
+            [x - (i == j) for j, x in enumerate(row)]
+            for h in nodes
+            for i, row in enumerate(group.weyl[h].linear)
         )
     )
-    if len(basis) != datum.rank - rank:
+    if len(orbits) - 1 != datum.rank - rank:
         raise InvariantViolation(
-            f"{datum.label}: f_{node} has {len(barycenters)} vertex orbits but the kernel "
-            f"of z_{node} - I has dimension {datum.rank - rank}"
+            f"{datum.label}: the nodes {nodes} have {len(orbits)} vertex orbits but "
+            f"the kernel of the rows z_h - I has dimension {datum.rank - rank}"
         )
-    return InvariantSpace(len(basis), point, basis)
+    return InvariantSpace(len(orbits) - 1, tuple(orbits))
 
 
 def hyperplane_containment(
-    datum: RootDatum, node: int, q: int
+    datum: RootDatum, subgroup: frozenset[int], q: int
 ) -> Optional[tuple[Vec, int]]:
-    """A hyperplane ``<b, x> = k/q`` of the q-refined arrangement containing
-    the whole fixed space of ``f_node``, if one exists.
+    """The first positive root b, in root order, constant on the fixed
+    space of the node subgroup H with value k/q there, as ``(b, k)``, or None.
 
-    Walls of the alcove can never contain the fixed space (it always
-    holds points with all affine coordinates positive on the relevant
-    orbit), so finding one signals corruption.
+    A fixed point has affine coordinate t_O on each orbit O, with
+    ``sum(|O| t_O) = 1``, so ``<b, x> = sum(t_O C_O) / L`` with L =
+    lcm(marks) and ``C_O = sum(b_i L / n_i)`` over the simple nodes i of O.
+    It is constant exactly when all ``C_O / |O|`` are equal, with value
+    ``C_O0 / (L |O0|)`` for node 0's orbit O0.  Walls of the alcove never
+    contain the fixed space (it holds points with all affine coordinates
+    positive), so finding one signals corruption.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
-    space = invariant_space(datum, node)
+    unit = lcm(*datum.marks.values())
+    weights = [unit // datum.marks[i] for i in datum.extended_nodes]
+    orbits = invariant_space(datum, subgroup).orbits
+    origin, others = orbits[0], orbits[1:]
+    den = unit * len(origin)
     for beta in datum.positive_roots:
-        if any(vec_dot(beta, d) != 0 for d in space.basis):
+        c0, *cs = (sum(beta[i - 1] * weights[i] for i in o if i) for o in orbits)
+        if any(c * len(origin) != c0 * len(orbit) for c, orbit in zip(cs, others)):
             continue
-        c = Fraction(vec_dot(beta, space.point))
-        scaled = c * q
-        if scaled.denominator != 1:
+        if q * c0 % den:
             continue
-        if c == 0 or (beta == datum.highest_root and c == 1):
+        if c0 == 0 or (beta == datum.highest_root and c0 == den):
             raise InvariantViolation(
                 f"{datum.label}, q={q}: fixed space contained in an alcove wall"
             )
-        return beta, int(scaled)
+        return beta, q * c0 // den
     return None

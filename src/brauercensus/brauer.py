@@ -280,32 +280,31 @@ def cell_fixed_points(
     )
 
 
-def stable_cell_count(datum: RootDatum, node: int, q: int) -> int:
-    """m_b, the number of sub-alcoves that ``f_node`` maps to themselves:
-    ``q**dim`` of the node's fixed space when that space lies in no
-    hyperplane of the q-refined arrangement, and zero otherwise.  It
-    takes no enumeration."""
-    if hyperplane_containment(datum, node, q) is not None:
+def stable_cell_count(datum: RootDatum, subgroup: frozenset[int], q: int) -> int:
+    """N(H), the number of sub-alcoves that every ``f_h``, h in the node
+    subgroup H, maps to themselves (m_b for H = <b>): ``q**dim`` of the
+    fixed space of H when it lies in no hyperplane of the q-refined
+    arrangement, and zero otherwise.  It takes no enumeration."""
+    if hyperplane_containment(datum, subgroup, q) is not None:
         return 0
-    return q ** invariant_space(datum, node).dimension
+    return q ** invariant_space(datum, subgroup).dimension
 
 
 def m_alpha(
-    datum: RootDatum, config: FrobeniusConfig, node: int
+    datum: RootDatum, config: FrobeniusConfig, subgroup: frozenset[int]
 ) -> tuple[SubAlcove, ...]:
-    """Sub-alcoves mapped to themselves by the stabilizer of ``node``,
-    asserted to number ``stable_cell_count``, in both of its branches.
-    """
-    expected = stable_cell_count(datum, node, config.q)
+    """Sub-alcoves mapped to themselves by every stabilizer of the node
+    subgroup, asserted to number ``stable_cell_count``, in both branches."""
+    expected = stable_cell_count(datum, subgroup, config.q)
     group = fundamental_group(datum)
     stable = [
         sub
         for sub in enumerate_subalcoves(datum, config)
-        if group.apply_to_affine(node, sub.key) == sub.key
+        if all(group.apply_to_affine(b, sub.key) == sub.key for b in subgroup)
     ]
     if len(stable) != expected:
         raise InvariantViolation(
-            f"{datum.label}, q={config.q}, node {node}: "
+            f"{datum.label}, q={config.q}, nodes {sorted(subgroup)}: "
             f"{len(stable)} stable sub-alcoves, expected {expected}"
         )
     return tuple(stable)

@@ -324,23 +324,37 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
         )
     # Burnside: b fixes the pair (w, a) exactly when f_b fixes the cell
     # and F(b) = b, so a class s is the image of |C_A(s)^F| pair orbits,
-    # and the pair orbits count the rational classes.  Counted per b
-    # instead, an F-fixed b fixes its m_b stable cells with every node.
+    # and the pair orbits count the rational classes.
     rational = sum(r.fixed_count for r in records)
     if table.solves != rational:
         raise InvariantViolation(
             f"{datum.label} {config.isogeny_name()} q={q}: {table.solves} "
             f"(cell, node) pair orbits, but the fixed counts sum to {rational}"
         )
-    fixed_cells = sum(
-        stable_cell_count(datum, b, q)
-        for b in config.a_g
-        if central_frobenius_action(datum, config.frob, b) == b
-    )
+    # Per b, an F-fixed b fixes its m_b = N(<b>) cells with every node; per
+    # (b, c), both fix a pair when both are F-fixed and <b, c> fixes its
+    # cell, and the squared fixed counts follow (README).
+    group = fundamental_group(datum)
+    fixed_nodes = [
+        b for b in config.a_g if central_frobenius_action(datum, config.frob, b) == b
+    ]
+    cells = {
+        (b, c): stable_cell_count(datum, group.subgroup((b, c)), q)
+        for b in fixed_nodes
+        for c in fixed_nodes
+    }
+    fixed_cells = sum(cells[b, 0] for b in fixed_nodes)
     if fixed_cells != rational:
         raise InvariantViolation(
             f"{datum.label} {config.isogeny_name()} q={q}: the stable cells of the "
             f"F-fixed nodes sum to {fixed_cells}, but the fixed counts sum to {rational}"
+        )
+    pair_cells, chars = sum(cells.values()), sum(r.fixed_count**2 for r in records)
+    if pair_cells != chars:
+        raise InvariantViolation(
+            f"{datum.label} {config.isogeny_name()} q={q}: the stable cells of the "
+            f"F-fixed node pairs sum to {pair_cells}, but the squared fixed counts "
+            f"sum to {chars}"
         )
     return tuple(records)
 

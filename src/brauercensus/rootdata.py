@@ -182,10 +182,6 @@ class RootDatum:
             for i in range(self.rank)
         )
 
-    def root_pairing(self, root: Vec, other: Vec) -> int:
-        """The integer ``<root, other^vee>``."""
-        return vec_dot(root, self.coroot_coweight(tuple(other)))
-
     # -- highest root, marks, extended diagram -------------------------
 
     @cached_property

@@ -4,9 +4,9 @@ The census keeps every point as integer affine numerators over one
 common denominator, and reads fixed spaces off node-permutation orbits.
 These are the earlier rational versions of the Frobenius map, the fold
 into the alcove, the orbit test, the stability test and the fixed space
-of an alcove stabilizer (Gauss-Jordan elimination on the map
-``z_a + coweight(a)``), on exact coweight coordinates, kept so that the
-tests can check the integer versions against them; plus the conversions
+of a subgroup of alcove stabilizers (Gauss-Jordan elimination on the
+stacked maps ``z_a + coweight(a)``), on exact coweight coordinates,
+kept so that the tests can check the integer versions against them; plus the conversions
 between the two descriptions of a point and a rational square solver;
 plus the earlier all-pairs cell fixed-point table, which solves every
 (cell, node) pair instead of one per orbit of the node subgroup; plus
@@ -99,12 +99,15 @@ def solve_affine(matrix, rhs):
     return tuple(particular), nullspace(matrix)
 
 
-def fixed_space(f):
-    """The fixed points of an ``AffineMap`` as (point, basis), or None."""
-    m = tuple(
-        tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(f.linear)
-    )
-    return solve_affine(m, tuple(-x for x in f.translation))
+def fixed_space(maps):
+    """The common fixed points of ``AffineMap``s, from their stacked
+    equations ``(A - I) x = -t``, as (point, basis), or None."""
+    rows, rhs = [], []
+    for f in maps:
+        for i, row in enumerate(f.linear):
+            rows.append(tuple(x - (i == j) for j, x in enumerate(row)))
+            rhs.append(-f.translation[i])
+    return solve_affine(rows, rhs)
 
 
 def f_map(datum, node):
@@ -113,10 +116,11 @@ def f_map(datum, node):
     return AffineMap(group.weyl[node].linear, group.lift[node])
 
 
-def hyperplane_containment(datum, node, q):
+def hyperplane_containment(datum, subgroup, q):
     """The first positive root b, in root order, constant on the fixed
-    space of ``f_node`` with value k/q there, as ``(b, k)``, or None."""
-    point, basis = fixed_space(f_map(datum, node))
+    space of the node subgroup with value k/q there, as ``(b, k)``, or
+    None."""
+    point, basis = fixed_space(f_map(datum, h) for h in sorted(subgroup))
     for beta in datum.positive_roots:
         if any(vec_dot(beta, d) != 0 for d in basis):
             continue

@@ -95,7 +95,10 @@ def test_z_element_rejects_non_minuscule():
     group = fundamental_group(e6)
     assert 2 not in group.weyl and 2 not in group.perm
     with pytest.raises(ValueError):
-        invariant_space(e6, 2)
+        invariant_space(e6, frozenset({0, 2}))
+    # nor is a node set that is not closed under the group law
+    with pytest.raises(ValueError):
+        invariant_space(e6, frozenset({0, 1}))
 
 
 @pytest.mark.parametrize(
@@ -240,60 +243,89 @@ def test_fold_matches_the_rational_reference_on_walls_and_vertices(label, data):
     [("E6", 1, 2), ("B4", 1, 3), ("C5", 5, 2), ("D5", 4, 1), ("D5", 1, 3), ("A7", 2, 1)],
 )
 def test_invariant_space_dimensions(label, node, dim):
-    assert invariant_space(build_root_system(label), node).dimension == dim
+    datum = build_root_system(label)
+    subgroup = fundamental_group(datum).subgroup([node])
+    assert invariant_space(datum, subgroup).dimension == dim
+
+
+def orbit_barycenters(datum, space):
+    """The barycenter of each orbit's alcove vertices, in coweight
+    coordinates: affine coordinate 1/|O| on the orbit O, 0 elsewhere."""
+    return [
+        reference.coords_from_affine(
+            datum, [Fraction(int(b in orbit), len(orbit)) for b in datum.extended_nodes]
+        )
+        for orbit in space.orbits
+    ]
 
 
 def test_invariant_space_points_are_fixed():
     e6 = build_root_system("E6")
-    space = invariant_space(e6, 1)
-    f = reference.f_map(e6, 1)
-    assert f.apply(space.point) == tuple(space.point)
-    for d in space.basis:
-        moved = tuple(p + x for p, x in zip(space.point, d))
-        assert f.apply(moved) == moved
+    space = invariant_space(e6, frozenset({0, 1, 6}))
+    assert space.orbits == ((0, 1, 6), (2, 3, 5), (4,))
+    for point in orbit_barycenters(e6, space):
+        for a in (1, 6):
+            assert reference.f_map(e6, a).apply(point) == point
 
 
-RANK_8_MINUSCULE = [
-    (label, node)
-    for label in (
-        [f"A{n}" for n in range(1, 9)]
-        + [f"{fam}{n}" for fam in "BC" for n in range(2, 9)]
-        + [f"D{n}" for n in range(3, 9)]
-        + ["E6", "E7", "E8", "F4", "G2"]
-    )
-    for node in minuscule_nodes(build_root_system(label))
-]
+def subgroup_cases(labels):
+    """(label, generators) for every subgroup of each type's fundamental
+    group: the cyclic one of each minuscule node, then each subgroup that
+    no single node generates (the Klein fours of even-rank D)."""
+    cases = []
+    for label in labels:
+        group = fundamental_group(build_root_system(label))
+        seen = {group.subgroup([a]) for a in group.elements}
+        cases += [(label, (a,)) for a in group.elements]
+        for a in group.elements:
+            for b in group.elements:
+                if a < b and group.subgroup([a, b]) not in seen:
+                    seen.add(group.subgroup([a, b]))
+                    cases.append((label, (a, b)))
+    return [
+        pytest.param(label, gens, id="-".join(map(str, (label, *gens))))
+        for label, gens in cases
+    ]
 
 
-@pytest.mark.parametrize("label,node", RANK_8_MINUSCULE)
-def test_invariant_space_matches_the_rational_reference(label, node):
-    # the orbit-barycenter fixed space against Gauss-Jordan elimination on
-    # the map z_a + coweight(a): same dimension, fixed points, and the same
-    # hyperplane (b, k) or None for every q
+RANK_8_SUBGROUPS = subgroup_cases(
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label,generators", RANK_8_SUBGROUPS)
+def test_invariant_space_matches_the_rational_reference(label, generators):
+    # the orbit fixed space of a node subgroup against Gauss-Jordan
+    # elimination on its stacked maps z_a + coweight(a): same dimension,
+    # orbit barycenters fixed, and the same hyperplane (b, k) or None for
+    # every q
     datum = build_root_system(label)
-    space = invariant_space(datum, node)
-    f = reference.f_map(datum, node)
-    _, kernel = reference.fixed_space(f)
-    assert space.dimension == len(space.basis) == len(kernel)
-    assert f.apply(space.point) == space.point
-    for d in space.basis:
-        moved = tuple(p + x for p, x in zip(space.point, d))
-        assert f.apply(moved) == moved
+    subgroup = fundamental_group(datum).subgroup(generators)
+    space = invariant_space(datum, subgroup)
+    maps = [reference.f_map(datum, h) for h in sorted(subgroup)]
+    _, kernel = reference.fixed_space(maps)
+    assert space.dimension == len(space.orbits) - 1 == len(kernel)
+    for point in orbit_barycenters(datum, space):
+        assert all(f.apply(point) == point for f in maps)
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32):
-        assert hyperplane_containment(datum, node, q) == reference.hyperplane_containment(
-            datum, node, q
-        )
+        want = reference.hyperplane_containment(datum, subgroup, q)
+        assert hyperplane_containment(datum, subgroup, q) == want
 
 
 def test_invariant_space_dimension_check_fires(monkeypatch):
-    # a node permutation that disagrees with z_a: A2's node 1 paired with
-    # the identity permutation has 3 orbits, but z_1 fixes only the origin
+    # node permutations that disagree with z_a: with every permutation of
+    # A2 the identity, its whole group has 3 orbits, but z_1 and z_2 fix
+    # only the origin
     a2 = build_root_system("A2")
     group = fundamental_group(a2)
-    corrupted = group._replace(perm={**group.perm, 1: DiagramSymmetry.identity(2)})
+    identity = DiagramSymmetry.identity(2)
+    corrupted = group._replace(perm={a: identity for a in group.perm})
     monkeypatch.setattr(affine, "fundamental_group", lambda datum: corrupted)
     with pytest.raises(InvariantViolation, match="vertex orbits"):
-        invariant_space.__wrapped__(a2, 1)
+        invariant_space.__wrapped__(a2, frozenset({0, 1, 2}))
 
 
 def test_fundamental_group_violation_names_the_type(monkeypatch):
@@ -307,16 +339,31 @@ def test_fundamental_group_violation_names_the_type(monkeypatch):
 
 def test_hyperplane_containment_cases():
     a2 = build_root_system("A2")
-    found = hyperplane_containment(a2, 1, 3)
+    found = hyperplane_containment(a2, frozenset({0, 1, 2}), 3)
     assert found is not None
     beta, k = found
     assert k % 3 != 0  # not a wall
-    assert hyperplane_containment(build_root_system("B3"), 1, 5) is None
-    # the identity node fixes all of V, which no hyperplane contains
-    assert hyperplane_containment(a2, 0, 4) is None
+    assert hyperplane_containment(build_root_system("B3"), frozenset({0, 1}), 5) is None
+    # the trivial subgroup fixes all of V, which no hyperplane contains
+    assert hyperplane_containment(a2, frozenset({0}), 4) is None
     # characteristic divides the stabilizer order: containment appears
-    assert hyperplane_containment(build_root_system("A1"), 1, 4) is not None
-    assert hyperplane_containment(build_root_system("A1"), 1, 3) is None
+    a1 = build_root_system("A1")
+    assert hyperplane_containment(a1, frozenset({0, 1}), 4) is not None
+    assert hyperplane_containment(a1, frozenset({0, 1}), 3) is None
+    # the Klein four of D4 fixes a line, on which a_2 + a_3 + a_4 is 1/2
+    d4 = build_root_system("D4")
+    klein = frozenset({0, 1, 3, 4})
+    assert invariant_space(d4, klein).orbits == ((0, 1, 3, 4), (2,))
+    assert hyperplane_containment(d4, klein, 4) == ((0, 1, 1, 1), 2)
+    assert hyperplane_containment(d4, klein, 3) is None
+
+
+def test_fundamental_group_law_check_fires(monkeypatch):
+    # a composition that ignores its second factor breaks the node law
+    a2 = build_root_system("A2")
+    monkeypatch.setattr(DiagramSymmetry, "compose", lambda self, other: self)
+    with pytest.raises(InvariantViolation, match="^A2: fundamental group law violated"):
+        fundamental_group.__wrapped__(a2)
 
 
 def test_standard_symmetries():

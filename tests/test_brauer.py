@@ -80,7 +80,7 @@ def reference_fixed_point(datum, config, sub, node):
     composite = subalcove_map(datum, q, sub).compose(
         f_inverse.compose(reference.f_map(datum, node))
     )
-    point, basis = reference.fixed_space(composite)
+    point, basis = reference.fixed_space([composite])
     assert basis == ()
     return point
 
@@ -318,14 +318,14 @@ def test_pair_image_outside_the_cells_raises(monkeypatch):
 
 def test_m_alpha_identity_node_is_everything():
     datum, config = split("A2", 2)
-    assert len(m_alpha(datum, config, 0)) == 4
+    assert len(m_alpha(datum, config, frozenset({0}))) == 4
 
 
 def test_m_alpha_nonzero_and_zero_branches():
     datum, config = split("B3", 5)
-    assert len(m_alpha(datum, config, 1)) == 25
+    assert len(m_alpha(datum, config, frozenset({0, 1}))) == 25
     datum, config = split("A2", 3)
-    assert m_alpha(datum, config, 1) == ()
+    assert m_alpha(datum, config, frozenset({0, 1, 2})) == ()
 
 
 def test_theta_trivial_subgroup():

@@ -247,6 +247,56 @@ def test_burnside_mutant_counting_every_node_raises(label, q):
     enumerate_classes(make_group_config(label, "ad", q))
 
 
+KLEIN_FOUR_GRID = [
+    ("D4", "ad", 3, "split"),
+    ("D4", "ad", 5, "split"),
+    ("D4", "ad", 7, "split"),
+    ("D4", "ad", 3, "twisted"),
+    ("D6", "ad", 3, "split"),
+]
+
+
+@pytest.mark.parametrize("case", KLEIN_FOUR_GRID, ids=map(_grid_id, KLEIN_FOUR_GRID))
+def test_node_pair_cells_count_the_pprime_characters(case):
+    # On Klein-four isogeny groups <b, c> is not always cyclic: N(<b, c>)
+    # must equal a direct count of the cells that all of <b, c> fixes, and
+    # the N(<b, c>) over F-fixed b and c sum to the squared fixed counts,
+    # which the census asserts.
+    config = _grid_config(*case)
+    datum, group = config.datum, fundamental_group(config.datum)
+    fixed = [
+        b
+        for b in sorted(config.a_g)
+        if brauer.central_frobenius_action(datum, config.frob, b) == b
+    ]
+    pairs = 0
+    for b in fixed:
+        for c in fixed:
+            subgroup = group.subgroup([b, c])
+            cells = brauer.stable_cell_count(datum, subgroup, config.q)
+            assert len(brauer.m_alpha(datum, config.frob, subgroup)) == cells
+            pairs += cells
+    assert pairs == counts(config).pprime_char_total
+    if case == ("D4", "ad", 3, "split"):
+        assert pairs == 180
+
+
+def test_node_pair_mutant_counting_m_b_raises():
+    # enumerate_classes with N(<b, c>) replaced by m_b: on D4 ad q=3 every
+    # node is F-fixed, so the table sums to 4 * 108 = 432, not 180.
+    source = textwrap.dedent(inspect.getsource(census.enumerate_classes))
+    pair = "group.subgroup((b, c))"
+    assert source.count(pair) == 1
+    namespace = dict(vars(census))
+    exec(source.replace(pair, "group.subgroup((b,))"), namespace)
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^D4 ad q=3: the stable cells of the F-fixed node pairs sum to 432, "
+        r"but the squared fixed counts sum to 180$",
+    ):
+        namespace["enumerate_classes"](make_group_config("D4", "ad", 3))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(REFERENCE_GRID), st.data())
 def test_integer_orbit_tests_match_the_rational_reference(case, data):

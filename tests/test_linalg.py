@@ -81,7 +81,7 @@ def test_affine_map_compose_inverse():
 
 def test_affine_map_fixed_point():
     f = AffineMap(((Fraction(1, 2), 0), (0, Fraction(1, 2))), (1, 0))
-    fixed, basis = fixed_space(f)
+    fixed, basis = fixed_space([f])
     assert fixed == (Fraction(2), Fraction(0)) and basis == ()
     assert f.apply(fixed) == fixed
 

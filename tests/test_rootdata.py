@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauercensus.linalg import AffineMap, mat_transpose
+from brauercensus.linalg import AffineMap, mat_transpose, vec_dot
 from brauercensus.rootdata import (
     build_root_system,
     longest_element,
@@ -37,7 +37,7 @@ def root_action(datum, wmap, root):
 
 
 def reflect_root(datum, root, mirror):
-    k = datum.root_pairing(root, mirror)
+    k = vec_dot(root, datum.coroot_coweight(mirror))
     return tuple(r - k * m for r, m in zip(root, mirror))
 
 ALL_TYPES = [
@@ -75,7 +75,7 @@ def test_pairing_integrality(label):
     datum = build_root_system(label)
     for beta in datum.positive_roots:
         for gamma in datum.positive_roots:
-            assert isinstance(datum.root_pairing(beta, gamma), int)
+            assert isinstance(vec_dot(beta, datum.coroot_coweight(gamma)), int)
 
 
 def test_cartan_spot_checks():
