@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantViolation
@@ -158,6 +159,8 @@ class FundamentalGroup(NamedTuple):
 
     ``elements`` lists the minuscule nodes with node 0 as the identity;
     the group law in node terms is ``mult[(a, b)] = perm[a](b)``.
+    ``act[a]`` applies ``f_a`` to affine coordinates: an ``itemgetter``
+    of the inverse node permutation.
     """
 
     elements: tuple[int, ...]
@@ -166,6 +169,7 @@ class FundamentalGroup(NamedTuple):
     inv_perm: dict
     weyl: dict
     lift: dict
+    act: dict
 
     @property
     def order(self) -> int:
@@ -201,8 +205,7 @@ class FundamentalGroup(NamedTuple):
 
     def apply_to_affine(self, node: int, affine: tuple) -> tuple:
         """Action of ``f_node`` on affine coordinates (inverse node permutation)."""
-        inv = self.inv_perm[node].perm
-        return tuple(affine[inv[b]] for b in range(len(affine)))
+        return self.act[node](affine)
 
 
 @lru_cache(maxsize=None)
@@ -223,10 +226,9 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
     weyl = {0: AffineMap.identity(n)}
     perm = {0: DiagramSymmetry.identity(n)}
     lift = {a: coweight_lift(datum, a) for a in mins}
-    w0 = longest_element(datum, datum.nodes)
-    for a in mins:
-        if a == 0:
-            continue
+    # E8, F4 and G2 have no minuscule node but node 0, and need no w0.
+    w0 = longest_element(datum, datum.nodes) if len(mins) > 1 else None
+    for a in mins[1:]:
         wa = longest_element(datum, [i for i in datum.nodes if i != a])
         z = wa.compose(w0)
         shift = tuple(scale * x for x in lift[a])
@@ -265,6 +267,7 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
         inv_perm=inv_perm,
         weyl=weyl,
         lift=lift,
+        act={a: itemgetter(*inv_perm[a].perm) for a in mins},
     )
 
 
@@ -273,21 +276,23 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
 
 
 @lru_cache(maxsize=None)
-def wall_reflections(datum: RootDatum) -> tuple[tuple[int, tuple], ...]:
-    """Per extended node i: its mark n_i and the nonzero
-    ``(j, n_j * <a_j, a_i^vee>)``.  Row i serves twice: the reflection in
-    wall i lowers affine coordinate j of a point by that coefficient
-    times ``x_i / n_i`` (``fold_coords``), and it moves vertex i of an
-    alcove to ``v_i - sum_j(coefficient * v_j) / n_i``, the vertex
-    exchange of ``brauer.enumerate_subalcoves``."""
+def wall_neighbours(datum: RootDatum) -> tuple[tuple[int, tuple], ...]:
+    """Per extended node i: its mark n_i and its neighbours
+    ``(j, n_j * |<a_j, a_i^vee>|)``, all positive.  Since the marks span
+    the kernel of the extended Cartan matrix, the coefficients of row i
+    sum to ``2 n_i``.  Row i serves twice: the reflection in wall i
+    negates affine coordinate x_i and raises coordinate j of a point by
+    the coefficient times ``x_i / n_i`` (``fold_coords``), and it moves
+    vertex i of an alcove to ``sum_j(coefficient * v_j) / n_i - v_i``,
+    the vertex exchange of ``brauer.enumerate_subalcoves``."""
     marks, cartan = datum.marks, datum.extended_cartan
     return tuple(
         (
             marks[i],
             tuple(
-                (j, marks[j] * cartan[j][i])
+                (j, -marks[j] * cartan[j][i])
                 for j in datum.extended_nodes
-                if cartan[j][i]
+                if j != i and cartan[j][i]
             ),
         )
         for i in datum.extended_nodes
@@ -304,21 +309,32 @@ def fold_coords(datum: RootDatum, affine: tuple[int, ...]) -> tuple[int, ...]:
     the numbers game on the extended diagram, which keeps the numerators
     integral and divisible by the marks, and preserves D.  It is
     homogeneous, so one code path serves every denominator.
+
+    A worklist holds the negative numerators.  Reflecting in wall i makes
+    x_i positive and lowers only the numerators of i's neighbours, so a
+    numerator joins the list when it turns negative and stays negative
+    until it is reflected.  The game ends on the unique alcove point of
+    the orbit after the same number of reflections in any order; a point
+    that needs ``FOLD_ITERATION_CAP`` reflections or more raises.
     """
-    reflections = wall_reflections(datum)
+    neighbours = wall_neighbours(datum)
     cur = list(affine)
-    if any(x % mark for x, (mark, _) in zip(cur, reflections)):
+    if any(x % mark for x, (mark, _) in zip(cur, neighbours)):
         raise ValueError("an affine numerator is not divisible by its mark")
+    negative = [i for i, x in enumerate(cur) if x < 0]
     for _ in range(FOLD_ITERATION_CAP):
-        for i, x in enumerate(cur):
-            if x < 0:
-                break
-        else:
+        if not negative:
             return tuple(cur)
-        mark, row = reflections[i]
+        i = negative.pop()
+        x = cur[i]
+        mark, row = neighbours[i]
+        cur[i] = -x
         steps = x // mark
         for j, c in row:
-            cur[j] -= c * steps
+            y = cur[j]
+            cur[j] = z = y + c * steps
+            if z < 0 <= y:
+                negative.append(j)
     raise InvariantViolation(
         f"{datum.label}: folding did not terminate within the iteration cap"
     )

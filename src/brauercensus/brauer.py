@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import eq
 from typing import Iterable, NamedTuple
 
 from .affine import (
@@ -30,7 +31,7 @@ from .affine import (
     hyperplane_containment,
     invariant_space,
     validate_symmetry,
-    wall_reflections,
+    wall_neighbours,
 )
 from .errors import InvariantViolation
 from .linalg import bareiss, prime_power
@@ -75,8 +76,8 @@ def frobenius_image(
     times the coweight permutation of rho inverse, so simple numerator b
     becomes ``q * affine[rho(b)]`` (rho preserves the marks), and node 0
     takes the rest of the unchanged denominator."""
-    q, rho = config.q, config.rho
-    simple = tuple(q * affine[rho(b)] for b in range(1, len(affine)))
+    q, rho = config.q, config.rho.perm
+    simple = tuple(q * affine[rho[b]] for b in range(1, len(affine)))
     return (sum(affine) - sum(simple),) + simple
 
 
@@ -106,23 +107,31 @@ def enumerate_subalcoves(
     """All ``q**rank`` sub-alcoves, found breadth-first across facets.
 
     The neighbour across the facet opposite vertex j keeps the other
-    vertices and replaces v_j with ``v_j - sum_i(c_ji * v_i) / n_j``, the
-    coefficients ``c_ji = n_i <a_i, a_j^vee>`` of row j of
-    ``wall_reflections``: that is the reflection of the small alcove's
+    vertices and replaces v_j with ``sum_i(k_ji * v_i) / n_j - v_j``, over
+    the neighbours i of node j with ``k_ji = n_i |<a_i, a_j^vee>|`` (row j
+    of ``wall_neighbours``): that is the reflection of the small alcove's
     vertex j in its wall j.  Since the marks span the kernel of the
-    extended Cartan matrix, the coefficients of the v_i sum to 1, so the
-    rule is an affine combination and holds on every translate, with an
-    exact division.  The neighbour stays in the closed alcove when the
-    new vertex does (the shared facet already is), which is when its
-    numerators are nonnegative: numerator 0 is ``S - <theta, x>``.  The
-    exact count is enforced: a search that finds one cell too many stops
-    there, and one that finds too few fails at the end.
+    extended Cartan matrix, the k_ji sum to ``2 n_j``, so the rule is an
+    affine combination and holds on every translate, with an exact
+    division.  The neighbour stays in the closed alcove when the new
+    vertex does (the shared facet already is), which is when its
+    numerators are nonnegative: numerator 0 is ``S - <theta, x>``.  Two
+    kinds of facet are not exchanged: one in an alcove wall, where some
+    numerator of the key comes from vertex j alone, and one that leads
+    back to a cell already seen.  The exact count is enforced: a search
+    that finds one cell too many stops there, and one that finds too few
+    fails at the end.
     """
     validate_frobenius(datum, config)
     q = config.q
     expected = q**datum.rank
     s = scale(datum, q)
-    exchange = wall_reflections(datum)
+    # Neighbour i of node j is listed k_ji times, so that the weighted sum
+    # of the vertices is a plain sum down each coordinate.
+    exchange = [
+        (j, mark, tuple(i for i, k in row for _ in range(k)))
+        for j, (mark, row) in enumerate(wall_neighbours(datum))
+    ]
 
     # Small-alcove vertex j is alcove vertex j over q: 1/q of the way from
     # vertex 0 to vertex j in barycentric terms.
@@ -134,27 +143,39 @@ def enumerate_subalcoves(
     base = SubAlcove(base_vertices, tuple(map(sum, zip(*base_vertices))))
 
     seen = {base.key: base}
+    # Per queued cell, a bit mask of the facets j that lead to a cell
+    # already seen: the cell reached across facet j of another has the
+    # same vertices but vertex j, so its facet j leads back.
+    crossed = {base.key: 0}
     queue = deque([base])
     while queue:
-        cur = queue.popleft()
-        for j, (mark, row) in enumerate(exchange):
-            apex = cur.vertices[j]
-            step = [0] * len(apex)
-            for i, c in row:
-                step = [d + c * x for d, x in zip(step, cur.vertices[i])]
-            new_apex = tuple(x - d // mark for x, d in zip(apex, step))
+        vertices, key = queue.popleft()
+        done = crossed.pop(key)
+        for j, mark, spread in exchange:
+            apex = vertices[j]
+            # When key[m] == apex[m], the other vertices have numerator m
+            # zero, so facet j lies in wall m and the new vertex would have
+            # numerator m equal to -apex[m] < 0.
+            if done >> j & 1 or any(map(eq, key, apex)):
+                continue
+            new_apex = tuple(
+                sum(column) // mark - x
+                for x, column in zip(apex, zip(*[vertices[i] for i in spread]))
+            )
             if min(new_apex) < 0:
                 continue
-            key = tuple(k - x + y for k, x, y in zip(cur.key, apex, new_apex))
-            if key in seen:
+            new_key = tuple(k - x + y for k, x, y in zip(key, apex, new_apex))
+            if new_key in seen:
+                if new_key in crossed:
+                    crossed[new_key] |= 1 << j
                 continue
             if len(seen) == expected:
                 raise InvariantViolation(
                     f"{datum.label}, q={q}: found more than {expected} sub-alcoves"
                 )
-            vertices = cur.vertices[:j] + (new_apex,) + cur.vertices[j + 1 :]
-            sub = SubAlcove(vertices, key)
-            seen[key] = sub
+            sub = SubAlcove(vertices[:j] + (new_apex,) + vertices[j + 1 :], new_key)
+            seen[new_key] = sub
+            crossed[new_key] = 1 << j
             queue.append(sub)
     if len(seen) != expected:
         raise InvariantViolation(
@@ -180,32 +201,40 @@ def fixed_point(
     The map sends alcove vertex b to ``sub.vertices[rho(perm(b))]``, so
     in affine coordinates (barycentric for the alcove vertices) it is the
     matrix N whose column b is that vertex: an integer matrix with column
-    sums S.  The fixed point solves ``(N - S*I) x = 0``, its first
-    equation (implied by the rest) replaced by ``sum(x) = 1``.  The map
-    contracts by 1/q, so the system is never singular, and the
-    denominators are coprime to p.
+    sums S.  The fixed point solves ``(N - S*I) x = 0`` with ``sum(x) =
+    1``; the first equation follows from the rest, and x_0 = 1 - x_1 -
+    ... - x_n is eliminated by hand, which leaves the rank-by-rank system
+    ``sum_i (N[t][i] - N[t][0] - S*[t = i]) x_i = -N[t][0]`` for t, i =
+    1..rank.  The map contracts by 1/q, so the system is never singular,
+    and the denominators are coprime to p.
     """
     group = fundamental_group(datum)
     if node not in group.perm:
         raise ValueError(f"node {node} is not minuscule in {datum.label}")
     s = scale(datum, config.q)
-    perm, rho = group.perm[node], config.rho
-    columns = [sub.vertices[rho(perm(b))] for b in datum.extended_nodes]
-    rows = [list(row) for row in zip(*columns)]
-    for i, row in enumerate(rows):
-        row[i] -= s
-    rows[0] = [1] * len(rows)
-    nums, pivot = bareiss(rows, (1,) + (0,) * datum.rank)
-    # Coweight coordinate i is nums[i] / (mark_i * pivot); the point's
+    rho = config.rho.perm
+    # Column 0 of N, and its other columns, whose rows 1..rank (with
+    # column 0 subtracted) make the reduced system.
+    first, *rest = (sub.vertices[rho[b]] for b in group.perm[node].perm)
+    rows = [
+        [x - y for x in row] for y, row in zip(first[1:], list(zip(*rest))[1:])
+    ]
+    for t, row in enumerate(rows):
+        row[t] -= s
+    nums, pivot = bareiss(rows, [-y for y in first[1:]])
+    # Coweight coordinate i is nums[i - 1] / (mark_i * pivot); the point's
     # denominator is the lcm of their reduced denominators.
-    coweights = [(nums[i], datum.marks[i] * pivot) for i in datum.nodes]
-    den = lcm(*(d // gcd(x, d) for x, d in coweights))
+    marks = datum.marks
+    den = lcm(
+        *(marks[i] * pivot // gcd(x, marks[i] * pivot) for i, x in enumerate(nums, 1))
+    )
     if den % config.p == 0:
         raise InvariantViolation(
             f"{datum.label}, q={config.q}: fixed point has a denominator "
             "divisible by p"
         )
-    return CellPoint(tuple(x * den // pivot for x in nums))
+    simple = tuple(x * den // pivot for x in nums)
+    return CellPoint((den - sum(simple),) + simple)
 
 
 def central_frobenius_action(
@@ -257,23 +286,29 @@ def cell_fixed_points(
 
     subalcoves = enumerate_subalcoves(datum, config)
     cells = {sub.key for sub in subalcoves}
+    actions = [group.act[b] for b in order]
+    # The nodes a solved with a cell, per stabilizer of the cell.
+    least: dict[tuple, list] = {}
     points: dict[tuple, None] = {}
     solves = 0
     for sub in subalcoves:
-        images = {b: group.apply_to_affine(b, sub.key) for b in order}
-        for image in images.values():
-            if image not in cells:
-                raise InvariantViolation(
-                    f"{datum.label}, q={config.q}: an alcove stabilizer maps "
-                    f"the sub-alcove {sub.key} onto no sub-alcove"
-                )
-        if min(images.values()) < sub.key:
+        key = sub.key
+        images = [act(key) for act in actions]
+        if not cells.issuperset(images):
+            raise InvariantViolation(
+                f"{datum.label}, q={config.q}: an alcove stabilizer maps "
+                f"the sub-alcove {key} onto no sub-alcove"
+            )
+        if min(images) < key:
             continue
-        stabilizer = [b for b, image in images.items() if image == sub.key]
-        for a in order:
-            if all(a <= image_node[a, b] for b in stabilizer):
-                solves += 1
-                points[fixed_point(datum, config, sub, a).affine] = None
+        stabilizer = tuple(b for b, image in zip(order, images) if image == key)
+        if stabilizer not in least:
+            least[stabilizer] = [
+                a for a in order if all(a <= image_node[a, b] for b in stabilizer)
+            ]
+        for a in least[stabilizer]:
+            solves += 1
+            points[fixed_point(datum, config, sub, a).affine] = None
     common = lcm(*(sum(aff) for aff in points))
     return CellTable(
         tuple(tuple(x * (common // sum(aff)) for x in aff) for aff in points), solves

@@ -146,7 +146,8 @@ def orbit_equal(config: GroupConfig, lam: tuple, mu: tuple) -> Optional[int]:
     Points are integer affine numerators over one common denominator D
     (their sum) and must lie in the closed alcove.  Coweight coordinate i
     is numerator i over ``marks_i * D``, so a difference is a coweight
-    vector exactly when each of its numerators is divisible by that.  The
+    vector exactly when each of its numerators is divisible by that; an
+    image equal to the other point is a witness without that test.  The
     first witness in increasing node order is returned (the identity,
     node 0, is tested first), so any exact-equality witness that exists
     may be shadowed by an earlier lattice-difference witness.
@@ -157,14 +158,15 @@ def orbit_equal(config: GroupConfig, lam: tuple, mu: tuple) -> Optional[int]:
     if sum(mu) != level:
         raise ValueError("orbit comparison requires one common denominator")
     datum = config.datum
-    group = fundamental_group(datum)
+    act = fundamental_group(datum).act
     lattice = cocharacter_lattice(config)
-    moduli = tuple(datum.marks[i] * level for i in datum.nodes)
     for z in sorted(config.a_g):
-        image = group.apply_to_affine(z, lam)
+        image = act[z](lam)
+        if image == mu:
+            return z
         diff = []
-        for a, b, m in zip(image[1:], mu[1:], moduli):
-            k, r = divmod(a - b, m)
+        for a, b, i in zip(image[1:], mu[1:], datum.nodes):
+            k, r = divmod(a - b, datum.marks[i] * level)
             if r:
                 break
             diff.append(k)
@@ -190,8 +192,8 @@ def f_stable(config: GroupConfig, lam: tuple) -> Optional[int]:
 def orbit_key(config: GroupConfig, affine: tuple) -> tuple:
     """Canonical orbit representative: lexicographically minimal affine
     coordinates over the subgroup's stabilizer images."""
-    group = fundamental_group(config.datum)
-    return min(group.apply_to_affine(z, affine) for z in sorted(config.a_g))
+    act = fundamental_group(config.datum).act
+    return min(act[z](affine) for z in config.a_g)
 
 
 class ClassRecord(NamedTuple):
@@ -249,28 +251,42 @@ def component_F_action(
     return action, fixed
 
 
-def _classify(config: GroupConfig, key: tuple) -> ClassRecord:
-    """Classify the orbit with integer affine numerators ``key``."""
+def _classify(
+    config: GroupConfig, key: tuple, types: dict, components: dict
+) -> ClassRecord:
+    """Classify the orbit with integer affine numerators ``key``.
+
+    Apart from the key, a record depends only on the zero set, whose
+    centralizer type ``types`` holds, and on the stabilizer, whose
+    component group and Frobenius action ``components`` holds; the
+    census passes one pair of dicts, so each is computed once per census.
+    """
     datum = config.datum
     group = fundamental_group(datum)
-    zeros = tuple(a for a in datum.extended_nodes if key[a] == 0)
-    comps = subdiagram_type(datum, zeros)
-    comp_group = frozenset(
-        z for z in config.a_g if group.apply_to_affine(z, key) == key
-    )
-    if not group.is_subgroup(comp_group):
-        raise InvariantViolation(
-            f"{datum.label} {config.isogeny_name()} q={config.q}: "
-            "point stabilizer is not a subgroup"
+    zeros = tuple(a for a, x in enumerate(key) if x == 0)
+    if zeros not in types:
+        types[zeros] = subdiagram_type(datum, zeros)
+    stabilizer = frozenset(z for z in config.a_g if group.act[z](key) == key)
+    if stabilizer not in components:
+        if not group.is_subgroup(stabilizer):
+            raise InvariantViolation(
+                f"{datum.label} {config.isogeny_name()} q={config.q}: "
+                "point stabilizer is not a subgroup"
+            )
+        action, fixed = component_F_action(config, stabilizer)
+        components[stabilizer] = (
+            tuple(sorted(stabilizer)),
+            tuple(sorted(action.items())),
+            fixed,
         )
-    action, fixed = component_F_action(config, comp_group)
+    comp_group, f_action, fixed = components[stabilizer]
     return ClassRecord(
         key=key,
         i_lambda=zeros,
-        centralizer_components=comps,
+        centralizer_components=types[zeros],
         torus_rank=datum.rank - len(zeros),
-        comp_group=tuple(sorted(comp_group)),
-        f_action=tuple(sorted(action.items())),
+        comp_group=comp_group,
+        f_action=f_action,
         fixed_count=fixed,
     )
 
@@ -305,6 +321,8 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
                 )
 
     records = []
+    types: dict = {}
+    components: dict = {}
     for key in sorted(orbits):
         # Stable by construction.  A candidate solves x = w(F^-1(f_a(x)))
         # with w in the q-refined affine Weyl group and a in the isogeny
@@ -316,7 +334,7 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
                 f"{datum.label} {config.isogeny_name()} q={q}: "
                 f"orbit {key} over {sum(key)} is not F-stable"
             )
-        records.append(_classify(config, key))
+        records.append(_classify(config, key, types, components))
     if len(records) != expected:
         raise InvariantViolation(
             f"{datum.label} {config.isogeny_name()} q={q}: "
@@ -333,23 +351,22 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
         )
     # Per b, an F-fixed b fixes its m_b = N(<b>) cells with every node; per
     # (b, c), both fix a pair when both are F-fixed and <b, c> fixes its
-    # cell, and the squared fixed counts follow (README).
+    # cell, and the squared fixed counts follow (README).  Each distinct
+    # subgroup <b, c> is counted once.
     group = fundamental_group(datum)
     fixed_nodes = [
         b for b in config.a_g if central_frobenius_action(datum, config.frob, b) == b
     ]
-    cells = {
-        (b, c): stable_cell_count(datum, group.subgroup((b, c)), q)
-        for b in fixed_nodes
-        for c in fixed_nodes
-    }
-    fixed_cells = sum(cells[b, 0] for b in fixed_nodes)
+    pairs = {(b, c): group.subgroup((b, c)) for b in fixed_nodes for c in fixed_nodes}
+    cells = {h: stable_cell_count(datum, h, q) for h in dict.fromkeys(pairs.values())}
+    fixed_cells = sum(cells[pairs[b, 0]] for b in fixed_nodes)
     if fixed_cells != rational:
         raise InvariantViolation(
             f"{datum.label} {config.isogeny_name()} q={q}: the stable cells of the "
             f"F-fixed nodes sum to {fixed_cells}, but the fixed counts sum to {rational}"
         )
-    pair_cells, chars = sum(cells.values()), sum(r.fixed_count**2 for r in records)
+    pair_cells = sum(cells[h] for h in pairs.values())
+    chars = sum(r.fixed_count**2 for r in records)
     if pair_cells != chars:
         raise InvariantViolation(
             f"{datum.label} {config.isogeny_name()} q={q}: the stable cells of the "

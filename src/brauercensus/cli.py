@@ -167,17 +167,16 @@ def _json_strings(items, indent: str) -> str:
     return _json_list([f'"{x}"' for x in items], indent)
 
 
-def _record_json(datum: RootDatum, record: ClassRecord) -> str:
+def _record_json(datum: RootDatum, record: ClassRecord, profiles: dict) -> str:
     """One class of the ``classes`` list, with sorted keys, as
     ``json.dumps(indent=2, sort_keys=True)`` writes it: affine coordinate
     i is ``key[i] / sum(key)``, coweight coordinate i that over its
-    node's mark."""
-    key, marks = record.key, datum.marks
-    level = sum(key)
-    affine = [_ratio(x, level) for x in key]
-    coords = [_ratio(key[i], marks[i] * level) for i in datum.nodes]
-    pairs = [_json_list([str(a), str(b)], " " * 10) for a, b in record.f_action]
-    return f"""    {{
+    node's mark.  The lines before ``rep_affine`` depend only on the
+    fields after the key, and ``profiles`` keeps them once per census."""
+    key, profile = record.key, record[1:]
+    if profile not in profiles:
+        pairs = [_json_list([str(a), str(b)], " " * 10) for a, b in record.f_action]
+        profiles[profile] = f"""    {{
       "centralizer": {{
         "components": {_json_strings(record.centralizer_components, " " * 8)},
         "name": "{record.centralizer_name()}",
@@ -191,9 +190,16 @@ def _record_json(datum: RootDatum, record: ClassRecord) -> str:
       "fixed_count": {record.fixed_count},
       "h1_count": {record.h1_count},
       "i_lambda": {_json_list([str(a) for a in record.i_lambda], " " * 6)},
-      "rep_affine": {_json_strings(affine, " " * 6)},
+"""
+    marks, level = datum.marks, sum(key)
+    affine = [_ratio(x, level) for x in key]
+    coords = [_ratio(key[i], marks[i] * level) for i in datum.nodes]
+    return (
+        profiles[profile]
+        + f"""      "rep_affine": {_json_strings(affine, " " * 6)},
       "rep_coords": {_json_strings(coords, " " * 6)}
     }}"""
+    )
 
 
 def _check_subalcove_cap(label: TypeLabel, q: int, cap: int) -> None:
@@ -261,7 +267,8 @@ def census_json(datum: RootDatum, report: dict) -> str:
     header = json.dumps(
         {k: v for k, v in report.items() if k != "classes"}, indent=2, sort_keys=True
     )
-    records = ",\n".join(_record_json(datum, r) for r in report["classes"])
+    profiles: dict = {}
+    records = ",\n".join(_record_json(datum, r, profiles) for r in report["classes"])
     return '{\n  "classes": [\n' + records + "\n  ],\n" + header[2:]
 
 

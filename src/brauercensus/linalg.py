@@ -15,6 +15,7 @@ prime-power test for field sizes.
 from __future__ import annotations
 
 from math import isqrt
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Vec = tuple
@@ -76,26 +77,35 @@ def bareiss(matrix: Mat, rhs: Vec) -> tuple[tuple[int, ...], int]:
     """Solve an integer square system with a unique solution by
     fraction-free (Bareiss) elimination: each step divides exactly by the
     previous pivot, and the solution is the returned integer numerators
-    over the returned positive pivot (the determinant up to sign)."""
-    n = len(rhs)
-    aug = [[*row, b] for row, b in zip(matrix, rhs)]
+    over the returned positive pivot (the determinant up to sign).
+
+    Each step takes the first remaining row with a nonzero entry in the
+    current column as its pivot row, and updates only the columns after
+    the pivot: the remaining rows drop the current column, which the back
+    substitution never reads."""
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    echelon = []
     prev = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
+    for _ in rhs:
+        for k, row in enumerate(rows):
+            if row[0]:
+                break
+        else:
             raise SingularMatrixError("singular coefficient matrix")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        prow = aug[c]
-        p = prow[c]
-        for i in range(c + 1, n):
-            f = aug[i][c]
-            aug[i] = [(p * x - f * y) // prev for x, y in zip(aug[i], prow)]
+        head = rows.pop(k)
+        p, tail = head[0], head[1:]
+        rows = [
+            [(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in rows
+        ]
+        echelon.append(head)
         prev = p
-    nums = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = aug[i]
-        s = prev * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))
-        nums[i] = s // row[i]
+    # Pivot row c holds its pivot, the coefficients of the unknowns after
+    # c and the right-hand side; nums collects the unknowns from the last.
+    nums = []
+    for head in reversed(echelon):
+        s = prev * head[-1] - sum(map(mul, head[1:-1], reversed(nums)))
+        nums.append(s // head[0])
+    nums.reverse()
     if prev < 0:
         return tuple(-x for x in nums), -prev
     return tuple(nums), prev

@@ -15,7 +15,6 @@ plates; node 0 denotes the extra node of the extended Dynkin diagram
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable
 
@@ -229,7 +228,11 @@ class RootDatum:
 
     @cached_property
     def alcove_vertices(self) -> tuple[Vec, ...]:
-        """Vertices of the fundamental alcove, indexed by extended node."""
+        """Vertices of the fundamental alcove, indexed by extended node.
+        The census works in integer affine numerators and never reads
+        them, so ``fractions`` is imported here, off the import path."""
+        from fractions import Fraction
+
         verts = [tuple(Fraction(0) for _ in range(self.rank))]
         for i in self.nodes:
             verts.append(

@@ -194,6 +194,26 @@ def test_fold_one_dimensional_cases():
         fold_coords(build_root_system("B2"), (1, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "label,point,folded,reflections",
+    [
+        # walls 0 and 1 in turn
+        ("A1", (-9, 11), (1, 1), 5),
+        # the sweep that rescans every coordinate takes as many
+        ("E8", (-20, 2, 3, 4, 6, 5, 4, 3, 2), (1, 0, 0, 0, 6, 0, 0, 0, 2), 77),
+    ],
+)
+def test_fold_cap_counts_reflections(monkeypatch, label, point, folded, reflections):
+    # The worklist fold stops at the cap, which counts reflections: a
+    # point needing the cap's number of them raises.
+    datum = build_root_system(label)
+    monkeypatch.setattr(affine, "FOLD_ITERATION_CAP", reflections + 1)
+    assert fold_coords(datum, point) == folded
+    monkeypatch.setattr(affine, "FOLD_ITERATION_CAP", reflections)
+    with pytest.raises(InvariantViolation, match=f"{label}: folding did not terminate"):
+        fold_coords(datum, point)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["A2", "B2", "G2", "C3"]), st.data())
 def test_fold_idempotent_and_weyl_invariant(label, data):

@@ -29,7 +29,7 @@ from brauercensus.census import (
 )
 from brauercensus import census
 from brauercensus.errors import InvariantViolation
-from brauercensus.rootdata import TypeLabel
+from brauercensus.rootdata import TypeLabel, subdiagram_type
 
 import fraction_reference as reference
 
@@ -153,6 +153,22 @@ def test_integer_stability_matches_the_rational_reference(label, iso, q, kind):
         assert f_stable(config, aff) == reference.f_stable(config, lam)
     for aff in candidates:
         assert f_stable(config, aff) is not None
+
+
+FOLD_GRID = [("D5", "ad", 3, "split"), ("E6", "ad", 2, "twisted"), ("D4", "ad", 3, "triality")]
+
+
+@pytest.mark.parametrize("case", FOLD_GRID, ids=map(_grid_id, FOLD_GRID))
+def test_fold_of_every_class_key_matches_the_rational_reference(case):
+    # The worklist fold of F(key) lands where the rational sweep does.
+    config = _grid_config(*case)
+    datum = config.datum
+    frobenius = reference.frobenius_map(datum, config.frob)
+    for record in enumerate_classes(config):
+        key = record.key
+        fimage = frobenius.apply(reference.point(datum, key).coords)
+        expected = reference.numerators(datum, reference.fold(datum, fimage), sum(key))
+        assert fold_coords(datum, frobenius_image(config.frob, key)) == expected
 
 
 # Split, twisted and triality; sc, ad and sub:; p dividing the isogeny
@@ -279,6 +295,20 @@ def test_node_pair_cells_count_the_pprime_characters(case):
     assert pairs == counts(config).pprime_char_total
     if case == ("D4", "ad", 3, "split"):
         assert pairs == 180
+
+
+def test_node_pair_table_counts_each_subgroup_once(monkeypatch):
+    # The 16 ordered pairs of F-fixed nodes of D4 ad generate 5 distinct
+    # subgroups: the trivial one, three of order 2 and the whole group.
+    calls = []
+
+    def counted(datum, subgroup, q):
+        calls.append(subgroup)
+        return brauer.stable_cell_count(datum, subgroup, q)
+
+    monkeypatch.setattr(census, "stable_cell_count", counted)
+    enumerate_classes(make_group_config("D4", "ad", 3))
+    assert len(calls) == len(set(calls)) == 5
 
 
 def test_node_pair_mutant_counting_m_b_raises():
@@ -488,6 +518,26 @@ def test_unstable_orbit_raises(monkeypatch):
         match=r"A2 sc q=3: orbit \(\d+, \d+, \d+\) over \d+ is not F-stable",
     ):
         enumerate_classes(make_group_config("A2", "sc", 3))
+
+
+def test_classification_is_memoized_per_census(monkeypatch):
+    # subdiagram_type runs once per distinct zero set of a census, and a
+    # second census sees a function patched after the first one: no memo
+    # outlives its census.
+    config = make_group_config("D5", "ad", 3)
+    calls = []
+
+    def counted(datum, zeros):
+        calls.append(zeros)
+        return subdiagram_type(datum, zeros)
+
+    monkeypatch.setattr(census, "subdiagram_type", counted)
+    records = enumerate_classes(config)
+    assert len(records) == 243
+    assert sorted(calls) == sorted({r.i_lambda for r in records})
+    assert len(calls) == 21
+    monkeypatch.setattr(census, "subdiagram_type", lambda datum, zeros: ("patched",))
+    assert {r.centralizer_components for r in enumerate_classes(config)} == {("patched",)}
 
 
 def test_orbit_relation_mismatch_names_the_configuration(monkeypatch):

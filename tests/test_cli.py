@@ -320,10 +320,11 @@ def test_census_violation_writes_nothing(monkeypatch, fmt):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
-    # pytest itself has imported dataclasses, so a fresh interpreter checks
+    # pytest itself has imported dataclasses and fractions, so a fresh
+    # interpreter checks
     probe = (
-        "import brauercensus.cli, sys; "
-        "print([m for m in ('dataclasses', 'brauercensus.oracle') if m in sys.modules])"
+        "import brauercensus.cli, sys; print([m for m in "
+        "('dataclasses', 'fractions', 'brauercensus.oracle') if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
