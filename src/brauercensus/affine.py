@@ -203,10 +203,6 @@ class FundamentalGroup(NamedTuple):
     def is_subgroup(self, nodes: frozenset[int]) -> bool:
         return nodes.issubset(self.elements) and self.subgroup(nodes) == nodes
 
-    def apply_to_affine(self, node: int, affine: tuple) -> tuple:
-        """Action of ``f_node`` on affine coordinates (inverse node permutation)."""
-        return self.act[node](affine)
-
 
 @lru_cache(maxsize=None)
 def fundamental_group(datum: RootDatum) -> FundamentalGroup:

@@ -14,16 +14,17 @@ point fixed by "translate after Frobenius-inverse after alcove
 stabilizer", solved from the images of the alcove vertices for one
 (translate, stabilizer) pair per orbit of the stabilizers' action on
 those pairs, and kept as integer affine numerators over one common
-denominator.
+denominator.  The cells and the point table are not cached: they are
+computed once per census or per verification case and handed on.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from operator import eq
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .affine import (
     DiagramSymmetry,
@@ -36,6 +37,9 @@ from .affine import (
 from .errors import InvariantViolation
 from .linalg import bareiss, prime_power
 from .rootdata import RootDatum
+
+if TYPE_CHECKING:
+    from .census import ClassRecord, GroupConfig
 
 
 class FrobeniusConfig(namedtuple("FrobeniusConfig", "q rho")):
@@ -100,7 +104,6 @@ class SubAlcove(NamedTuple):
     key: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def enumerate_subalcoves(
     datum: RootDatum, config: FrobeniusConfig
 ) -> tuple[SubAlcove, ...]:
@@ -256,13 +259,12 @@ class CellTable(NamedTuple):
     solves: int
 
 
-@lru_cache(maxsize=None)
 def cell_fixed_points(
     datum: RootDatum, config: FrobeniusConfig, nodes: frozenset[int]
 ) -> CellTable:
     """The fixed points of the (cell, node) pairs over the given
-    stabilizer nodes, one pair per orbit, solved once per configuration
-    and shared by the census and ``theta``.
+    stabilizer nodes, one pair per orbit, solved once per census; the
+    census's records, which ``theta`` reads, are their orbits.
 
     The node subgroup acts on the pairs by ``b.(w, a) = (f_b(w),
     a F(b) b^-1)``: since ``F f_b F^-1 = f_F(b)`` modulo the affine Weyl
@@ -326,17 +328,17 @@ def stable_cell_count(datum: RootDatum, subgroup: frozenset[int], q: int) -> int
 
 
 def m_alpha(
-    datum: RootDatum, config: FrobeniusConfig, subgroup: frozenset[int]
+    datum: RootDatum,
+    config: FrobeniusConfig,
+    subgroup: frozenset[int],
+    cells: Sequence[SubAlcove],
 ) -> tuple[SubAlcove, ...]:
-    """Sub-alcoves mapped to themselves by every stabilizer of the node
-    subgroup, asserted to number ``stable_cell_count``, in both branches."""
+    """The cells, all sub-alcoves from ``enumerate_subalcoves``, that every
+    stabilizer of the node subgroup maps to themselves, asserted to number
+    ``stable_cell_count``, in both branches."""
     expected = stable_cell_count(datum, subgroup, config.q)
-    group = fundamental_group(datum)
-    stable = [
-        sub
-        for sub in enumerate_subalcoves(datum, config)
-        if all(group.apply_to_affine(b, sub.key) == sub.key for b in subgroup)
-    ]
+    act = fundamental_group(datum).act
+    stable = [sub for sub in cells if all(act[b](sub.key) == sub.key for b in subgroup)]
     if len(stable) != expected:
         raise InvariantViolation(
             f"{datum.label}, q={config.q}, nodes {sorted(subgroup)}: "
@@ -346,14 +348,12 @@ def m_alpha(
 
 
 class ThetaReport(NamedTuple):
-    """The orbits of a subgroup of alcove stabilizers on the fixed points
-    of all its (cell, node) pairs.
-
-    The orbits are asserted to number ``q**rank`` whatever the
-    hypothesis; ``strata[a]`` counts the orbits meeting the fixed space
-    of node a.  Only the strata depend on ``hypotheses_hold`` (split with
-    q = 1 mod the subgroup order, or twisted with q = -1): they are the
-    paper's counts only when it holds.
+    """The orbits of the isogeny subgroup on the fixed points of all its
+    (cell, node) pairs, and ``strata[a]``, the number of orbits meeting
+    the fixed space of node a.  The census asserts that the orbits number
+    ``q**rank`` whatever the hypothesis.  Only the strata depend on
+    ``hypotheses_hold`` (split with q = 1 mod the subgroup order, or
+    twisted with q = -1): they are the paper's counts only when it holds.
     """
 
     orbit_count: int
@@ -361,33 +361,19 @@ class ThetaReport(NamedTuple):
     hypotheses_hold: bool
 
 
-def theta(
-    datum: RootDatum, config: FrobeniusConfig, subgroup: Iterable[int]
-) -> ThetaReport:
-    group = fundamental_group(datum)
-    nodes = frozenset(subgroup)
-    if not group.is_subgroup(nodes):
-        raise ValueError("the given node set is not a subgroup of the fundamental group")
-    # The subgroup images of the representatives are the fixed points of
-    # all pairs (cell_fixed_points asserts that every image of a pair is
-    # a pair), and the least image keys an orbit.
-    keys = {
-        min(group.apply_to_affine(z, aff) for z in nodes)
-        for aff in cell_fixed_points(datum, config, nodes).points
-    }
-    expected = config.q**datum.rank
-    if len(keys) != expected:
-        raise InvariantViolation(
-            f"{datum.label}, q={config.q}: {len(keys)} stabilizer orbits, "
-            f"expected {expected}"
-        )
-    # The group is abelian, so a node fixing one point of an orbit fixes
-    # all of them, the least image among them.
+def theta(config: GroupConfig, records: Sequence[ClassRecord]) -> ThetaReport:
+    """Theta read from the census records of ``config``.
+
+    Each record is one orbit, keyed by its least subgroup image, and its
+    component group holds the nodes that fix that key.  The group is
+    abelian, so a node fixing one point of an orbit fixes all of them:
+    the orbit meets the fixed space of node a exactly when a is in the
+    record's component group.
+    """
     return ThetaReport(
-        orbit_count=len(keys),
+        orbit_count=len(records),
         strata={
-            a: sum(1 for key in keys if group.apply_to_affine(a, key) == key)
-            for a in sorted(nodes)
+            a: sum(1 for r in records if a in r.comp_group) for a in sorted(config.a_g)
         },
-        hypotheses_hold=config.congruence_holds(len(nodes)),
+        hypotheses_hold=config.frob.congruence_holds(len(config.a_g)),
     )

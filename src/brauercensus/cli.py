@@ -422,9 +422,7 @@ def _table2(name, label, q, num, den, node, expected):
     x = datum.marks[node] * num
     affine = (den - x,) + tuple(x if b == node else 0 for b in datum.nodes)
     group = fundamental_group(datum)
-    fixed_by = [
-        a for a in group.elements[1:] if group.apply_to_affine(a, affine) == affine
-    ]
+    fixed_by = [a for a in group.elements[1:] if group.act[a](affine) == affine]
     zeros = [a for a in datum.extended_nodes if affine[a] == 0]
     centralizer = "x".join(str(t) for t in subdiagram_type(datum, zeros))
     yield Check(
@@ -455,15 +453,15 @@ def _steinberg(name, label, q, twisted):
 
 def _alovefixe(name, label, q):
     # enumerate_subalcoves asserts the q^rank cells, and m_alpha that a
-    # node's stable cells number q^dim of its fixed space, or zero when a
-    # wall of the q-refined arrangement contains that space.
+    # node's stable cells among them number q^dim of its fixed space, or
+    # zero when a wall of the q-refined arrangement contains that space.
     datum = build_root_system(label)
     config = FrobeniusConfig(q, standard_symmetry(datum, "split"))
-    count = len(enumerate_subalcoves(datum, config))
-    yield Check(f"subalcoves/{label}/q{q}", True, f"|E_q|={count}")
+    cells = enumerate_subalcoves(datum, config)
+    yield Check(f"subalcoves/{label}/q{q}", True, f"|E_q|={len(cells)}")
     group = fundamental_group(datum)
     for a in minuscule_nodes(datum):
-        count = len(m_alpha(datum, config, group.subgroup([a])))
+        count = len(m_alpha(datum, config, group.subgroup([a]), cells))
         yield Check(
             f"alcove-fixed/{label}/q{q}/node{a}", True, f"count={count} expected={count}"
         )
@@ -478,8 +476,8 @@ def _e6e7(name, label, q, twisted, title, rational, disconnected, note):
 
 def _theta(name, label, q, twisted):
     config = make_group_config(label, "ad", q, twisted=twisted)
-    # theta asserts that the orbits number q^rank.
-    report = theta(config.datum, config.frob, config.a_g)
+    # The census asserts that its classes, theta's orbits, number q^rank.
+    report = theta(config, enumerate_classes(config))
     group = fundamental_group(config.datum)
     ok = report.hypotheses_hold
     for a in sorted(config.a_g):
@@ -491,11 +489,11 @@ def _theta(name, label, q, twisted):
 def _d_odd(name, label, q):
     prefix = f"d-odd/{label}-q{q}"
     config = make_group_config(label, "ad", q)
-    # counts asserts that the geometric classes number q^rank.
-    c = counts(config)
+    # The census asserts that its classes, theta's orbits, number q^rank.
+    records = enumerate_classes(config)
+    c = counts(config, records)
     yield Check(f"{prefix}/partition", True, f"geometric={c.geometric_total}")
-    # theta asserts that the orbits number q^rank.
-    report = theta(config.datum, config.frob, config.a_g)
+    report = theta(config, records)
     detail = f"orbits={report.orbit_count} strata={report.strata}"
     yield Check(f"{prefix}/orbits", True, detail)
     group = fundamental_group(config.datum)

@@ -83,7 +83,7 @@ class FiniteField:
                 k += 1
             if k == self.q - 1:
                 return a
-        raise InvariantViolation("no primitive element found")
+        raise InvariantViolation(f"GF({self.q}): no primitive element found")
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -301,7 +301,9 @@ def character_degrees(spec: SmallGroupSpec) -> tuple[int, ...]:
             [1, 1, q, q] + [q + 1] * ((q - 3) // 2) + [q - 1] * ((q - 1) // 2)
         )
     if sum(d * d for d in degrees) != spec.order:
-        raise InvariantViolation("degree squares do not sum to the group order")
+        raise InvariantViolation(
+            f"{spec.kind}({q}): degree squares do not sum to the group order"
+        )
     return tuple(sorted(degrees))
 
 

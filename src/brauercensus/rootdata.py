@@ -296,6 +296,7 @@ def _classify_component(datum: RootDatum, comp: list[int]) -> TypeLabel:
     """
     m = len(comp)
     ambient = datum.label.family
+    where = f"{datum.label}: the subdiagram on nodes {comp}"
     if m == 1:
         return TypeLabel("A", 1)
     pair = {}
@@ -310,10 +311,14 @@ def _classify_component(datum: RootDatum, comp: list[int]) -> TypeLabel:
                     adj[x].append(y)
                     adj[y].append(x)
     weights = {e: a * b for e, (a, b) in pair.items()}
+    # A finite-type diagram is a tree with bonds of weight at most 3; the
+    # affine diagrams fail here with a bond of weight 4 (A1) or a cycle.
+    if max(weights.values()) > 3 or len(weights) != m - 1:
+        raise InvariantViolation(f"{where} is not of finite type")
     if any(w == 3 for w in weights.values()):
         if m == 2:
             return TypeLabel("G", 2)
-        raise InvariantViolation("triple bond in a component of rank > 2")
+        raise InvariantViolation(f"{where} has a triple bond in rank > 2")
     degrees = {x: len(adj[x]) for x in comp}
     doubles = [e for e, w in weights.items() if w == 2]
     if not doubles:
@@ -323,8 +328,8 @@ def _classify_component(datum: RootDatum, comp: list[int]) -> TypeLabel:
                 return TypeLabel("D", 3)
             return TypeLabel("A", m)
         if len(branch) > 1 or degrees[branch[0]] > 3:
-            raise InvariantViolation("subdiagram is not of finite type")
-        arms = sorted(_arm_lengths(adj, branch[0]))
+            raise InvariantViolation(f"{where} is not of finite type")
+        arms = sorted(_arm_lengths(adj, branch[0], where))
         if arms[0] == 1 and arms[1] == 1:
             return TypeLabel("D", m)
         if arms == [1, 2, 2]:
@@ -333,9 +338,9 @@ def _classify_component(datum: RootDatum, comp: list[int]) -> TypeLabel:
             return TypeLabel("E", 7)
         if arms == [1, 2, 4]:
             return TypeLabel("E", 8)
-        raise InvariantViolation("subdiagram is not of finite type")
+        raise InvariantViolation(f"{where} is not of finite type")
     if len(doubles) > 1 or any(degrees[x] >= 3 for x in comp):
-        raise InvariantViolation("subdiagram is not of finite type")
+        raise InvariantViolation(f"{where} is not of finite type")
     if m == 2:
         return TypeLabel(ambient if ambient in "BC" else "B", 2)
     (x, y) = doubles[0]
@@ -343,13 +348,13 @@ def _classify_component(datum: RootDatum, comp: list[int]) -> TypeLabel:
     if end is None:
         if m == 4:
             return TypeLabel("F", 4)
-        raise InvariantViolation("interior double bond in a component of rank != 4")
+        raise InvariantViolation(f"{where} has an interior double bond in rank != 4")
     other = y if end == x else x
     axy = datum.extended_pairing(other, end)
     return TypeLabel("B" if axy == -2 else "C", m)
 
 
-def _arm_lengths(adj: dict[int, list[int]], branch: int) -> list[int]:
+def _arm_lengths(adj: dict[int, list[int]], branch: int, where: str) -> list[int]:
     lengths = []
     for start in adj[branch]:
         length = 1
@@ -359,7 +364,7 @@ def _arm_lengths(adj: dict[int, list[int]], branch: int) -> list[int]:
             if not nxt:
                 break
             if len(nxt) > 1:
-                raise InvariantViolation("subdiagram is not of finite type")
+                raise InvariantViolation(f"{where} is not of finite type")
             prev, cur = cur, nxt[0]
             length += 1
         lengths.append(length)

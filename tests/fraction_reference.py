@@ -179,7 +179,7 @@ def orbit_equal(config, lam, mu):
     group = fundamental_group(config.datum)
     lattice = cocharacter_lattice(config)
     for z in sorted(config.a_g):
-        image = group.apply_to_affine(z, lam.affine)
+        image = group.act[z](lam.affine)
         diff = tuple(
             a - b for a, b in zip(coords_from_affine(config.datum, image), mu.coords)
         )
@@ -228,7 +228,7 @@ def pair_images(datum, nodes, points):
     ``cell_fixed_points`` representatives, the fixed points of every
     (cell, node) pair."""
     group = fundamental_group(datum)
-    return tuple(sorted({group.apply_to_affine(b, aff) for aff in points for b in nodes}))
+    return tuple(sorted({group.act[b](aff) for aff in points for b in nodes}))
 
 
 def all_pairs_fixed_points(datum, frobenius, nodes):

@@ -17,12 +17,14 @@ from brauercensus.affine import (
 )
 from brauercensus.brauer import (
     FrobeniusConfig,
+    enumerate_subalcoves,
     m_alpha,
     theta,
 )
 from brauercensus.census import (
     counts,
     d_odd_comparison,
+    enumerate_classes,
     make_group_config,
 )
 from brauercensus.cli import (
@@ -105,9 +107,11 @@ def test_c03_stable_subalcove_counts():
         assert check.detail == f"count={want} expected={want}"
     # the named zero and nonzero branches
     datum, config = _split_config("A2", 3)
-    assert m_alpha(datum, config, frozenset({0, 1, 2})) == ()
+    cells = enumerate_subalcoves(datum, config)
+    assert m_alpha(datum, config, frozenset({0, 1, 2}), cells) == ()
     datum, config = _split_config("B3", 5)
-    assert len(m_alpha(datum, config, frozenset({0, 1}))) == 25
+    cells = enumerate_subalcoves(datum, config)
+    assert len(m_alpha(datum, config, frozenset({0, 1}), cells)) == 25
     _passline(3, f"stable sub-alcove law on {len(checks)} (type, q, node) triples")
 
 
@@ -196,9 +200,10 @@ def test_c09_theta_orbit_counts_and_strata():
 def test_c10_d_odd_report():
     start = time.monotonic()
     config = make_group_config("D5", "ad", 5)
-    c = counts(config)
+    records = enumerate_classes(config)
+    c = counts(config, records)
     assert c.geometric_total == 5**5
-    report = theta(config.datum, config.frob, config.a_g)
+    report = theta(config, records)
     assert report.hypotheses_hold
     assert report.orbit_count == 5**5
     comparison = d_odd_comparison(config, c)

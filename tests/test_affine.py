@@ -177,7 +177,7 @@ def test_coordinate_permutation_law(label, data):
     assert reference.in_alcove(pt)
     for a in group.elements:
         image = reference.f_map(datum, a).apply(pt.coords)
-        assert affine_point(datum, image).affine == group.apply_to_affine(a, affine)
+        assert affine_point(datum, image).affine == group.act[a](affine)
 
 
 def test_fold_one_dimensional_cases():

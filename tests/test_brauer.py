@@ -1,9 +1,10 @@
 from fractions import Fraction
+import sys
 from math import factorial, lcm
 
 import pytest
 
-from brauercensus import brauer
+from brauercensus import brauer, census, cli, oracle  # noqa: F401 (oracle: cache guard)
 from brauercensus.affine import fundamental_group, minuscule_nodes, standard_symmetry
 from brauercensus.brauer import (
     FrobeniusConfig,
@@ -16,7 +17,7 @@ from brauercensus.brauer import (
     scale,
     theta,
 )
-from brauercensus.census import counts, enumerate_classes, make_group_config
+from brauercensus.census import enumerate_classes, make_group_config, orbit_key
 from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import AffineMap
 from brauercensus.rootdata import build_root_system
@@ -27,11 +28,6 @@ import fraction_reference as reference
 def split(label, q):
     datum = build_root_system(label)
     return datum, FrobeniusConfig(q, standard_symmetry(datum, "split"))
-
-
-def twisted(label, q):
-    datum = build_root_system(label)
-    return datum, FrobeniusConfig(q, standard_symmetry(datum, "twisted"))
 
 
 def coweight_vertices(datum, sub):
@@ -290,7 +286,7 @@ def test_cell_fixed_points_share_one_denominator():
     # one solve per pair orbit; every other pair's point is an image
     assert table.solves < len(nodes) * 5**2
     group = fundamental_group(datum)
-    images = {group.apply_to_affine(b, aff) for aff in table.points for b in nodes}
+    images = {group.act[b](aff) for aff in table.points for b in nodes}
     assert len(images) == len(points)
     common = lcm(*(sum(aff) for aff in points))
     assert {sum(aff) for aff in table.points} == {common}
@@ -308,84 +304,109 @@ def test_pair_image_outside_the_cells_raises(monkeypatch):
     nodes = frozenset(minuscule_nodes(datum))
     cells = enumerate_subalcoves(datum, config)
     monkeypatch.setattr(brauer, "enumerate_subalcoves", lambda *args: cells[1:])
-    brauer.cell_fixed_points.cache_clear()
-    try:
-        with pytest.raises(InvariantViolation, match="onto no sub-alcove"):
-            cell_fixed_points(datum, config, nodes)
-    finally:
-        brauer.cell_fixed_points.cache_clear()
+    with pytest.raises(InvariantViolation, match="onto no sub-alcove"):
+        cell_fixed_points(datum, config, nodes)
 
 
 def test_m_alpha_identity_node_is_everything():
     datum, config = split("A2", 2)
-    assert len(m_alpha(datum, config, frozenset({0}))) == 4
+    cells = enumerate_subalcoves(datum, config)
+    assert len(m_alpha(datum, config, frozenset({0}), cells)) == 4
 
 
 def test_m_alpha_nonzero_and_zero_branches():
     datum, config = split("B3", 5)
-    assert len(m_alpha(datum, config, frozenset({0, 1}))) == 25
+    cells = enumerate_subalcoves(datum, config)
+    assert len(m_alpha(datum, config, frozenset({0, 1}), cells)) == 25
     datum, config = split("A2", 3)
-    assert m_alpha(datum, config, frozenset({0, 1, 2})) == ()
+    cells = enumerate_subalcoves(datum, config)
+    assert m_alpha(datum, config, frozenset({0, 1, 2}), cells) == ()
+
+
+def census_theta(label, isogeny, q, twist=False):
+    config = make_group_config(label, isogeny, q, twisted=twist)
+    return config, theta(config, enumerate_classes(config))
 
 
 def test_theta_trivial_subgroup():
-    datum, config = split("A2", 3)
-    nodes = frozenset({0})
-    report = theta(datum, config, nodes)
+    config, report = census_theta("A2", "sc", 3)
     assert report.orbit_count == 9
     assert report.strata == {0: 9}
     # the identity alone: each of the 9 points is its own orbit
-    table = cell_fixed_points(datum, config, nodes)
-    assert len(reference.pair_images(datum, nodes, table.points)) == 9
+    table = cell_fixed_points(config.datum, config.frob, config.a_g)
+    assert len(reference.pair_images(config.datum, config.a_g, table.points)) == 9
 
 
 def test_theta_orbits_full_group():
-    datum, config = split("A2", 7)
-    report = theta(datum, config, frozenset({0, 1, 2}))
+    _, report = census_theta("A2", "ad", 7)
     assert report.hypotheses_hold
     assert report.orbit_count == 49
     assert report.strata == {0: 49, 1: 1, 2: 1}
 
 
 def test_theta_twisted():
-    datum, config = twisted("A2", 5)
-    report = theta(datum, config, frozenset({0, 1, 2}))
+    _, report = census_theta("A2", "ad", 5, twist=True)
     assert report.hypotheses_hold
     assert report.orbit_count == 25
-    datum, config = twisted("E6", 2)
-    report = theta(datum, config, frozenset({0, 1, 6}))
+    config, report = census_theta("E6", "ad", 2, twist=True)
+    assert config.a_g == frozenset({0, 1, 6})
     assert report.orbit_count == 64
     assert report.strata[1] == 4
 
 
-def test_theta_reuses_the_census_fixed_points(monkeypatch):
-    brauer.cell_fixed_points.cache_clear()
+def counted_calls(monkeypatch, module, name, *holders):
+    """Count the calls of ``module.name``, also through ``holders`` that
+    imported it by name."""
     calls = []
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
-        return solve(*args)
+        return real(*args)
 
-    solve = brauer.fixed_point
-    monkeypatch.setattr(brauer, "fixed_point", counted)
-    config = make_group_config("A2", "ad", 7)
-    enumerate_classes(config)
-    # one solve per orbit of (cell, node) pairs, which count the rational
-    # classes: 51 for PGL3(7), against 49 * 3 pairs
-    solves = counts(config).rational_total
-    assert solves == 51
-    assert len(calls) == solves
-    report = theta(config.datum, config.frob, config.a_g)
-    assert report.orbit_count == 49
-    assert len(calls) == solves
-    # theta's orbits are those of the subgroup images of the census's
-    # integer table
-    table = brauer.cell_fixed_points(config.datum, config.frob, config.a_g)
-    points = reference.pair_images(config.datum, config.a_g, table.points)
-    assert all(type(x) is int for aff in points for x in aff)
-    orbits, strata = union_find_orbits(config.datum, config.a_g, points)
-    assert report.orbit_count == len(orbits)
-    assert report.strata == strata
+    for holder in (module,) + holders:
+        monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+def test_verify_computes_nothing_twice(monkeypatch, capsys):
+    # One enumeration and one point table per case: the two A2 theta
+    # cases solve one pair per orbit of (cell, node) pairs, which count
+    # the rational classes, 51 for PGL3(7) and 27 for PGU3(5), against
+    # 3 * (49 + 25) pairs.
+    cells = counted_calls(monkeypatch, brauer, "enumerate_subalcoves", cli)
+    solves = counted_calls(monkeypatch, brauer, "fixed_point")
+    assert cli.main(["verify", "--suite", "theta", "--types", "A2"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert (len(cells), len(solves)) == (2, 51 + 27)
+    cells.clear()
+    argv = ["verify", "--suite", "alovefixe", "--types", "A2", "--max-q", "3"]
+    assert cli.main(argv) == 0
+    assert len(cells) == 2
+
+
+def test_only_per_datum_tables_are_cached():
+    # A process-lifetime cache of cells or fixed points would outlive its
+    # census; only the tables of a root datum, its fundamental group and
+    # the oracle's small groups may be cached.
+    cached = {
+        f"{obj.__module__}.{obj.__qualname__}"
+        for name, module in sys.modules.items()
+        if name.startswith("brauercensus")
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_info")
+    }
+    assert cached == {
+        "brauercensus.rootdata._build",
+        "brauercensus.affine.fundamental_group",
+        "brauercensus.affine.wall_neighbours",
+        "brauercensus.affine.invariant_space",
+        "brauercensus.census.cocharacter_lattice",
+        "brauercensus.oracle._field",
+        "brauercensus.oracle._canonical",
+        "brauercensus.oracle._build_group",
+        "brauercensus.oracle.conjugacy_classes",
+    }
 
 
 def union_find_orbits(datum, subgroup, points):
@@ -403,7 +424,7 @@ def union_find_orbits(datum, subgroup, points):
     fixed_by = {a: [] for a in sorted(subgroup)}
     for i, aff in enumerate(points):
         for z in subgroup:
-            image = group.apply_to_affine(z, aff)
+            image = group.act[z](aff)
             if image == aff:
                 fixed_by[z].append(i)
             elif image in index:
@@ -435,10 +456,12 @@ def union_find_orbits(datum, subgroup, points):
     ],
 )
 def test_theta_matches_union_find(label, isogeny, q, twist):
-    config = make_group_config(label, isogeny, q, twisted=twist)
-    report = theta(config.datum, config.frob, config.a_g)
+    # theta reads the census records; union-find runs on the subgroup
+    # images of the census's integer point table
+    config, report = census_theta(label, isogeny, q, twist)
     table = cell_fixed_points(config.datum, config.frob, config.a_g)
     points = reference.pair_images(config.datum, config.a_g, table.points)
+    assert all(type(x) is int for aff in points for x in aff)
     orbits, strata = union_find_orbits(config.datum, config.a_g, points)
     assert report.hypotheses_hold == config.frob.congruence_holds(len(config.a_g))
     assert report.orbit_count == len(orbits)
@@ -446,36 +469,35 @@ def test_theta_matches_union_find(label, isogeny, q, twist):
 
 
 def test_theta_missing_orbit_raises(monkeypatch):
-    # D5 ad q=3 fails the congruence hypothesis; a table that lacks the
-    # points of one orbit still raises
+    # theta's orbits are the census records, whose q^rank count the census
+    # asserts.  D5 ad q=3 fails the congruence hypothesis; a table that
+    # lacks the points of one orbit still raises.
     config = make_group_config("D5", "ad", 3)
     assert not config.frob.congruence_holds(len(config.a_g))
-    datum = config.datum
-    group = fundamental_group(datum)
-    table = brauer.cell_fixed_points(datum, config.frob, config.a_g)
-
-    def key(aff):
-        return min(group.apply_to_affine(b, aff) for b in config.a_g)
-
-    dropped = key(table.points[0])
-    kept = tuple(aff for aff in table.points if key(aff) != dropped)
+    table = cell_fixed_points(config.datum, config.frob, config.a_g)
+    dropped = orbit_key(config, table.points[0])
+    kept = tuple(aff for aff in table.points if orbit_key(config, aff) != dropped)
     monkeypatch.setattr(
-        brauer, "cell_fixed_points", lambda *args: table._replace(points=kept)
+        census, "cell_fixed_points", lambda *args: table._replace(points=kept)
     )
-    with pytest.raises(InvariantViolation, match="242 stabilizer orbits, expected 243"):
-        theta(datum, config.frob, config.a_g)
+    with pytest.raises(
+        InvariantViolation, match="D5 ad q=3: 242 stable classes, expected 243"
+    ):
+        enumerate_classes(config)
 
 
 def test_theta_rejects_non_subgroup():
-    datum, config = split("A4", 2)
-    with pytest.raises(ValueError):
-        theta(datum, config, frozenset({0, 2}))  # z_2 generates more
-    # triality moves node 1, so F(b) leaves the subgroup {0, 1} and the
-    # pairs over it are not closed under the subgroup
+    # theta's node set is the configuration's isogeny subgroup, which is
+    # the subgroup that the given nodes generate: z_2 generates all of Z/5
+    assert make_group_config("A4", [2], 2).a_g == frozenset(range(5))
+    # triality moves node 1, so it does not stabilize the subgroup {0, 1},
+    # and F(b) leaves it, so the pairs over it are not closed under it
+    with pytest.raises(ValueError, match="does not stabilize"):
+        make_group_config("D4", [1], 3, twisted=True, triality=True)
     datum = build_root_system("D4")
     config = FrobeniusConfig(3, standard_symmetry(datum, "triality"))
     with pytest.raises(ValueError, match="does not stabilize"):
-        theta(datum, config, frozenset({0, 1}))
+        cell_fixed_points(datum, config, frozenset({0, 1}))
 
 
 def test_frobenius_map_twisted_action():

@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import AffineMap, mat_transpose, vec_dot
 from brauercensus.rootdata import (
     build_root_system,
@@ -166,6 +168,17 @@ def test_subdiagram_ambient_conventions():
 def test_subdiagram_rejects_bad_nodes():
     with pytest.raises(ValueError):
         subdiagram_type(build_root_system("A2"), [5])
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "D4", "E8", "G2"])
+def test_full_extended_diagram_is_not_of_finite_type(label):
+    # The affine diagram has a bond of weight 4 (A1), a cycle (A2), a node
+    # of degree 4 (D4), an arm too long (E8) or a triple bond in rank 3 (G2).
+    datum = build_root_system(label)
+    nodes = list(datum.extended_nodes)
+    where = rf"^{label}: the subdiagram on nodes {re.escape(str(nodes))} "
+    with pytest.raises(InvariantViolation, match=where):
+        subdiagram_type(datum, nodes)
 
 
 @settings(max_examples=30, deadline=None)
