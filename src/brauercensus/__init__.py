@@ -5,7 +5,6 @@ algebraic groups over finite fields, computed through alcove geometry.
 from .affine import (
     DiagramSymmetry,
     FundamentalGroup,
-    affine_point,
     fundamental_group,
     hyperplane_containment,
     invariant_space,
@@ -13,7 +12,6 @@ from .affine import (
     standard_symmetry,
 )
 from .brauer import (
-    FrobeniusConfig,
     SubAlcove,
     enumerate_subalcoves,
     fixed_point,

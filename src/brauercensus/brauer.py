@@ -1,10 +1,12 @@
 """The Brauer complex: sub-alcoves of the alcove under the q-refined
 affine Weyl group, their fixed points, and stabilizer bookkeeping.
 
-A Frobenius configuration consists of a prime power q and a diagram
-symmetry rho; the Frobenius acts on V as q times the coweight
-permutation induced by rho inverse, so its inverse contracts V by 1/q
-and sends alcove vertex b to vertex rho(b) of the small alcove.  The
+Every function here that needs the Frobenius takes the whole census
+configuration, a ``census.GroupConfig``, checked when it was built: its
+Frobenius acts on V as q times the coweight permutation induced by the
+graph twist rho inverse, so its inverse contracts V by 1/q and sends
+alcove vertex b to vertex rho(b) of the small alcove, and its isogeny
+subgroup A_G is the node subgroup of the (cell, node) pairs.  The
 small alcove tiles the alcove in exactly ``q**rank`` translates under
 the q-refined affine Weyl group, which this module enumerates by
 exchanging one vertex at a time across a facet.  Everything is kept in
@@ -20,66 +22,30 @@ computed once per census or per verification case and handed on.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
-from functools import cached_property
+from collections import deque
 from math import gcd, lcm
 from operator import eq
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .affine import (
-    DiagramSymmetry,
     fundamental_group,
     hyperplane_containment,
     invariant_space,
-    validate_symmetry,
     wall_neighbours,
 )
 from .errors import InvariantViolation
-from .linalg import bareiss, prime_power
+from .linalg import bareiss
 from .rootdata import RootDatum
 
 if TYPE_CHECKING:
     from .census import ClassRecord, GroupConfig
 
 
-class FrobeniusConfig(namedtuple("FrobeniusConfig", "q rho")):
-    """Field size q and graph twist rho (a ``DiagramSymmetry``) defining
-    the Frobenius action on V.  It declares no ``__slots__``, so that
-    the cached ``p`` has an instance dict to live in."""
-
-    def __new__(cls, q: int, rho: DiagramSymmetry):
-        if prime_power(q) is None:
-            raise ValueError(f"q = {q} is not a prime power >= 2")
-        return super().__new__(cls, q, rho)
-
-    @cached_property
-    def p(self) -> int:
-        return prime_power(self.q)[0]
-
-    @property
-    def is_split(self) -> bool:
-        return self.rho.is_identity
-
-    def congruence_holds(self, order: int) -> bool:
-        """The congruence hypothesis for a subgroup of the given order:
-        q = 1 mod the order when split, q = -1 mod the order when twisted."""
-        sign = 1 if self.is_split else -1
-        return (self.q - sign) % order == 0
-
-
-def validate_frobenius(datum: RootDatum, config: FrobeniusConfig) -> None:
-    validate_symmetry(datum, config.rho)
-    if config.rho(0) != 0:
-        raise ValueError("a graph twist must fix the affine node")
-
-
-def frobenius_image(
-    config: FrobeniusConfig, affine: tuple[int, ...]
-) -> tuple[int, ...]:
-    """F on integer affine numerators over a common denominator: F is q
-    times the coweight permutation of rho inverse, so simple numerator b
-    becomes ``q * affine[rho(b)]`` (rho preserves the marks), and node 0
-    takes the rest of the unchanged denominator."""
+def frobenius_image(config: GroupConfig, affine: tuple[int, ...]) -> tuple[int, ...]:
+    """F of ``config`` on integer affine numerators over a common
+    denominator: F is q times the coweight permutation of rho inverse, so
+    simple numerator b becomes ``q * affine[rho(b)]`` (rho preserves the
+    marks), and node 0 takes the rest of the unchanged denominator."""
     q, rho = config.q, config.rho.perm
     simple = tuple(q * affine[rho[b]] for b in range(1, len(affine)))
     return (sum(affine) - sum(simple),) + simple
@@ -104,10 +70,10 @@ class SubAlcove(NamedTuple):
     key: tuple[int, ...]
 
 
-def enumerate_subalcoves(
-    datum: RootDatum, config: FrobeniusConfig
-) -> tuple[SubAlcove, ...]:
-    """All ``q**rank`` sub-alcoves, found breadth-first across facets.
+def enumerate_subalcoves(config: GroupConfig) -> tuple[SubAlcove, ...]:
+    """All ``q**rank`` sub-alcoves of the datum and q of ``config``,
+    found breadth-first across facets; they do not depend on the twist
+    or the isogeny.
 
     The neighbour across the facet opposite vertex j keeps the other
     vertices and replaces v_j with ``sum_i(k_ji * v_i) / n_j - v_j``, over
@@ -125,8 +91,7 @@ def enumerate_subalcoves(
     that finds one cell too many stops there, and one that finds too few
     fails at the end.
     """
-    validate_frobenius(datum, config)
-    q = config.q
+    datum, q = config.datum, config.q
     expected = q**datum.rank
     s = scale(datum, q)
     # Neighbour i of node j is listed k_ji times, so that the weighted sum
@@ -174,7 +139,7 @@ def enumerate_subalcoves(
                 continue
             if len(seen) == expected:
                 raise InvariantViolation(
-                    f"{datum.label}, q={q}: found more than {expected} sub-alcoves"
+                    f"{config}: found more than {expected} sub-alcoves"
                 )
             sub = SubAlcove(vertices[:j] + (new_apex,) + vertices[j + 1 :], new_key)
             seen[new_key] = sub
@@ -182,7 +147,7 @@ def enumerate_subalcoves(
             queue.append(sub)
     if len(seen) != expected:
         raise InvariantViolation(
-            f"{datum.label}, q={q}: found {len(seen)} sub-alcoves, expected {expected}"
+            f"{config}: found {len(seen)} sub-alcoves, expected {expected}"
         )
     return tuple(seen.values())
 
@@ -195,11 +160,10 @@ class CellPoint(NamedTuple):
     affine: tuple[int, ...]
 
 
-def fixed_point(
-    datum: RootDatum, config: FrobeniusConfig, sub: SubAlcove, node: int
-) -> CellPoint:
-    """The unique fixed point of ``sub`` after Frobenius-inverse after the
-    stabilizer of ``node``; it always lies inside the sub-alcove.
+def fixed_point(config: GroupConfig, sub: SubAlcove, node: int) -> CellPoint:
+    """The unique fixed point of ``sub`` after the Frobenius-inverse of
+    ``config`` after the stabilizer of ``node``; it always lies inside the
+    sub-alcove.
 
     The map sends alcove vertex b to ``sub.vertices[rho(perm(b))]``, so
     in affine coordinates (barycentric for the alcove vertices) it is the
@@ -211,6 +175,7 @@ def fixed_point(
     1..rank.  The map contracts by 1/q, so the system is never singular,
     and the denominators are coprime to p.
     """
+    datum = config.datum
     group = fundamental_group(datum)
     if node not in group.perm:
         raise ValueError(f"node {node} is not minuscule in {datum.label}")
@@ -233,21 +198,19 @@ def fixed_point(
     )
     if den % config.p == 0:
         raise InvariantViolation(
-            f"{datum.label}, q={config.q}: fixed point has a denominator "
-            "divisible by p"
+            f"{config}: the fixed point of sub-alcove {sub.key} over node {node} "
+            "has a denominator divisible by p"
         )
     simple = tuple(x * den // pivot for x in nums)
     return CellPoint((den - sum(simple),) + simple)
 
 
-def central_frobenius_action(
-    datum: RootDatum, frobenius: FrobeniusConfig, z: int
-) -> int:
-    """Frobenius on the fundamental group: relabel by the twist inverse,
-    then raise to the q-th power.  This is the element F(z) with
-    ``F f_z F^-1 = f_F(z)`` modulo the affine Weyl group."""
-    group = fundamental_group(datum)
-    return group.power(frobenius.rho.inverse()(z), frobenius.q)
+def central_frobenius_action(config: GroupConfig, z: int) -> int:
+    """The Frobenius of ``config`` on the fundamental group: relabel by
+    the twist inverse, then raise to the q-th power.  This is the element
+    F(z) with ``F f_z F^-1 = f_F(z)`` modulo the affine Weyl group."""
+    group = fundamental_group(config.datum)
+    return group.power(config.rho.inverse()(z), config.q)
 
 
 class CellTable(NamedTuple):
@@ -259,34 +222,32 @@ class CellTable(NamedTuple):
     solves: int
 
 
-def cell_fixed_points(
-    datum: RootDatum, config: FrobeniusConfig, nodes: frozenset[int]
-) -> CellTable:
-    """The fixed points of the (cell, node) pairs over the given
-    stabilizer nodes, one pair per orbit, solved once per census; the
-    census's records, which ``theta`` reads, are their orbits.
+def cell_fixed_points(config: GroupConfig) -> CellTable:
+    """The fixed points of the (cell, node) pairs of ``config``, over the
+    nodes of its isogeny subgroup, one pair per orbit, solved once per
+    census; the census's records, which ``theta`` reads, are their orbits.
 
-    The node subgroup acts on the pairs by ``b.(w, a) = (f_b(w),
+    The isogeny subgroup acts on the pairs by ``b.(w, a) = (f_b(w),
     a F(b) b^-1)``: since ``F f_b F^-1 = f_F(b)`` modulo the affine Weyl
     group, ``f_b`` carries the fixed point of (w, a) to the fixed point
     of the image pair, which has the same affine numerators permuted and
     so the same orbit key.  It permutes the vertex-sum key of w the same
     way into that of ``f_b(w)``, and a pair is solved only when it is the
-    least of its images, ordered by (key, node).  The points are rescaled
-    to one common denominator D, the lcm of their own, so the tuples sort
-    in the order of the points' affine coordinates.
+    least of its images, ordered by (key, node).  The image node lies in
+    the subgroup because ``GroupConfig`` checks that rho stabilizes it.
+    The points are rescaled to one common denominator D, the lcm of their
+    own, so the tuples sort in the order of the points' affine
+    coordinates.
     """
-    group = fundamental_group(datum)
-    order = sorted(nodes)
+    group = fundamental_group(config.datum)
+    order = sorted(config.a_g)
     image_node = {}
     for b in order:
-        fb = central_frobenius_action(datum, config, b)
+        fb = central_frobenius_action(config, b)
         for a in order:
             image_node[a, b] = group.mult[group.mult[a, fb], group.inverse(b)]
-    if not nodes.issuperset(image_node.values()):
-        raise ValueError("the Frobenius does not stabilize the node subgroup")
 
-    subalcoves = enumerate_subalcoves(datum, config)
+    subalcoves = enumerate_subalcoves(config)
     cells = {sub.key for sub in subalcoves}
     actions = [group.act[b] for b in order]
     # The nodes a solved with a cell, per stabilizer of the cell.
@@ -298,8 +259,8 @@ def cell_fixed_points(
         images = [act(key) for act in actions]
         if not cells.issuperset(images):
             raise InvariantViolation(
-                f"{datum.label}, q={config.q}: an alcove stabilizer maps "
-                f"the sub-alcove {key} onto no sub-alcove"
+                f"{config}: an alcove stabilizer maps the sub-alcove {key} onto "
+                "no sub-alcove"
             )
         if min(images) < key:
             continue
@@ -310,7 +271,7 @@ def cell_fixed_points(
             ]
         for a in least[stabilizer]:
             solves += 1
-            points[fixed_point(datum, config, sub, a).affine] = None
+            points[fixed_point(config, sub, a).affine] = None
     common = lcm(*(sum(aff) for aff in points))
     return CellTable(
         tuple(tuple(x * (common // sum(aff)) for x in aff) for aff in points), solves
@@ -328,21 +289,19 @@ def stable_cell_count(datum: RootDatum, subgroup: frozenset[int], q: int) -> int
 
 
 def m_alpha(
-    datum: RootDatum,
-    config: FrobeniusConfig,
-    subgroup: frozenset[int],
-    cells: Sequence[SubAlcove],
+    config: GroupConfig, subgroup: frozenset[int], cells: Sequence[SubAlcove]
 ) -> tuple[SubAlcove, ...]:
-    """The cells, all sub-alcoves from ``enumerate_subalcoves``, that every
-    stabilizer of the node subgroup maps to themselves, asserted to number
-    ``stable_cell_count``, in both branches."""
-    expected = stable_cell_count(datum, subgroup, config.q)
-    act = fundamental_group(datum).act
+    """The cells, all sub-alcoves of ``config`` from
+    ``enumerate_subalcoves``, that every stabilizer of the node subgroup
+    maps to themselves, asserted to number ``stable_cell_count``, in both
+    branches."""
+    expected = stable_cell_count(config.datum, subgroup, config.q)
+    act = fundamental_group(config.datum).act
     stable = [sub for sub in cells if all(act[b](sub.key) == sub.key for b in subgroup)]
     if len(stable) != expected:
         raise InvariantViolation(
-            f"{datum.label}, q={config.q}, nodes {sorted(subgroup)}: "
-            f"{len(stable)} stable sub-alcoves, expected {expected}"
+            f"{config}: nodes {sorted(subgroup)} have {len(stable)} stable "
+            f"sub-alcoves, expected {expected}"
         )
     return tuple(stable)
 
@@ -375,5 +334,5 @@ def theta(config: GroupConfig, records: Sequence[ClassRecord]) -> ThetaReport:
         strata={
             a: sum(1 for r in records if a in r.comp_group) for a in sorted(config.a_g)
         },
-        hypotheses_hold=config.frob.congruence_holds(len(config.a_g)),
+        hypotheses_hold=config.congruence_holds(len(config.a_g)),
     )

@@ -19,25 +19,26 @@ rationals.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .affine import (
+    DiagramSymmetry,
     fold_coords,
     fundamental_group,
     minuscule_nodes,
     standard_symmetry,
+    validate_symmetry,
 )
 from .brauer import (
-    FrobeniusConfig,
     cell_fixed_points,
     central_frobenius_action,
     frobenius_image,
     stable_cell_count,
-    validate_frobenius,
 )
 from .errors import InvariantViolation
-from .linalg import Vec, hermite_normal_form, lattice_contains, unit_vec
+from .linalg import Vec, hermite_normal_form, lattice_contains, prime_power, unit_vec
 from .rootdata import RootDatum, TypeLabel, build_root_system, subdiagram_type
 
 
@@ -58,24 +59,61 @@ class Lattice:
         return det
 
 
-class GroupConfig(NamedTuple):
-    """Root datum, isogeny subgroup (as minuscule nodes) and Frobenius."""
+class GroupConfig(namedtuple("GroupConfig", "datum a_g q rho p")):
+    """One census configuration (G, F): a root datum, the isogeny subgroup
+    A_G of its fundamental group as minuscule nodes, which fixes the
+    cocharacter lattice, and the Frobenius F, q times the coweight
+    permutation of the graph twist rho inverse; p is the characteristic.
+    Every check runs on construction, so every function that takes a
+    configuration can rely on it: q is a prime power, rho is a diagram
+    symmetry fixing the affine node, A_G is a subgroup and rho stabilizes
+    it, so F(b) = rho^-1(b)^q lies in A_G for every b in A_G."""
 
-    datum: RootDatum
-    a_g: frozenset[int]
-    frob: FrobeniusConfig
+    __slots__ = ()
 
-    @property
-    def q(self) -> int:
-        return self.frob.q
+    def __new__(
+        cls, datum: RootDatum, a_g: frozenset[int], q: int, rho: DiagramSymmetry
+    ):
+        pf = prime_power(q)
+        if pf is None:
+            raise ValueError(f"q = {q} is not a prime power >= 2")
+        validate_symmetry(datum, rho)
+        if rho(0) != 0:
+            raise ValueError("a graph twist must fix the affine node")
+        a_g = frozenset(a_g)
+        if frozenset(map(rho, a_g)) != a_g:
+            raise ValueError("the graph twist does not stabilize the isogeny subgroup")
+        if not fundamental_group(datum).is_subgroup(a_g):
+            raise ValueError(f"nodes {sorted(a_g)} are not a subgroup in {datum.label}")
+        return super().__new__(cls, datum, a_g, q, rho, pf[0])
 
-    @property
-    def p(self) -> int:
-        return self.frob.p
+    def __getnewargs__(self):
+        """The constructor's arguments, without p, so that a copy is
+        built, and checked, the same way."""
+        return tuple(self[:4])
+
+    def __str__(self) -> str:
+        """``<type> <isogeny> q=<q>``, then ``twisted`` or ``triality``
+        when rho is not the identity: the prefix of every invariant
+        violation on the census path."""
+        text = f"{self.datum.label} {self.isogeny_name()} q={self.q}"
+        if self.is_split:
+            return text
+        return text + (" triality" if self.rho.order == 3 else " twisted")
 
     @property
     def rank(self) -> int:
         return self.datum.rank
+
+    @property
+    def is_split(self) -> bool:
+        return self.rho.is_identity
+
+    def congruence_holds(self, order: int) -> bool:
+        """The congruence hypothesis for a subgroup of the given order:
+        q = 1 mod the order when split, q = -1 mod the order when twisted."""
+        sign = 1 if self.is_split else -1
+        return (self.q - sign) % order == 0
 
     def isogeny_name(self) -> str:
         group = fundamental_group(self.datum)
@@ -93,11 +131,12 @@ def make_group_config(
     twisted: bool = False,
     triality: bool = False,
 ) -> GroupConfig:
-    """Build and validate a census configuration.
+    """Build a census configuration from a type and flags.
 
     ``isogeny`` is "sc", "ad", or an iterable of minuscule nodes
     generating the subgroup.  The graph twist must preserve the subgroup,
-    otherwise the cocharacter lattice would not be Frobenius-stable.
+    otherwise the cocharacter lattice would not be Frobenius-stable;
+    ``GroupConfig`` checks that and the rest.
     """
     datum = label if isinstance(label, RootDatum) else build_root_system(label)
     group = fundamental_group(datum)
@@ -114,12 +153,7 @@ def make_group_config(
     if triality and not twisted:
         raise ValueError("triality requires the twisted flag")
     kind = "triality" if triality else "twisted" if twisted else "split"
-    rho = standard_symmetry(datum, kind)
-    frob = FrobeniusConfig(q, rho)
-    validate_frobenius(datum, frob)
-    if frozenset(rho(a) for a in nodes) != nodes:
-        raise ValueError("the graph twist does not stabilize the isogeny subgroup")
-    return GroupConfig(datum=datum, a_g=nodes, frob=frob)
+    return GroupConfig(datum, nodes, q, standard_symmetry(datum, kind))
 
 
 @lru_cache(maxsize=None)
@@ -133,8 +167,8 @@ def cocharacter_lattice(config: GroupConfig) -> Lattice:
     expected = group.order // len(config.a_g)
     if lat.index_in_coweights != expected:
         raise InvariantViolation(
-            f"{config.datum.label} {config.isogeny_name()} q={config.q}: "
-            f"cocharacter lattice has index {lat.index_in_coweights}, expected {expected}"
+            f"{config}: cocharacter lattice has index {lat.index_in_coweights}, "
+            f"expected {expected}"
         )
     return lat
 
@@ -185,7 +219,7 @@ def f_stable(config: GroupConfig, lam: tuple) -> Optional[int]:
     against the point up to the isogeny subgroup; valid for every point
     of the closed alcove, vertices included.
     """
-    folded = fold_coords(config.datum, frobenius_image(config.frob, lam))
+    folded = fold_coords(config.datum, frobenius_image(config, lam))
     return orbit_equal(config, lam, folded)
 
 
@@ -242,9 +276,7 @@ def component_F_action(
     group = fundamental_group(config.datum)
     if not nodes <= config.a_g or not group.is_subgroup(nodes):
         raise ValueError("not a subgroup of the configured isogeny group")
-    action = {
-        z: central_frobenius_action(config.datum, config.frob, z) for z in sorted(nodes)
-    }
+    action = {z: central_frobenius_action(config, z) for z in sorted(nodes)}
     if set(action.values()) != set(nodes):
         raise ValueError("subgroup is not Frobenius-stable")
     fixed = sum(1 for z, w in action.items() if z == w)
@@ -270,8 +302,7 @@ def _classify(
     if stabilizer not in components:
         if not group.is_subgroup(stabilizer):
             raise InvariantViolation(
-                f"{datum.label} {config.isogeny_name()} q={config.q}: "
-                "point stabilizer is not a subgroup"
+                f"{config}: point stabilizer is not a subgroup"
             )
         action, fixed = component_F_action(config, stabilizer)
         components[stabilizer] = (
@@ -304,7 +335,7 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
     datum = config.datum
     q = config.q
     expected = q**datum.rank
-    table = cell_fixed_points(datum, config.frob, config.a_g)
+    table = cell_fixed_points(config)
     orbits = dict.fromkeys(orbit_key(config, aff) for aff in table.points)
 
     # The canonical keys must agree with the pairwise orbit relation on
@@ -316,8 +347,7 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
             same_key = orbit_key(config, aff_a) == orbit_key(config, aff_b)
             if same_key != (orbit_equal(config, aff_a, aff_b) is not None):
                 raise InvariantViolation(
-                    f"{datum.label} {config.isogeny_name()} q={q}: "
-                    "orbit key disagrees with the orbit relation"
+                    f"{config}: orbit key disagrees with the orbit relation"
                 )
 
     records = []
@@ -331,14 +361,12 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
         # is a property of the orbit, so its key is stable too.
         if f_stable(config, key) is None:
             raise InvariantViolation(
-                f"{datum.label} {config.isogeny_name()} q={q}: "
-                f"orbit {key} over {sum(key)} is not F-stable"
+                f"{config}: orbit {key} over {sum(key)} is not F-stable"
             )
         records.append(_classify(config, key, types, components))
     if len(records) != expected:
         raise InvariantViolation(
-            f"{datum.label} {config.isogeny_name()} q={q}: "
-            f"{len(records)} stable classes, expected {expected}"
+            f"{config}: {len(records)} stable classes, expected {expected}"
         )
     # Burnside: b fixes the pair (w, a) exactly when f_b fixes the cell
     # and F(b) = b, so a class s is the image of |C_A(s)^F| pair orbits,
@@ -346,32 +374,39 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
     rational = sum(r.fixed_count for r in records)
     if table.solves != rational:
         raise InvariantViolation(
-            f"{datum.label} {config.isogeny_name()} q={q}: {table.solves} "
-            f"(cell, node) pair orbits, but the fixed counts sum to {rational}"
+            f"{config}: {table.solves} (cell, node) pair orbits, but the fixed counts "
+            f"sum to {rational}"
         )
     # Per b, an F-fixed b fixes its m_b = N(<b>) cells with every node; per
     # (b, c), both fix a pair when both are F-fixed and <b, c> fixes its
     # cell, and the squared fixed counts follow (README).  Each distinct
     # subgroup <b, c> is counted once.
     group = fundamental_group(datum)
-    fixed_nodes = [
-        b for b in config.a_g if central_frobenius_action(datum, config.frob, b) == b
-    ]
+    fixed_nodes = [b for b in config.a_g if central_frobenius_action(config, b) == b]
     pairs = {(b, c): group.subgroup((b, c)) for b in fixed_nodes for c in fixed_nodes}
     cells = {h: stable_cell_count(datum, h, q) for h in dict.fromkeys(pairs.values())}
     fixed_cells = sum(cells[pairs[b, 0]] for b in fixed_nodes)
     if fixed_cells != rational:
         raise InvariantViolation(
-            f"{datum.label} {config.isogeny_name()} q={q}: the stable cells of the "
-            f"F-fixed nodes sum to {fixed_cells}, but the fixed counts sum to {rational}"
+            f"{config}: the stable cells of the F-fixed nodes sum to {fixed_cells}, "
+            f"but the fixed counts sum to {rational}"
         )
+    # The same identity node by node: over a class whose component group
+    # holds an F-fixed b, b fixes all |A| pairs, and over any other class
+    # none, so those classes number m_b (README).
+    for b in fixed_nodes:
+        holding = sum(1 for r in records if b in r.comp_group)
+        if holding != cells[pairs[b, 0]]:
+            raise InvariantViolation(
+                f"{config}: {holding} classes have node {b} in their component "
+                f"group, but N(<{b}>) = {cells[pairs[b, 0]]}"
+            )
     pair_cells = sum(cells[h] for h in pairs.values())
     chars = sum(r.fixed_count**2 for r in records)
     if pair_cells != chars:
         raise InvariantViolation(
-            f"{datum.label} {config.isogeny_name()} q={q}: the stable cells of the "
-            f"F-fixed node pairs sum to {pair_cells}, but the squared fixed counts "
-            f"sum to {chars}"
+            f"{config}: the stable cells of the F-fixed node pairs sum to "
+            f"{pair_cells}, but the squared fixed counts sum to {chars}"
         )
     return tuple(records)
 
@@ -450,7 +485,7 @@ def disconnected_census_check(config: GroupConfig) -> int:
     actual = counts(config).n_disconnected
     if actual != expected:
         raise InvariantViolation(
-            f"{config.datum.label} q={config.q}: {actual} disconnected classes, "
+            f"{config}: {actual} disconnected classes, "
             f"expected {expected} ({rule})"
         )
     return actual

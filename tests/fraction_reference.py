@@ -138,11 +138,11 @@ def coweight_permutation_matrix(datum, sym):
     )
 
 
-def frobenius_map(datum, config):
+def frobenius_map(config):
     """F = q * (coweight permutation of rho inverse), as a linear map."""
-    mat = coweight_permutation_matrix(datum, config.rho.inverse())
+    mat = coweight_permutation_matrix(config.datum, config.rho.inverse())
     return AffineMap(
-        tuple(tuple(config.q * x for x in row) for row in mat), (0,) * datum.rank
+        tuple(tuple(config.q * x for x in row) for row in mat), (0,) * config.rank
     )
 
 
@@ -191,7 +191,7 @@ def orbit_equal(config, lam, mu):
 def f_stable(config, lam):
     """Stability witness of an ``AffinePoint``: fold its Frobenius
     translate back into the alcove and compare up to the subgroup."""
-    fimage = frobenius_map(config.datum, config.frob).apply(lam.coords)
+    fimage = frobenius_map(config).apply(lam.coords)
     folded = affine_point(config.datum, fold(config.datum, fimage))
     return orbit_equal(config, lam, folded)
 
@@ -231,13 +231,14 @@ def pair_images(datum, nodes, points):
     return tuple(sorted({group.act[b](aff) for aff in points for b in nodes}))
 
 
-def all_pairs_fixed_points(datum, frobenius, nodes):
-    """The distinct fixed points of every sub-alcove over every node, as
-    integer affine numerators over one common denominator, sorted."""
+def all_pairs_fixed_points(config):
+    """The distinct fixed points of every sub-alcove over every node of
+    the isogeny subgroup, as integer affine numerators over one common
+    denominator, sorted."""
     points = {
-        fixed_point(datum, frobenius, sub, a).affine
-        for sub in enumerate_subalcoves(datum, frobenius)
-        for a in sorted(nodes)
+        fixed_point(config, sub, a).affine
+        for sub in enumerate_subalcoves(config)
+        for a in sorted(config.a_g)
     }
     common = lcm(*(sum(aff) for aff in points))
     return tuple(sorted(tuple(x * (common // sum(aff)) for x in aff) for aff in points))

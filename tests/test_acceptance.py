@@ -13,10 +13,8 @@ from brauercensus.affine import (
     hyperplane_containment,
     invariant_space,
     minuscule_nodes,
-    standard_symmetry,
 )
 from brauercensus.brauer import (
-    FrobeniusConfig,
     enumerate_subalcoves,
     m_alpha,
     theta,
@@ -47,8 +45,8 @@ def _passline(criterion, detail):
 
 
 def _split_config(label, q):
-    datum = build_root_system(label)
-    return datum, FrobeniusConfig(q, standard_symmetry(datum, "split"))
+    config = make_group_config(label, "ad", q)
+    return config.datum, config
 
 
 def test_c01_invariant_dimension_table():
@@ -107,11 +105,11 @@ def test_c03_stable_subalcove_counts():
         assert check.detail == f"count={want} expected={want}"
     # the named zero and nonzero branches
     datum, config = _split_config("A2", 3)
-    cells = enumerate_subalcoves(datum, config)
-    assert m_alpha(datum, config, frozenset({0, 1, 2}), cells) == ()
+    cells = enumerate_subalcoves(config)
+    assert m_alpha(config, frozenset({0, 1, 2}), cells) == ()
     datum, config = _split_config("B3", 5)
-    cells = enumerate_subalcoves(datum, config)
-    assert len(m_alpha(datum, config, frozenset({0, 1}), cells)) == 25
+    cells = enumerate_subalcoves(config)
+    assert len(m_alpha(config, frozenset({0, 1}), cells)) == 25
     _passline(3, f"stable sub-alcove law on {len(checks)} (type, q, node) triples")
 
 

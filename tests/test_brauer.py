@@ -1,4 +1,5 @@
 from fractions import Fraction
+import re
 import sys
 from math import factorial, lcm
 
@@ -7,27 +8,32 @@ import pytest
 from brauercensus import brauer, census, cli, oracle  # noqa: F401 (oracle: cache guard)
 from brauercensus.affine import fundamental_group, minuscule_nodes, standard_symmetry
 from brauercensus.brauer import (
-    FrobeniusConfig,
     cell_fixed_points,
     enumerate_subalcoves,
     fixed_point,
     frobenius_image,
     m_alpha,
-    prime_power,
     scale,
     theta,
 )
-from brauercensus.census import enumerate_classes, make_group_config, orbit_key
+from brauercensus.census import (
+    GroupConfig,
+    enumerate_classes,
+    make_group_config,
+    orbit_key,
+)
 from brauercensus.errors import InvariantViolation
-from brauercensus.linalg import AffineMap
+from brauercensus.linalg import AffineMap, prime_power
 from brauercensus.rootdata import build_root_system
 
 import fraction_reference as reference
 
 
 def split(label, q):
-    datum = build_root_system(label)
-    return datum, FrobeniusConfig(q, standard_symmetry(datum, "split"))
+    """The split adjoint configuration: its isogeny subgroup holds every
+    minuscule node."""
+    config = make_group_config(label, "ad", q)
+    return config.datum, config
 
 
 def coweight_vertices(datum, sub):
@@ -64,11 +70,11 @@ def subalcove_map(datum, q, sub):
     return AffineMap(linear, tuple(Fraction(x, s) for x in origin))
 
 
-def reference_fixed_point(datum, config, sub, node):
+def reference_fixed_point(config, sub, node):
     """Coweight coordinates of the fixed point of the sub-alcove map after
     Frobenius-inverse after the stabilizer, by map composition and a
     linear solve."""
-    q = config.q
+    datum, q = config.datum, config.q
     perm = reference.coweight_permutation_matrix(datum, config.rho)
     f_inverse = AffineMap(
         tuple(tuple(Fraction(x, q) for x in row) for row in perm), (0,) * datum.rank
@@ -98,13 +104,13 @@ def test_prime_power():
 
 def test_frobenius_config_rejects_bad_q():
     datum = build_root_system("A2")
-    with pytest.raises(ValueError):
-        FrobeniusConfig(6, standard_symmetry(datum, "split"))
+    with pytest.raises(ValueError, match="q = 6 is not a prime power"):
+        GroupConfig(datum, frozenset({0}), 6, standard_symmetry(datum, "split"))
 
 
 def test_subalcoves_one_dimensional():
     datum, config = split("A1", 3)
-    subs = enumerate_subalcoves(datum, config)
+    subs = enumerate_subalcoves(config)
     assert scale(datum, 3) == 3
     intervals = sorted(
         tuple(sorted(v[0] for v in coweight_vertices(datum, s))) for s in subs
@@ -115,7 +121,7 @@ def test_subalcoves_one_dimensional():
 @pytest.mark.parametrize("label,q", [("A2", 2), ("A2", 3), ("B2", 3), ("G2", 2), ("E6", 2)])
 def test_subalcove_count(label, q):
     datum, config = split(label, q)
-    assert len(enumerate_subalcoves(datum, config)) == q**datum.rank
+    assert len(enumerate_subalcoves(config)) == q**datum.rank
 
 
 def _simplex_volume(vertices):
@@ -139,7 +145,7 @@ def _simplex_volume(vertices):
 @pytest.mark.parametrize("label,q", [("A2", 2), ("B2", 3), ("G2", 2)])
 def test_subalcoves_tile_the_alcove(label, q):
     datum, config = split(label, q)
-    subs = enumerate_subalcoves(datum, config)
+    subs = enumerate_subalcoves(config)
     keys = {s.key for s in subs}
     assert len(keys) == len(subs)
     assert all(s.key == tuple(map(sum, zip(*s.vertices))) for s in subs)
@@ -151,7 +157,7 @@ def test_subalcoves_tile_the_alcove(label, q):
 
 def test_subalcove_maps_are_exact():
     datum, config = split("B2", 3)
-    subs = enumerate_subalcoves(datum, config)
+    subs = enumerate_subalcoves(config)
     s = scale(datum, 3)
     base = base_subalcove(datum, 3, subs)
     for sub in subs:
@@ -178,7 +184,7 @@ def test_subalcoves_are_closed_under_facet_exchange(label, q):
     datum, config = split(label, q)
     s = scale(datum, q)
     marks = datum.marks
-    subs = enumerate_subalcoves(datum, config)
+    subs = enumerate_subalcoves(config)
     by_key = {sub.key: sub for sub in subs}
     for sub in subs:
         for v in sub.vertices:
@@ -206,22 +212,22 @@ def test_subalcoves_are_closed_under_facet_exchange(label, q):
 
 def test_fixed_point_base_cases():
     datum, config = split("A1", 3)
-    subs = enumerate_subalcoves(datum, config)
+    subs = enumerate_subalcoves(config)
     base = base_subalcove(datum, 3, subs)
     assert coweight_vertices(datum, base) == ((0,), (1,))
-    assert fixed_point(datum, config, base, 0).affine == (1, 0)
+    assert fixed_point(config, base, 0).affine == (1, 0)
     by_key = {s.key: s for s in subs}
     middle = by_key[(3, 3)]
     third = by_key[(1, 5)]
     assert coweight_vertices(datum, middle) == ((2,), (1,))
-    assert fixed_point(datum, config, middle, 0).affine == (1, 1)
-    assert fixed_point(datum, config, third, 0).affine == (0, 1)
-    assert coords(datum, fixed_point(datum, config, base, 0)) == (0,)
-    assert coords(datum, fixed_point(datum, config, middle, 0)) == (Fraction(1, 2),)
-    assert coords(datum, fixed_point(datum, config, third, 0)) == (Fraction(1),)
+    assert fixed_point(config, middle, 0).affine == (1, 1)
+    assert fixed_point(config, third, 0).affine == (0, 1)
+    assert coords(datum, fixed_point(config, base, 0)) == (0,)
+    assert coords(datum, fixed_point(config, middle, 0)) == (Fraction(1, 2),)
+    assert coords(datum, fixed_point(config, third, 0)) == (Fraction(1),)
     datum, config = split("B2", 3)
     with pytest.raises(ValueError):
-        fixed_point(datum, config, enumerate_subalcoves(datum, config)[0], 2)
+        fixed_point(config, enumerate_subalcoves(config)[0], 2)
 
 
 REFERENCE_GRID = [
@@ -243,12 +249,14 @@ REFERENCE_GRID = [
 
 @pytest.mark.parametrize("label,q,kind", REFERENCE_GRID)
 def test_fixed_point_matches_map_composition(label, q, kind):
-    datum = build_root_system(label)
-    config = FrobeniusConfig(q, standard_symmetry(datum, kind))
-    for sub in enumerate_subalcoves(datum, config):
+    config = make_group_config(
+        label, "ad", q, twisted=kind != "split", triality=kind == "triality"
+    )
+    datum = config.datum
+    for sub in enumerate_subalcoves(config):
         for a in minuscule_nodes(datum):
-            point = fixed_point(datum, config, sub, a)
-            expected = reference_fixed_point(datum, config, sub, a)
+            point = fixed_point(config, sub, a)
+            expected = reference_fixed_point(config, sub, a)
             assert coords(datum, point) == expected
             # the numerators are over the least common denominator
             assert sum(point.affine) == reference.common_denominator(expected)
@@ -258,9 +266,9 @@ def test_fixed_point_matches_map_composition(label, q, kind):
 def test_fixed_points_have_pprime_denominators_and_stay_inside(label, q):
     datum, config = split(label, q)
     p = config.p
-    for sub in enumerate_subalcoves(datum, config):
+    for sub in enumerate_subalcoves(config):
         for a in minuscule_nodes(datum):
-            pt = reference.point(datum, fixed_point(datum, config, sub, a).affine)
+            pt = reference.point(datum, fixed_point(config, sub, a).affine)
             assert reference.in_alcove(pt)
             for x in pt.coords:
                 assert Fraction(x).denominator % p != 0
@@ -277,10 +285,11 @@ def test_fixed_points_have_pprime_denominators_and_stay_inside(label, q):
 def test_cell_fixed_points_share_one_denominator():
     datum, config = split("B2", 5)
     nodes = frozenset(minuscule_nodes(datum))
-    table = cell_fixed_points(datum, config, nodes)
+    assert config.a_g == nodes
+    table = cell_fixed_points(config)
     points = {
-        fixed_point(datum, config, sub, a).affine
-        for sub in enumerate_subalcoves(datum, config)
+        fixed_point(config, sub, a).affine
+        for sub in enumerate_subalcoves(config)
         for a in nodes
     }
     # one solve per pair orbit; every other pair's point is an image
@@ -301,26 +310,25 @@ def test_cell_fixed_points_share_one_denominator():
 
 def test_pair_image_outside_the_cells_raises(monkeypatch):
     datum, config = split("A2", 7)
-    nodes = frozenset(minuscule_nodes(datum))
-    cells = enumerate_subalcoves(datum, config)
+    cells = enumerate_subalcoves(config)
     monkeypatch.setattr(brauer, "enumerate_subalcoves", lambda *args: cells[1:])
     with pytest.raises(InvariantViolation, match="onto no sub-alcove"):
-        cell_fixed_points(datum, config, nodes)
+        cell_fixed_points(config)
 
 
 def test_m_alpha_identity_node_is_everything():
     datum, config = split("A2", 2)
-    cells = enumerate_subalcoves(datum, config)
-    assert len(m_alpha(datum, config, frozenset({0}), cells)) == 4
+    cells = enumerate_subalcoves(config)
+    assert len(m_alpha(config, frozenset({0}), cells)) == 4
 
 
 def test_m_alpha_nonzero_and_zero_branches():
     datum, config = split("B3", 5)
-    cells = enumerate_subalcoves(datum, config)
-    assert len(m_alpha(datum, config, frozenset({0, 1}), cells)) == 25
+    cells = enumerate_subalcoves(config)
+    assert len(m_alpha(config, frozenset({0, 1}), cells)) == 25
     datum, config = split("A2", 3)
-    cells = enumerate_subalcoves(datum, config)
-    assert m_alpha(datum, config, frozenset({0, 1, 2}), cells) == ()
+    cells = enumerate_subalcoves(config)
+    assert m_alpha(config, frozenset({0, 1, 2}), cells) == ()
 
 
 def census_theta(label, isogeny, q, twist=False):
@@ -333,7 +341,7 @@ def test_theta_trivial_subgroup():
     assert report.orbit_count == 9
     assert report.strata == {0: 9}
     # the identity alone: each of the 9 points is its own orbit
-    table = cell_fixed_points(config.datum, config.frob, config.a_g)
+    table = cell_fixed_points(config)
     assert len(reference.pair_images(config.datum, config.a_g, table.points)) == 9
 
 
@@ -459,11 +467,11 @@ def test_theta_matches_union_find(label, isogeny, q, twist):
     # theta reads the census records; union-find runs on the subgroup
     # images of the census's integer point table
     config, report = census_theta(label, isogeny, q, twist)
-    table = cell_fixed_points(config.datum, config.frob, config.a_g)
+    table = cell_fixed_points(config)
     points = reference.pair_images(config.datum, config.a_g, table.points)
     assert all(type(x) is int for aff in points for x in aff)
     orbits, strata = union_find_orbits(config.datum, config.a_g, points)
-    assert report.hypotheses_hold == config.frob.congruence_holds(len(config.a_g))
+    assert report.hypotheses_hold == config.congruence_holds(len(config.a_g))
     assert report.orbit_count == len(orbits)
     assert list(report.strata.items()) == list(strata.items())
 
@@ -473,8 +481,8 @@ def test_theta_missing_orbit_raises(monkeypatch):
     # asserts.  D5 ad q=3 fails the congruence hypothesis; a table that
     # lacks the points of one orbit still raises.
     config = make_group_config("D5", "ad", 3)
-    assert not config.frob.congruence_holds(len(config.a_g))
-    table = cell_fixed_points(config.datum, config.frob, config.a_g)
+    assert not config.congruence_holds(len(config.a_g))
+    table = cell_fixed_points(config)
     dropped = orbit_key(config, table.points[0])
     kept = tuple(aff for aff in table.points if orbit_key(config, aff) != dropped)
     monkeypatch.setattr(
@@ -494,18 +502,58 @@ def test_theta_rejects_non_subgroup():
     # and F(b) leaves it, so the pairs over it are not closed under it
     with pytest.raises(ValueError, match="does not stabilize"):
         make_group_config("D4", [1], 3, twisted=True, triality=True)
+    # a configuration built directly is checked the same way, so that
+    # cell_fixed_points never sees such a node set, nor one that is not a
+    # subgroup
     datum = build_root_system("D4")
-    config = FrobeniusConfig(3, standard_symmetry(datum, "triality"))
     with pytest.raises(ValueError, match="does not stabilize"):
-        cell_fixed_points(datum, config, frozenset({0, 1}))
+        GroupConfig(datum, {0, 1}, 3, standard_symmetry(datum, "triality"))
+    with pytest.raises(ValueError, match=r"nodes \[0, 1, 3\] are not a subgroup"):
+        GroupConfig(datum, {0, 1, 3}, 3, standard_symmetry(datum, "split"))
 
 
 def test_frobenius_map_twisted_action():
-    datum = build_root_system("E6")
-    config = FrobeniusConfig(2, standard_symmetry(datum, "twisted"))
-    f = reference.frobenius_map(datum, config)
+    config = make_group_config("E6", "ad", 2, twisted=True)
+    f = reference.frobenius_map(config)
     # F sends the coweight of node 1 to q times the coweight of node 6
     image = f.apply((1, 0, 0, 0, 0, 0))
     assert image == (0, 0, 0, 0, 0, 2)
     # the same on affine numerators over 1, node 0 taking the rest
     assert frobenius_image(config, (0, 1, 0, 0, 0, 0, 0)) == (-1, 0, 0, 0, 0, 0, 2)
+
+
+def _onto_no_subalcove(monkeypatch, config):
+    cells = enumerate_subalcoves(config)
+    monkeypatch.setattr(brauer, "enumerate_subalcoves", lambda *args: cells[1:])
+    cell_fixed_points(config)
+
+
+def _m_alpha_count(monkeypatch, config):
+    m_alpha(config, frozenset({0}), enumerate_subalcoves(config)[1:])
+
+
+def _unstable_orbit(monkeypatch, config):
+    monkeypatch.setattr(census, "f_stable", lambda *args: None)
+    enumerate_classes(config)
+
+
+@pytest.mark.parametrize(
+    "check,label,q,kind,name,detail",
+    [
+        (_onto_no_subalcove, "A2", 5, "twisted", "A2 ad q=5 twisted", "an alcove"),
+        (_m_alpha_count, "D4", 2, "triality", "D4 ad q=2 triality", "nodes [0] have 15"),
+        (_unstable_orbit, "E6", 2, "twisted", "E6 ad q=2 twisted", "orbit ("),
+    ],
+)
+def test_violations_name_the_whole_configuration(
+    monkeypatch, check, label, q, kind, name, detail
+):
+    # The brauer checks see the whole configuration, so their messages
+    # start with it as the census's own do, the twist included.
+    config = make_group_config(label, "ad", q, twisted=True, triality=kind == "triality")
+    assert str(config) == name
+    assert str(make_group_config(label, "ad", q)) == f"{label} ad q={q}"
+    with pytest.raises(
+        InvariantViolation, match=f"^{re.escape(str(config))}: {re.escape(detail)}"
+    ):
+        check(monkeypatch, config)

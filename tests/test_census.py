@@ -1,3 +1,4 @@
+import copy
 import inspect
 import textwrap
 from fractions import Fraction
@@ -138,7 +139,7 @@ def _grid_id(case):
 def test_integer_stability_matches_the_rational_reference(label, iso, q, kind):
     config = _grid_config(label, iso, q, kind)
     datum = config.datum
-    candidates = reference.all_pairs_fixed_points(datum, config.frob, config.a_g)
+    candidates = reference.all_pairs_fixed_points(config)
     vertices = tuple(
         reference.numerators(datum, v, reference.common_denominator(v))
         for v in datum.alcove_vertices
@@ -146,9 +147,9 @@ def test_integer_stability_matches_the_rational_reference(label, iso, q, kind):
     for aff in candidates + vertices:
         lam = reference.point(datum, aff)
         den = sum(aff)
-        fimage = reference.frobenius_map(datum, config.frob).apply(lam.coords)
-        assert frobenius_image(config.frob, aff) == reference.numerators(datum, fimage, den)
-        folded = fold_coords(datum, frobenius_image(config.frob, aff))
+        fimage = reference.frobenius_map(config).apply(lam.coords)
+        assert frobenius_image(config, aff) == reference.numerators(datum, fimage, den)
+        folded = fold_coords(datum, frobenius_image(config, aff))
         assert folded == reference.numerators(datum, reference.fold(datum, fimage), den)
         assert f_stable(config, aff) == reference.f_stable(config, lam)
     for aff in candidates:
@@ -163,12 +164,12 @@ def test_fold_of_every_class_key_matches_the_rational_reference(case):
     # The worklist fold of F(key) lands where the rational sweep does.
     config = _grid_config(*case)
     datum = config.datum
-    frobenius = reference.frobenius_map(datum, config.frob)
+    frobenius = reference.frobenius_map(config)
     for record in enumerate_classes(config):
         key = record.key
         fimage = frobenius.apply(reference.point(datum, key).coords)
         expected = reference.numerators(datum, reference.fold(datum, fimage), sum(key))
-        assert fold_coords(datum, frobenius_image(config.frob, key)) == expected
+        assert fold_coords(datum, frobenius_image(config, key)) == expected
 
 
 # Split, twisted and triality; sc, ad and sub:; p dividing the isogeny
@@ -211,8 +212,8 @@ def test_pair_orbits_match_the_all_pairs_table(label, iso, q, kind):
     # points are that table, and the pair orbits count the rational classes.
     config = _grid_config(label, iso, q, kind)
     datum = config.datum
-    table = cell_fixed_points(datum, config.frob, config.a_g)
-    every = reference.all_pairs_fixed_points(datum, config.frob, config.a_g)
+    table = cell_fixed_points(config)
+    every = reference.all_pairs_fixed_points(config)
     assert {orbit_key(config, aff) for aff in table.points} == {
         orbit_key(config, aff) for aff in every
     }
@@ -246,7 +247,7 @@ def test_burnside_mutant_counting_every_node_raises(label, q):
     # fixed-space sum: the stable cells of every b no longer count the
     # rational classes.
     source = textwrap.dedent(inspect.getsource(census.enumerate_classes))
-    condition = "if central_frobenius_action(datum, config.frob, b) == b"
+    condition = "if central_frobenius_action(config, b) == b"
     assert source.count(condition) == 1
     namespace = dict(vars(census))
     exec(source.replace(condition, ""), namespace)
@@ -280,15 +281,15 @@ def test_node_pair_cells_count_the_pprime_characters(case):
     fixed = [
         b
         for b in sorted(config.a_g)
-        if brauer.central_frobenius_action(datum, config.frob, b) == b
+        if brauer.central_frobenius_action(config, b) == b
     ]
-    every = brauer.enumerate_subalcoves(datum, config.frob)
+    every = brauer.enumerate_subalcoves(config)
     pairs = 0
     for b in fixed:
         for c in fixed:
             subgroup = group.subgroup([b, c])
             cells = brauer.stable_cell_count(datum, subgroup, config.q)
-            assert len(brauer.m_alpha(datum, config.frob, subgroup, every)) == cells
+            assert len(brauer.m_alpha(config, subgroup, every)) == cells
             pairs += cells
     assert pairs == counts(config).pprime_char_total
     if case == ("D4", "ad", 3, "split"):
@@ -323,6 +324,31 @@ def test_node_pair_mutant_counting_m_b_raises():
         r"but the squared fixed counts sum to 180$",
     ):
         namespace["enumerate_classes"](make_group_config("D4", "ad", 3))
+
+
+def test_strata_mutant_dropping_a_component_node_raises(monkeypatch):
+    # A record that loses node 2 from its component group but keeps its
+    # fixed count leaves the fixed counts, and so both sums, as they were;
+    # only the per-node strata see it.  On A2 ad q=7 one class holds node
+    # 2, and N(<2>) = 1.
+    real = census._classify
+    dropped = []
+
+    def dropping(config, key, types, components):
+        record = real(config, key, types, components)
+        if not dropped and 2 in record.comp_group:
+            dropped.append(record)
+            return record._replace(comp_group=record.comp_group[:-1])
+        return record
+
+    monkeypatch.setattr(census, "_classify", dropping)
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^A2 ad q=7: 0 classes have node 2 in their component group, "
+        r"but N\(<2>\) = 1$",
+    ):
+        enumerate_classes(make_group_config("A2", "ad", 7))
+    assert [r.comp_group for r in dropped] == [(0, 1, 2)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -381,12 +407,13 @@ def test_value_types_are_immutable_and_labels_still_validate_and_sort():
     record = enumerate_classes(config)[0]
     for value, field in (
         (config.datum.label, "rank"),
-        (config.frob, "q"),
+        (config, "q"),
         (config, "a_g"),
         (record, "fixed_count"),
     ):
         with pytest.raises(AttributeError):
             setattr(value, field, 0)
+    assert copy.copy(config) == config
     with pytest.raises(ValueError, match="invalid rank 9 for family E"):
         TypeLabel("E", 9)
     labels = [TypeLabel("G", 2), TypeLabel("A", 7), TypeLabel("E", 6), TypeLabel("A", 2)]

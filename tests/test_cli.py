@@ -182,7 +182,7 @@ def test_unknown_type_fails_before_any_case_runs(monkeypatch, suite):
 @pytest.mark.parametrize(
     "suite,callee,config_of,case",
     [
-        ("alovefixe", "m_alpha", lambda datum, frob, *_: (datum, frob.q), "alovefixe/A2/q3"),
+        ("alovefixe", "m_alpha", lambda config, *_: (config.datum, config.q), "alovefixe/A2/q3"),
         ("steinberg", "counts", lambda config, **_: (config.datum, config.q), "steinberg/A2/q3/split"),
     ],
 )
@@ -251,6 +251,7 @@ def test_verify_cap_is_checked_before_any_case_runs(monkeypatch):
         raise AssertionError("a case ran")
 
     monkeypatch.setattr(cli, "build_root_system", forbidden)
+    monkeypatch.setattr(cli, "make_group_config", forbidden)
     code, out, err = run(["verify", "--suite", "alovefixe", "--max-subalcoves", "100"])
     assert code == EXIT_RESOURCE and out == ""
     assert err == "resource cap: B3, q=5: 125 sub-alcoves exceed the cap 100\n"
