@@ -16,8 +16,9 @@ point fixed by "translate after Frobenius-inverse after alcove
 stabilizer", solved from the images of the alcove vertices for one
 (translate, stabilizer) pair per orbit of the stabilizers' action on
 those pairs, and kept as integer affine numerators over one common
-denominator.  The cells and the point table are not cached: they are
-computed once per census or per verification case and handed on.
+denominator.  A census solves each cell as the one walk of the cells
+yields it, and the walk keeps only their keys; neither the cells nor
+the point table is cached.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from math import gcd, lcm
 from operator import eq
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .affine import (
     fundamental_group,
@@ -70,10 +71,10 @@ class SubAlcove(NamedTuple):
     key: tuple[int, ...]
 
 
-def enumerate_subalcoves(config: GroupConfig) -> tuple[SubAlcove, ...]:
-    """All ``q**rank`` sub-alcoves of the datum and q of ``config``,
-    found breadth-first across facets; they do not depend on the twist
-    or the isogeny.
+def walk_subalcoves(config: GroupConfig) -> Iterator[SubAlcove]:
+    """The ``q**rank`` sub-alcoves of the datum and q of ``config``, found
+    breadth-first across facets and yielded as they are dequeued; they do
+    not depend on the twist or the isogeny.
 
     The neighbour across the facet opposite vertex j keeps the other
     vertices and replaces v_j with ``sum_i(k_ji * v_i) / n_j - v_j``, over
@@ -89,7 +90,8 @@ def enumerate_subalcoves(config: GroupConfig) -> tuple[SubAlcove, ...]:
     numerator of the key comes from vertex j alone, and one that leads
     back to a cell already seen.  The exact count is enforced: a search
     that finds one cell too many stops there, and one that finds too few
-    fails at the end.
+    fails after its last cell, where every alcove stabilizer must map
+    the keys onto keys.
     """
     datum, q = config.datum, config.q
     expected = q**datum.rank
@@ -110,15 +112,15 @@ def enumerate_subalcoves(config: GroupConfig) -> tuple[SubAlcove, ...]:
     )
     base = SubAlcove(base_vertices, tuple(map(sum, zip(*base_vertices))))
 
-    seen = {base.key: base}
-    # Per queued cell, a bit mask of the facets j that lead to a cell
-    # already seen: the cell reached across facet j of another has the
-    # same vertices but vertex j, so its facet j leads back.
+    # Per key seen, a bit mask of the facets j that lead to a cell already
+    # seen: the cell reached across facet j of another has the same
+    # vertices but vertex j, so its facet j leads back.
     crossed = {base.key: 0}
     queue = deque([base])
     while queue:
-        vertices, key = queue.popleft()
-        done = crossed.pop(key)
+        vertices, key = sub = queue.popleft()
+        yield sub
+        done = crossed[key]
         for j, mark, spread in exchange:
             apex = vertices[j]
             # When key[m] == apex[m], the other vertices have numerator m
@@ -133,23 +135,31 @@ def enumerate_subalcoves(config: GroupConfig) -> tuple[SubAlcove, ...]:
             if min(new_apex) < 0:
                 continue
             new_key = tuple(k - x + y for k, x, y in zip(key, apex, new_apex))
-            if new_key in seen:
-                if new_key in crossed:
-                    crossed[new_key] |= 1 << j
+            if new_key in crossed:
+                crossed[new_key] |= 1 << j
                 continue
-            if len(seen) == expected:
+            if len(crossed) == expected:
                 raise InvariantViolation(
                     f"{config}: found more than {expected} sub-alcoves"
                 )
-            sub = SubAlcove(vertices[:j] + (new_apex,) + vertices[j + 1 :], new_key)
-            seen[new_key] = sub
             crossed[new_key] = 1 << j
-            queue.append(sub)
-    if len(seen) != expected:
+            queue.append(SubAlcove(vertices[:j] + (new_apex,) + vertices[j + 1 :], new_key))
+    if len(crossed) != expected:
         raise InvariantViolation(
-            f"{config}: found {len(seen)} sub-alcoves, expected {expected}"
+            f"{config}: found {len(crossed)} sub-alcoves, expected {expected}"
         )
-    return tuple(seen.values())
+    for act in fundamental_group(datum).act.values():
+        for key in crossed:
+            if act(key) not in crossed:
+                raise InvariantViolation(
+                    f"{config}: an alcove stabilizer maps the sub-alcove {key} "
+                    "onto no sub-alcove"
+                )
+
+
+def enumerate_subalcoves(config: GroupConfig) -> tuple[SubAlcove, ...]:
+    """Every cell of ``walk_subalcoves``, in its order."""
+    return tuple(walk_subalcoves(config))
 
 
 class CellPoint(NamedTuple):
@@ -247,21 +257,14 @@ def cell_fixed_points(config: GroupConfig) -> CellTable:
         for a in order:
             image_node[a, b] = group.mult[group.mult[a, fb], group.inverse(b)]
 
-    subalcoves = enumerate_subalcoves(config)
-    cells = {sub.key for sub in subalcoves}
     actions = [group.act[b] for b in order]
     # The nodes a solved with a cell, per stabilizer of the cell.
     least: dict[tuple, list] = {}
     points: dict[tuple, None] = {}
     solves = 0
-    for sub in subalcoves:
+    for sub in walk_subalcoves(config):
         key = sub.key
         images = [act(key) for act in actions]
-        if not cells.issuperset(images):
-            raise InvariantViolation(
-                f"{config}: an alcove stabilizer maps the sub-alcove {key} onto "
-                "no sub-alcove"
-            )
         if min(images) < key:
             continue
         stabilizer = tuple(b for b, image in zip(order, images) if image == key)
@@ -291,7 +294,7 @@ def stable_cell_count(datum: RootDatum, subgroup: frozenset[int], q: int) -> int
 def m_alpha(
     config: GroupConfig, subgroup: frozenset[int], cells: Sequence[SubAlcove]
 ) -> tuple[SubAlcove, ...]:
-    """The cells, all sub-alcoves of ``config`` from
+    """The cells, the whole walk of ``config`` from
     ``enumerate_subalcoves``, that every stabilizer of the node subgroup
     maps to themselves, asserted to number ``stable_cell_count``, in both
     branches."""

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from math import gcd
-from typing import Optional
+from typing import Iterator, Optional
 
 from .affine import fundamental_group, invariant_space, minuscule_nodes
 from .brauer import enumerate_subalcoves, m_alpha, stable_cell_count, theta
@@ -253,21 +253,23 @@ def census_report(config: GroupConfig) -> dict:
     return payload
 
 
-def census_json(datum: RootDatum, report: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)`` of the report
-    with its records written out.  The header, every key but
-    ``classes``, goes through ``json.dumps``; ``classes`` is the first
-    key in sorted order and never empty (a census has q**rank classes),
-    so its records are written in front of the header's keys."""
+def census_json(datum: RootDatum, report: dict) -> Iterator[str]:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` of the report,
+    and a newline, in pieces: the opening, one piece per record, then the
+    header, every key but ``classes``, through ``json.dumps``.
+    ``classes`` is the first key in sorted order and never empty (a
+    census has q**rank classes), so the records come before the header."""
+    yield '{\n  "classes": [\n'
+    profiles: dict = {}
+    for i, record in enumerate(report["classes"]):
+        yield (",\n" if i else "") + _record_json(datum, record, profiles)
     header = json.dumps(
         {k: v for k, v in report.items() if k != "classes"}, indent=2, sort_keys=True
     )
-    profiles: dict = {}
-    records = ",\n".join(_record_json(datum, r, profiles) for r in report["classes"])
-    return '{\n  "classes": [\n' + records + "\n  ],\n" + header[2:]
+    yield "\n  ],\n" + header[2:] + "\n"
 
 
-def census_tsv(report: dict) -> str:
+def census_tsv(report: dict) -> Iterator[str]:
     cols = (
         "rep_affine",
         "i_lambda",
@@ -276,22 +278,19 @@ def census_tsv(report: dict) -> str:
         "fixed_count",
         "h1_count",
     )
-    lines = ["\t".join(cols)]
+    yield "\t".join(cols) + "\n"
     for rec in report["classes"]:
         level = sum(rec.key)
-        lines.append(
-            "\t".join(
-                (
-                    ",".join(_ratio(x, level) for x in rec.key),
-                    ",".join(str(i) for i in rec.i_lambda),
-                    rec.centralizer_name(),
-                    str(rec.comp_group_order),
-                    str(rec.fixed_count),
-                    str(rec.h1_count),
-                )
+        yield "\t".join(
+            (
+                ",".join(_ratio(x, level) for x in rec.key),
+                ",".join(str(i) for i in rec.i_lambda),
+                rec.centralizer_name(),
+                str(rec.comp_group_order),
+                str(rec.fixed_count),
+                str(rec.h1_count),
             )
-        )
-    return "\n".join(lines) + "\n"
+        ) + "\n"
 
 
 def info_report(label: str) -> dict:
@@ -447,10 +446,10 @@ def _steinberg(name, label, q, twisted):
 
 
 def _alovefixe(name, label, q):
-    # enumerate_subalcoves asserts the q^rank cells, and m_alpha that a
-    # node's stable cells among them number q^dim of its fixed space, or
-    # zero when a wall of the q-refined arrangement contains that space.
-    # The cells depend on neither the isogeny nor the twist.
+    # The walk asserts the q^rank cells and their stabilizer images, and
+    # m_alpha that a node's stable cells number q^dim of its fixed space,
+    # or zero when a wall of the q-refined arrangement contains that
+    # space.  The cells depend on neither the isogeny nor the twist.
     config = make_group_config(label, "ad", q)
     cells = enumerate_subalcoves(config)
     yield Check(f"subalcoves/{label}/q{q}", True, f"|E_q|={len(cells)}")
@@ -619,9 +618,9 @@ def main(argv=None) -> int:
             _check_subalcove_cap(config.datum.label, config.q, args.max_subalcoves)
             report = census_report(config)
             if args.format == "tsv":
-                sys.stdout.write(census_tsv(report))
+                sys.stdout.writelines(census_tsv(report))
             else:
-                print(census_json(config.datum, report))
+                sys.stdout.writelines(census_json(config.datum, report))
             return EXIT_OK
         if args.command == "verify":
             runner = SUITES.get(args.suite)

@@ -2,6 +2,7 @@ from fractions import Fraction
 import re
 import sys
 from math import factorial, lcm
+from operator import itemgetter
 
 import pytest
 
@@ -308,12 +309,65 @@ def test_cell_fixed_points_share_one_denominator():
     )
 
 
+def corrupt_stabilizer(monkeypatch, datum):
+    """Make ``f_1`` repeat coordinate 0 in place of coordinate 1, which
+    maps a cell key of A2 onto a tuple with another sum, so no cell key."""
+    assert datum.label.family == "A" and datum.rank == 2
+    monkeypatch.setitem(fundamental_group(datum).act, 1, itemgetter(0, 0, 2))
+
+
 def test_pair_image_outside_the_cells_raises(monkeypatch):
     datum, config = split("A2", 7)
-    cells = enumerate_subalcoves(config)
-    monkeypatch.setattr(brauer, "enumerate_subalcoves", lambda *args: cells[1:])
+    corrupt_stabilizer(monkeypatch, datum)
     with pytest.raises(InvariantViolation, match="onto no sub-alcove"):
         cell_fixed_points(config)
+
+
+def test_stabilizer_image_check_runs_in_every_walk(monkeypatch, capsys):
+    # The walk checks the stabilizer images after its last cell, so the
+    # cells tuple of verify and the tests is checked as the census is.
+    datum, config = split("A2", 2)
+    corrupt_stabilizer(monkeypatch, datum)
+    message = "A2 ad q=2: an alcove stabilizer maps the sub-alcove (4, 1, 1) onto"
+    with pytest.raises(InvariantViolation, match="^" + re.escape(message)):
+        enumerate_subalcoves(config)
+    argv = ["verify", "--suite", "alovefixe", "--types", "A2", "--max-q", "2"]
+    assert cli.main(argv) == cli.EXIT_INVARIANT
+    # the case's one line is the failure, under the case's name
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL\talovefixe/A2/q2\t{message} no sub-alcove")
+    assert out.count("\n") == 1
+
+
+def test_walk_yields_the_cells_in_order():
+    for label, q in [("A2", 7), ("B3", 3), ("G2", 4), ("D4", 2)]:
+        datum, config = split(label, q)
+        walk = brauer.walk_subalcoves(config)
+        cells = enumerate_subalcoves(config)
+        # the first cell is yielded before the search goes on
+        assert next(walk) == cells[0] == base_subalcove(datum, q, cells)
+        assert (cells[0],) + tuple(walk) == cells
+        assert len({sub.key for sub in cells}) == q**datum.rank
+
+
+@pytest.mark.parametrize(
+    "label,isogeny,q,twisted,triality",
+    [
+        ("A2", "ad", 7, False, False),
+        ("A3", "ad", 3, True, False),
+        ("D4", "ad", 2, True, True),
+        ("D4", [1], 3, False, False),
+    ],
+)
+def test_census_builds_no_cells_tuple(monkeypatch, label, isogeny, q, twisted, triality):
+    # The census consumes the walk cell by cell; only verify and the tests
+    # take the whole tuple.
+    def refused(*args):
+        raise AssertionError("the census built the cells tuple")
+
+    config = make_group_config(label, isogeny, q, twisted=twisted, triality=triality)
+    monkeypatch.setattr(brauer, "enumerate_subalcoves", refused)
+    assert len(enumerate_classes(config)) == q**config.rank
 
 
 def test_m_alpha_identity_node_is_everything():
@@ -378,19 +432,19 @@ def counted_calls(monkeypatch, module, name, *holders):
 
 
 def test_verify_computes_nothing_twice(monkeypatch, capsys):
-    # One enumeration and one point table per case: the two A2 theta
-    # cases solve one pair per orbit of (cell, node) pairs, which count
-    # the rational classes, 51 for PGL3(7) and 27 for PGU3(5), against
-    # 3 * (49 + 25) pairs.
-    cells = counted_calls(monkeypatch, brauer, "enumerate_subalcoves", cli)
+    # One walk of the cells and one point table per case: the two A2
+    # theta cases solve one pair per orbit of (cell, node) pairs, which
+    # count the rational classes, 51 for PGL3(7) and 27 for PGU3(5),
+    # against 3 * (49 + 25) pairs.
+    walks = counted_calls(monkeypatch, brauer, "walk_subalcoves")
     solves = counted_calls(monkeypatch, brauer, "fixed_point")
     assert cli.main(["verify", "--suite", "theta", "--types", "A2"]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    assert (len(cells), len(solves)) == (2, 51 + 27)
-    cells.clear()
+    assert (len(walks), len(solves)) == (2, 51 + 27)
+    walks.clear()
     argv = ["verify", "--suite", "alovefixe", "--types", "A2", "--max-q", "3"]
     assert cli.main(argv) == 0
-    assert len(cells) == 2
+    assert len(walks) == 2
 
 
 def test_only_per_datum_tables_are_cached():
@@ -523,8 +577,7 @@ def test_frobenius_map_twisted_action():
 
 
 def _onto_no_subalcove(monkeypatch, config):
-    cells = enumerate_subalcoves(config)
-    monkeypatch.setattr(brauer, "enumerate_subalcoves", lambda *args: cells[1:])
+    corrupt_stabilizer(monkeypatch, config.datum)
     cell_fixed_points(config)
 
 

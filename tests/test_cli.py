@@ -302,10 +302,14 @@ def test_census_writers_match_the_fraction_reference(
     report = census_report(config)
     assert covers(report)
     payload = reference.report_payload(config.datum, report)
-    assert cli.census_json(config.datum, report) == json.dumps(
-        payload, indent=2, sort_keys=True
-    )
-    assert cli.census_tsv(report) == reference.payload_tsv(payload)
+    # The writers stream: the JSON opening, one piece per record and the
+    # header; the TSV column names and one line per record.
+    pieces = list(cli.census_json(config.datum, report))
+    assert len(pieces) == len(report["classes"]) + 2
+    assert "".join(pieces) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = list(cli.census_tsv(report))
+    assert len(lines) == len(report["classes"]) + 1
+    assert "".join(lines) == reference.payload_tsv(payload)
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
