@@ -109,6 +109,7 @@ def standard_symmetry(datum: RootDatum, kind: str) -> DiagramSymmetry:
 
     ``"split"`` is the identity; ``"twisted"`` the order-2 symmetry of
     A_n (n>=2), D_n and E6; ``"triality"`` the order-3 symmetry of D4.
+    ``census.GroupConfig`` validates it against the diagram.
     """
     n = datum.rank
     fam = datum.label.family
@@ -133,9 +134,7 @@ def standard_symmetry(datum: RootDatum, kind: str) -> DiagramSymmetry:
             raise ValueError("triality only exists for D4")
     else:
         raise ValueError(f"unknown symmetry kind {kind!r}")
-    sym = DiagramSymmetry(tuple(perm))
-    validate_symmetry(datum, sym)
-    return sym
+    return DiagramSymmetry(tuple(perm))
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,16 @@ alcove vertex b to vertex rho(b) of the small alcove, and its isogeny
 subgroup A_G is the node subgroup of the (cell, node) pairs.  The
 small alcove tiles the alcove in exactly ``q**rank`` translates under
 the q-refined affine Weyl group, which this module enumerates by
-exchanging one vertex at a time across a facet.  Everything is kept in
-one coordinate system: integer affine numerators, with the sub-alcove
-vertices over ``S = q * lcm(marks)``.  Each translate carries a unique
-point fixed by "translate after Frobenius-inverse after alcove
-stabilizer", solved from the images of the alcove vertices for one
-(translate, stabilizer) pair per orbit of the stabilizers' action on
-those pairs, and kept as integer affine numerators over one common
-denominator.  A census solves each cell as the one walk of the cells
-yields it, and the walk keeps only their keys; neither the cells nor
-the point table is cached.
+exchanging one vertex at a time across the facets inside the alcove.
+Everything is kept in one coordinate system: integer affine numerators,
+with the sub-alcove vertices over ``S = q * lcm(marks)``.  Each
+translate carries a unique point fixed by "translate after
+Frobenius-inverse after alcove stabilizer", solved from the images of
+the alcove vertices for one (translate, stabilizer) pair per orbit of
+the stabilizers' action on those pairs, and kept as integer affine
+numerators over one common denominator.  A census solves each cell as
+the one walk of the cells yields it, and the walk keeps only their
+keys; neither the cells nor the point table is cached.
 """
 
 from __future__ import annotations
@@ -83,15 +83,15 @@ def walk_subalcoves(config: GroupConfig) -> Iterator[SubAlcove]:
     vertex j in its wall j.  Since the marks span the kernel of the
     extended Cartan matrix, the k_ji sum to ``2 n_j``, so the rule is an
     affine combination and holds on every translate, with an exact
-    division.  The neighbour stays in the closed alcove when the new
-    vertex does (the shared facet already is), which is when its
-    numerators are nonnegative: numerator 0 is ``S - <theta, x>``.  Two
-    kinds of facet are not exchanged: one in an alcove wall, where some
-    numerator of the key comes from vertex j alone, and one that leads
-    back to a cell already seen.  The exact count is enforced: a search
-    that finds one cell too many stops there, and one that finds too few
-    fails after its last cell, where every alcove stabilizer must map
-    the keys onto keys.
+    division.  Two kinds of facet are not exchanged: one in an alcove
+    wall, where some numerator of the key comes from vertex j alone, and
+    one that leads back to a cell already seen.  Any other facet has its
+    relative interior in the open alcove, so the neighbour across it is
+    a cell: its new vertex has no negative numerator (numerator 0 is ``S
+    - <theta, x>``), and needs no test.  The exact count is enforced: a
+    search that finds one cell too many, as one that left the alcove
+    would, stops there, and one that finds too few fails after its last
+    cell, where every alcove stabilizer must map the keys onto keys.
     """
     datum, q = config.datum, config.q
     expected = q**datum.rank
@@ -132,8 +132,6 @@ def walk_subalcoves(config: GroupConfig) -> Iterator[SubAlcove]:
                 sum(column) // mark - x
                 for x, column in zip(apex, zip(*[vertices[i] for i in spread]))
             )
-            if min(new_apex) < 0:
-                continue
             new_key = tuple(k - x + y for k, x, y in zip(key, apex, new_apex))
             if new_key in crossed:
                 crossed[new_key] |= 1 << j
@@ -337,5 +335,5 @@ def theta(config: GroupConfig, records: Sequence[ClassRecord]) -> ThetaReport:
         strata={
             a: sum(1 for r in records if a in r.comp_group) for a in sorted(config.a_g)
         },
-        hypotheses_hold=config.congruence_holds(len(config.a_g)),
+        hypotheses_hold=config.congruence_holds(),
     )

@@ -15,12 +15,17 @@ Points are integer affine numerators over one common denominator from
 the fixed-point solve to the class records: orbit keys are int tuples,
 and each record carries its key, which only the serializer turns into
 rationals.
+
+The paper's closed forms live here too: the Table 1 fixed-space
+dimensions, the Table 3 disconnected count, which is q to the Table 1
+dimension of a nontrivial node, and the odd-rank D rational total.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
+from math import gcd, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .affine import (
@@ -53,10 +58,7 @@ class Lattice:
 
     @property
     def index_in_coweights(self) -> int:
-        det = 1
-        for i, row in enumerate(self.basis):
-            det *= row[i]
-        return det
+        return prod(row[i] for i, row in enumerate(self.basis))
 
 
 class GroupConfig(namedtuple("GroupConfig", "datum a_g q rho p")):
@@ -67,7 +69,9 @@ class GroupConfig(namedtuple("GroupConfig", "datum a_g q rho p")):
     Every check runs on construction, so every function that takes a
     configuration can rely on it: q is a prime power, rho is a diagram
     symmetry fixing the affine node, A_G is a subgroup and rho stabilizes
-    it, so F(b) = rho^-1(b)^q lies in A_G for every b in A_G."""
+    it, so F(b) = rho^-1(b)^q lies in A_G for every b in A_G.  Each fact
+    about the configuration that more than one caller reads (adjoint, p
+    dividing |A_G|, the congruence) is decided here once."""
 
     __slots__ = ()
 
@@ -109,17 +113,26 @@ class GroupConfig(namedtuple("GroupConfig", "datum a_g q rho p")):
     def is_split(self) -> bool:
         return self.rho.is_identity
 
-    def congruence_holds(self, order: int) -> bool:
-        """The congruence hypothesis for a subgroup of the given order:
-        q = 1 mod the order when split, q = -1 mod the order when twisted."""
+    @property
+    def is_adjoint(self) -> bool:
+        """A_G is the whole fundamental group."""
+        return len(self.a_g) == fundamental_group(self.datum).order
+
+    @property
+    def p_divides_isogeny_order(self) -> bool:
+        return len(self.a_g) % self.p == 0
+
+    def congruence_holds(self) -> bool:
+        """The congruence hypothesis for A_G: q = 1 mod |A_G| when split,
+        q = -1 mod |A_G| when twisted."""
         sign = 1 if self.is_split else -1
-        return (self.q - sign) % order == 0
+        return (self.q - sign) % len(self.a_g) == 0
 
     def isogeny_name(self) -> str:
-        group = fundamental_group(self.datum)
+        """``sc`` is tested first, so E8, F4 and G2 read ``sc`` as adjoint."""
         if len(self.a_g) == 1:
             return "sc"
-        if len(self.a_g) == group.order:
+        if self.is_adjoint:
             return "ad"
         return "sub:" + ",".join(str(a) for a in sorted(self.a_g - {0}))
 
@@ -138,7 +151,7 @@ def make_group_config(
     otherwise the cocharacter lattice would not be Frobenius-stable;
     ``GroupConfig`` checks that and the rest.
     """
-    datum = label if isinstance(label, RootDatum) else build_root_system(label)
+    datum = build_root_system(label)
     group = fundamental_group(datum)
     if isogeny == "sc":
         nodes = frozenset({0})
@@ -435,11 +448,9 @@ def counts(
     """
     if records is None:
         records = enumerate_classes(config)
-    by_order: dict[int, int] = {}
-    for r in records:
-        by_order[r.comp_group_order] = by_order.get(r.comp_group_order, 0) + 1
+    by_order = Counter(r.comp_group_order for r in records)
     warnings = []
-    if len(config.a_g) % config.p == 0:
+    if config.p_divides_isogeny_order:
         warnings.append(
             f"p = {config.p} divides the isogeny group order {len(config.a_g)}"
         )
@@ -453,40 +464,56 @@ def counts(
     )
 
 
-def expected_disconnected_count(config: GroupConfig) -> tuple[str, int]:
-    """The closed-form disconnected-class count for prime-order adjoint
-    isogeny groups, per family."""
-    datum = config.datum
-    group = fundamental_group(datum)
-    d = len(config.a_g)
-    if d < 2 or any(d % k == 0 for k in range(2, d)):
-        raise ValueError("requires an isogeny group of prime order")
-    if config.p == d:
-        raise ValueError("requires p not dividing the isogeny group order")
-    if len(config.a_g) != group.order:
-        raise ValueError("requires the adjoint isogeny type")
-    fam, n, q = datum.label.family, datum.rank, config.q
+def classical_invariant_dimension(label: TypeLabel, node: int) -> int:
+    """Closed-form fixed-space dimensions per family and minuscule node.
+
+    For odd-rank D the two spin nodes are the order-4 generators; their
+    dimension is (rank-3)/2, matching the orbit count of the induced
+    node permutation.
+    """
+    n = label.rank
+    if node == 0:
+        return n
+    fam = label.family
     if fam == "A":
-        return "1", 1
+        return gcd(node, n + 1) - 1
     if fam == "B":
-        return "q^(n-1)", q ** (n - 1)
+        return n - 1
     if fam == "C":
-        return "q^floor(n/2)", q ** (n // 2)
+        return n // 2
+    if fam == "D":
+        if node == 1:
+            return n - 2
+        return n // 2 if n % 2 == 0 else (n - 3) // 2
     if fam == "E" and n == 6:
-        return "q^2", q**2
+        return 2
     if fam == "E" and n == 7:
-        return "q^4", q**4
-    raise ValueError(f"no closed form for type {datum.label}")
+        return 4
+    raise ValueError(f"{label} has no nontrivial minuscule node {node}")
+
+
+def expected_disconnected_count(config: GroupConfig) -> int:
+    """The closed-form disconnected-class count for a prime-order adjoint
+    isogeny group with p not dividing its order: q^dim, where dim is the
+    Table 1 fixed-space dimension of a nontrivial node, the same for each
+    of them."""
+    order = len(config.a_g)
+    if prime_power(order) != (order, 1):
+        raise ValueError("requires an isogeny group of prime order")
+    if config.p_divides_isogeny_order:
+        raise ValueError("requires p not dividing the isogeny group order")
+    if not config.is_adjoint:
+        raise ValueError("requires the adjoint isogeny type")
+    return config.q ** classical_invariant_dimension(config.datum.label, max(config.a_g))
 
 
 def disconnected_census_check(config: GroupConfig) -> int:
     """The disconnected-class count, asserted against its closed form."""
-    rule, expected = expected_disconnected_count(config)
+    expected = expected_disconnected_count(config)
     actual = counts(config).n_disconnected
     if actual != expected:
         raise InvariantViolation(
-            f"{config}: {actual} disconnected classes, "
-            f"expected {expected} ({rule})"
+            f"{config}: {actual} disconnected classes, expected {expected}"
         )
     return actual
 
@@ -502,17 +529,18 @@ class DOddComparison(NamedTuple):
     q_mod_4: int
 
 
+def has_d_odd_comparison(config: GroupConfig) -> bool:
+    """Whether the census of ``config`` carries the ``d_odd_comparison``
+    block: an adjoint D type of odd rank, split or twisted."""
+    return config.datum.label.family == "D" and config.rank % 2 == 1 and config.is_adjoint
+
+
 def d_odd_comparison(config: GroupConfig, census_counts: CensusCounts) -> DOddComparison:
     """Compare the counts of this configuration's census with the split closed
     form, which it reports on a twisted census too."""
-    datum = config.datum
-    if datum.label.family != "D" or datum.rank % 2 == 0:
-        raise ValueError("requires an odd-rank D type")
-    group = fundamental_group(datum)
-    if len(config.a_g) != group.order:
-        raise ValueError("requires the adjoint isogeny type")
-    n = (datum.rank - 1) // 2
-    q = config.q
+    if not has_d_odd_comparison(config):
+        raise ValueError("requires an odd-rank adjoint D type")
+    q, n = config.q, (config.rank - 1) // 2
     closed = q ** (2 * n + 1) + q ** (2 * n - 1) + 2 * q**n
     return DOddComparison(
         rational_total=census_counts.rational_total,

@@ -20,10 +20,12 @@ from .brauer import enumerate_subalcoves, m_alpha, stable_cell_count, theta
 from .census import (
     ClassRecord,
     GroupConfig,
+    classical_invariant_dimension,
     counts,
     d_odd_comparison,
     disconnected_census_check,
     enumerate_classes,
+    has_d_odd_comparison,
     make_group_config,
 )
 from .errors import InvariantViolation, ResourceCapExceeded
@@ -109,34 +111,6 @@ D_ODD_CASE = ("D5", 5)
 ORACLE_CASES = (("A1", 3), ("A1", 5), ("A1", 7))
 
 
-def classical_invariant_dimension(label: TypeLabel, node: int) -> int:
-    """Closed-form fixed-space dimensions per family and minuscule node.
-
-    For odd-rank D the two spin nodes are the order-4 generators; their
-    dimension is (rank-3)/2, matching the orbit count of the induced
-    node permutation.
-    """
-    n = label.rank
-    if node == 0:
-        return n
-    fam = label.family
-    if fam == "A":
-        return gcd(node, n + 1) - 1
-    if fam == "B":
-        return n - 1
-    if fam == "C":
-        return n // 2
-    if fam == "D":
-        if node == 1:
-            return n - 2
-        return n // 2 if n % 2 == 0 else (n - 3) // 2
-    if fam == "E" and n == 6:
-        return 2
-    if fam == "E" and n == 7:
-        return 4
-    raise ValueError(f"{label} has no nontrivial minuscule node {node}")
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -213,20 +187,19 @@ def census_report(config: GroupConfig) -> dict:
     census has run when it returns."""
     records = enumerate_classes(config)
     c = counts(config, records)
-    order = len(config.a_g)
     payload = {
         "type": str(config.datum.label),
         "rank": config.rank,
         "isogeny": config.isogeny_name(),
         "isogeny_nodes": sorted(config.a_g),
-        "isogeny_order": order,
+        "isogeny_order": len(config.a_g),
         "q": config.q,
         "p": config.p,
         "twisted": not config.is_split,
         "twist_order": config.rho.order,
         "hypotheses": {
-            "congruence_holds": config.congruence_holds(order),
-            "p_divides_isogeny_order": order % config.p == 0,
+            "congruence_holds": config.congruence_holds(),
+            "p_divides_isogeny_order": config.p_divides_isogeny_order,
         },
         "classes": records,
         "counts": {
@@ -238,18 +211,8 @@ def census_report(config: GroupConfig) -> dict:
         },
         "warnings": list(c.warnings),
     }
-    if (
-        config.datum.label.family == "D"
-        and config.rank % 2 == 1
-        and order == fundamental_group(config.datum).order
-    ):
-        d = d_odd_comparison(config, c)
-        payload["d_odd_comparison"] = {
-            "rational_total": d.rational_total,
-            "closed_form": d.closed_form,
-            "agree": d.agree,
-            "q_mod_4": d.q_mod_4,
-        }
+    if has_d_odd_comparison(config):
+        payload["d_odd_comparison"] = d_odd_comparison(config, c)._asdict()
     return payload
 
 

@@ -64,8 +64,6 @@ class TypeLabel(namedtuple("TypeLabel", "family rank")):
         lo, hi = _RANK_RANGES[family]
         if rank < lo or (hi is not None and rank > hi):
             raise ValueError(f"invalid rank {rank} for family {family}")
-        if family == "E" and rank not in (6, 7, 8):
-            raise ValueError(f"invalid rank {rank} for family E")
         return super().__new__(cls, family, rank)
 
     @classmethod
@@ -249,11 +247,9 @@ def _build(label: TypeLabel) -> RootDatum:
     return RootDatum(label)
 
 
-def build_root_system(label: TypeLabel | str) -> RootDatum:
-    """Construct (and cache) the root system for a type label."""
-    if isinstance(label, str):
-        label = TypeLabel.parse(label)
-    return _build(label)
+def build_root_system(label: str) -> RootDatum:
+    """Construct (and cache) the root system for a type label such as "E6"."""
+    return _build(TypeLabel.parse(label))
 
 
 def longest_element(datum: RootDatum, subset: Iterable[int]) -> AffineMap:

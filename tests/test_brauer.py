@@ -7,7 +7,12 @@ from operator import itemgetter
 import pytest
 
 from brauercensus import brauer, census, cli, oracle  # noqa: F401 (oracle: cache guard)
-from brauercensus.affine import fundamental_group, minuscule_nodes, standard_symmetry
+from brauercensus.affine import (
+    DiagramSymmetry,
+    fundamental_group,
+    minuscule_nodes,
+    standard_symmetry,
+)
 from brauercensus.brauer import (
     cell_fixed_points,
     enumerate_subalcoves,
@@ -195,7 +200,9 @@ def test_subalcoves_are_closed_under_facet_exchange(label, q):
         assert sub.key == tuple(map(sum, zip(*sub.vertices)))
         # the reflection of vertex j in the facet through the others is
         # v_j - sum_i n_i <a_i, a_j^vee> v_i / n_j; the neighbour it gives
-        # either leaves the alcove or is a cell, with vertex j exchanged
+        # leaves the alcove exactly when the facet lies in an alcove wall,
+        # where the other vertices share a zero numerator, and is a cell,
+        # with vertex j exchanged, otherwise
         for j, apex in enumerate(sub.vertices):
             step = [
                 sum(marks[i] * datum.extended_pairing(i, j) * v[k]
@@ -204,7 +211,10 @@ def test_subalcoves_are_closed_under_facet_exchange(label, q):
             ]
             assert all(d % marks[j] == 0 for d in step)
             new = tuple(x - d // marks[j] for x, d in zip(apex, step))
-            if min(new) < 0:
+            others = sub.vertices[:j] + sub.vertices[j + 1 :]
+            in_wall = any(all(v[m] == 0 for v in others) for m in datum.extended_nodes)
+            assert (min(new) < 0) == in_wall
+            if in_wall:
                 continue
             vertices = sub.vertices[:j] + (new,) + sub.vertices[j + 1 :]
             key = tuple(map(sum, zip(*vertices)))
@@ -525,7 +535,7 @@ def test_theta_matches_union_find(label, isogeny, q, twist):
     points = reference.pair_images(config.datum, config.a_g, table.points)
     assert all(type(x) is int for aff in points for x in aff)
     orbits, strata = union_find_orbits(config.datum, config.a_g, points)
-    assert report.hypotheses_hold == config.congruence_holds(len(config.a_g))
+    assert report.hypotheses_hold == config.congruence_holds()
     assert report.orbit_count == len(orbits)
     assert list(report.strata.items()) == list(strata.items())
 
@@ -535,7 +545,7 @@ def test_theta_missing_orbit_raises(monkeypatch):
     # asserts.  D5 ad q=3 fails the congruence hypothesis; a table that
     # lacks the points of one orbit still raises.
     config = make_group_config("D5", "ad", 3)
-    assert not config.congruence_holds(len(config.a_g))
+    assert not config.congruence_holds()
     table = cell_fixed_points(config)
     dropped = orbit_key(config, table.points[0])
     kept = tuple(aff for aff in table.points if orbit_key(config, aff) != dropped)
@@ -564,6 +574,11 @@ def test_theta_rejects_non_subgroup():
         GroupConfig(datum, {0, 1}, 3, standard_symmetry(datum, "triality"))
     with pytest.raises(ValueError, match=r"nodes \[0, 1, 3\] are not a subgroup"):
         GroupConfig(datum, {0, 1, 3}, 3, standard_symmetry(datum, "split"))
+    # the rotation of the extended A2 triangle preserves the diagram, but
+    # a Frobenius twist must fix the affine node
+    rotation = DiagramSymmetry((1, 2, 0))
+    with pytest.raises(ValueError, match="a graph twist must fix the affine node"):
+        GroupConfig(build_root_system("A2"), {0, 1, 2}, 5, rotation)
 
 
 def test_frobenius_map_twisted_action():

@@ -461,6 +461,10 @@ def test_component_f_action_rejects_foreign_nodes():
     cfg = make_group_config("A2", "sc", 2)
     with pytest.raises(ValueError):
         component_F_action(cfg, frozenset({0, 1, 2}))
+    # {0, 1} is a subgroup of the isogeny group, but triality moves node 1
+    triality = make_group_config("D4", "ad", 3, twisted=True, triality=True)
+    with pytest.raises(ValueError, match="subgroup is not Frobenius-stable"):
+        component_F_action(triality, frozenset({0, 1}))
 
 
 def test_counts_a1_ad():

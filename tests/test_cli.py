@@ -17,10 +17,9 @@ from brauercensus.cli import (
     EXIT_USAGE,
     Check,
     census_report,
-    classical_invariant_dimension,
     main,
 )
-from brauercensus.census import make_group_config
+from brauercensus.census import classical_invariant_dimension, make_group_config
 from brauercensus.errors import InvariantViolation
 from brauercensus.rootdata import TypeLabel
 
@@ -207,9 +206,9 @@ def test_invariant_violation_is_one_fail_line(monkeypatch, suite, callee, config
 
 
 def test_d_odd_stratum_lines_can_fail(monkeypatch):
-    # The suite's D5 q=5 census takes a minute.  The stratum identity
-    # rests on the congruence hypothesis, which fails at q=3 for the
-    # order-4 group, so there every stratum line must read FAIL.
+    # The suite's own D5 q=5 run passes (golden_ladder.json pins it).  The
+    # stratum identity rests on the congruence hypothesis, which fails at
+    # q=3 for the order-4 group, so there every stratum line must read FAIL.
     monkeypatch.setattr(
         cli, "make_group_config", lambda *args, **kw: make_group_config("D5", "ad", 3)
     )

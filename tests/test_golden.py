@@ -6,8 +6,10 @@ and the sha256 of its stdout must equal the digest recorded for it in
 ``perfbench/golden.json``.  So must the census configurations of
 ``golden_ladder.json``, which those workloads miss: E8, E7, F4, G2,
 B3, C3 and E6 adjoint, D4 triality, a D6 ``sub:`` type and twisted A3
-at q = 9.  The benchmark's tracer, which wraps the package's layer
-functions by name, must still run and reproduce a digest.
+at q = 9, and the full runs of the ``verify`` suites table2, table3,
+steinberg, alovefixe, e6e7 and d-odd.  The benchmark's tracer, which
+wraps the package's layer functions by name, must still run and
+reproduce a digest.
 """
 
 import hashlib
