@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantViolation
-from .linalg import AffineMap, Vec, hermite_normal_form, unit_vec, vec_add
+from .linalg import Vec, hermite_normal_form, mat_identity, mat_mul, mat_vec, unit_vec, vec_add
 from .rootdata import RootDatum, longest_element
 
 FOLD_ITERATION_CAP = 100_000
@@ -158,8 +158,10 @@ class FundamentalGroup(NamedTuple):
 
     ``elements`` lists the minuscule nodes with node 0 as the identity;
     the group law in node terms is ``mult[(a, b)] = perm[a](b)``.
-    ``act[a]`` applies ``f_a`` to affine coordinates: an ``itemgetter``
-    of the inverse node permutation.
+    ``weyl[a]`` is the integer matrix of ``z_a`` on coweight coordinates
+    and ``lift[a]`` the coweight ``w_a^vee``.  ``act[a]`` applies ``f_a``
+    to affine coordinates: an ``itemgetter`` of the inverse node
+    permutation.
     """
 
     elements: tuple[int, ...]
@@ -218,29 +220,26 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
         for i in datum.nodes
     ]
     vertex_of = {v: b for b, v in enumerate(vertices)}
-    weyl = {0: AffineMap.identity(n)}
+    weyl = {0: mat_identity(n)}
     perm = {0: DiagramSymmetry.identity(n)}
     lift = {a: coweight_lift(datum, a) for a in mins}
     # E8, F4 and G2 have no minuscule node but node 0, and need no w0.
     w0 = longest_element(datum, datum.nodes) if len(mins) > 1 else None
     for a in mins[1:]:
         wa = longest_element(datum, [i for i in datum.nodes if i != a])
-        z = wa.compose(w0)
+        z = mat_mul(wa, w0)
         shift = tuple(scale * x for x in lift[a])
         images = []
         for v in vertices:
-            node = vertex_of.get(vec_add(z.apply(v), shift))
+            node = vertex_of.get(vec_add(mat_vec(z, v), shift))
             if node is None:
                 raise InvariantViolation(
                     f"{datum.label}: f_{a} does not permute the alcove vertices"
                 )
             images.append(node)
+        # Vertex 0 goes to L lift[a], scaled vertex a as n_a = 1: sym(0) == a.
         sym = DiagramSymmetry(tuple(images))
         validate_symmetry(datum, sym)
-        if sym(0) != a:
-            raise InvariantViolation(
-                f"{datum.label}: z_{a} sends node 0 to {sym(0)}, expected {a}"
-            )
         weyl[a] = z
         perm[a] = sym
     mult = {(a, b): perm[a](b) for a in mins for b in mins}
@@ -370,7 +369,7 @@ def invariant_space(datum: RootDatum, subgroup: frozenset[int]) -> InvariantSpac
         hermite_normal_form(
             [x - (i == j) for j, x in enumerate(row)]
             for h in nodes
-            for i, row in enumerate(group.weyl[h].linear)
+            for i, row in enumerate(group.weyl[h])
         )
     )
     if len(orbits) - 1 != datum.rank - rank:

@@ -18,7 +18,8 @@ the alcove vertices for one (translate, stabilizer) pair per orbit of
 the stabilizers' action on those pairs, and kept as integer affine
 numerators over one common denominator.  A census solves each cell as
 the one walk of the cells yields it, and the walk keeps only their
-keys; neither the cells nor the point table is cached.
+keys; neither the cells nor the point table is cached.  Theta's strata,
+the orbits meeting each node's fixed space, are read off the records.
 """
 
 from __future__ import annotations
@@ -307,33 +308,20 @@ def m_alpha(
     return tuple(stable)
 
 
-class ThetaReport(NamedTuple):
-    """The orbits of the isogeny subgroup on the fixed points of all its
-    (cell, node) pairs, and ``strata[a]``, the number of orbits meeting
-    the fixed space of node a.  The census asserts that the orbits number
-    ``q**rank`` whatever the hypothesis.  Only the strata depend on
-    ``hypotheses_hold`` (split with q = 1 mod the subgroup order, or
-    twisted with q = -1): they are the paper's counts only when it holds.
-    """
-
-    orbit_count: int
-    strata: dict
-    hypotheses_hold: bool
-
-
-def theta(config: GroupConfig, records: Sequence[ClassRecord]) -> ThetaReport:
-    """Theta read from the census records of ``config``.
+def theta(config: GroupConfig, records: Sequence[ClassRecord]) -> dict[int, int]:
+    """Theta read from the census records of ``config``: its strata,
+    ``{a: count}`` in node order, where count is the number of orbits of
+    the isogeny subgroup on the fixed points of all its (cell, node)
+    pairs that meet the fixed space of node a.
 
     Each record is one orbit, keyed by its least subgroup image, and its
     component group holds the nodes that fix that key.  The group is
     abelian, so a node fixing one point of an orbit fixes all of them:
     the orbit meets the fixed space of node a exactly when a is in the
-    record's component group.
+    record's component group.  The census asserts that the orbits, the
+    records, number ``q**rank`` whatever the hypothesis.  Only the strata
+    depend on ``config.congruence_holds()`` (split with q = 1 mod the
+    subgroup order, or twisted with q = -1): they are the paper's counts
+    only when it holds.
     """
-    return ThetaReport(
-        orbit_count=len(records),
-        strata={
-            a: sum(1 for r in records if a in r.comp_group) for a in sorted(config.a_g)
-        },
-        hypotheses_hold=config.congruence_holds(),
-    )
+    return {a: sum(1 for r in records if a in r.comp_group) for a in sorted(config.a_g)}

@@ -1,15 +1,15 @@
 """Census of F-stable semisimple conjugacy classes for one isogeny type.
 
 An isogeny type is a subgroup of the fundamental group; it determines
-the cocharacter lattice between the coroot and coweight lattices.  Two
-alcove points parametrize the same class exactly when some subgroup
-element carries one onto the other modulo that lattice, and a class is
-F-stable when its point is equivalent to the folded image of its
-Frobenius translate.  Every stable class is classified by the zero set
-of its affine coordinates (a basis of the connected-centralizer root
-system), its component group inside the isogeny subgroup, and the
-Frobenius action on that component group, from which the rational class
-and semisimple character counts follow.
+the cocharacter lattice between the coroot and coweight lattices, kept
+as its Hermite normal form basis.  Two alcove points parametrize the
+same class exactly when some subgroup element carries one onto the other
+modulo that lattice, and a class is F-stable when its point is
+equivalent to the folded image of its Frobenius translate.  Every stable
+class is classified by the zero set of its affine coordinates (a basis
+of the connected-centralizer root system), its component group inside
+the isogeny subgroup, and the Frobenius action on that component group,
+from which the rational class and semisimple character counts follow.
 
 Points are integer affine numerators over one common denominator from
 the fixed-point solve to the class records: orbit keys are int tuples,
@@ -45,20 +45,6 @@ from .brauer import (
 from .errors import InvariantViolation
 from .linalg import Vec, hermite_normal_form, lattice_contains, prime_power, unit_vec
 from .rootdata import RootDatum, TypeLabel, build_root_system, subdiagram_type
-
-
-class Lattice:
-    """An integer lattice between the coroot and coweight lattices."""
-
-    def __init__(self, generators: Iterable[Sequence[int]]):
-        self.basis = hermite_normal_form(generators)
-
-    def contains(self, vec: Vec) -> bool:
-        return lattice_contains(self.basis, vec)
-
-    @property
-    def index_in_coweights(self) -> int:
-        return prod(row[i] for i, row in enumerate(self.basis))
 
 
 class GroupConfig(namedtuple("GroupConfig", "datum a_g q rho p")):
@@ -170,20 +156,22 @@ def make_group_config(
 
 
 @lru_cache(maxsize=None)
-def cocharacter_lattice(config: GroupConfig) -> Lattice:
-    """The lattice spanned by the coroots and the subgroup's coweights."""
+def cocharacter_lattice(config: GroupConfig) -> tuple[Vec, ...]:
+    """The lattice spanned by the coroots and the subgroup's coweights,
+    between the coroot and coweight lattices, as its Hermite normal form
+    basis; its index in the coweights is the product of the pivots."""
     gens = list(config.datum.coroot_coords)
     group = fundamental_group(config.datum)
     for a in sorted(config.a_g):
         gens.append(group.lift[a])
-    lat = Lattice(gens)
+    basis = hermite_normal_form(gens)
+    index = prod(row[i] for i, row in enumerate(basis))
     expected = group.order // len(config.a_g)
-    if lat.index_in_coweights != expected:
+    if index != expected:
         raise InvariantViolation(
-            f"{config}: cocharacter lattice has index {lat.index_in_coweights}, "
-            f"expected {expected}"
+            f"{config}: cocharacter lattice has index {index}, expected {expected}"
         )
-    return lat
+    return basis
 
 
 def orbit_equal(config: GroupConfig, lam: tuple, mu: tuple) -> Optional[int]:
@@ -206,7 +194,7 @@ def orbit_equal(config: GroupConfig, lam: tuple, mu: tuple) -> Optional[int]:
         raise ValueError("orbit comparison requires one common denominator")
     datum = config.datum
     act = fundamental_group(datum).act
-    lattice = cocharacter_lattice(config)
+    basis = cocharacter_lattice(config)
     for z in sorted(config.a_g):
         image = act[z](lam)
         if image == mu:
@@ -218,7 +206,7 @@ def orbit_equal(config: GroupConfig, lam: tuple, mu: tuple) -> Optional[int]:
                 break
             diff.append(k)
         else:
-            if lattice.contains(diff):
+            if lattice_contains(basis, diff):
                 return z
     return None
 

@@ -3,7 +3,8 @@
 Vectors are tuples and matrices are tuples of row tuples, with entries
 that are Python ints or exact rationals.  Nothing in this package ever
 touches floating point; the two kinds of entries compare and hash
-consistently, so mixed tuples are safe as dict keys.
+consistently, so mixed tuples are safe as dict keys.  A linear map is
+its matrix, applied with ``mat_vec`` and composed with ``mat_mul``.
 
 Four integer algorithms live here: fraction-free (Bareiss) elimination
 for square systems, with integer numerators over a positive pivot; the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from math import isqrt
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vec = tuple
 Mat = tuple
@@ -46,10 +47,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
 
 def vec_dot(u: Vec, v: Vec):
     return sum(a * b for a, b in zip(u, v))
-
-
-def zero_vec(n: int) -> Vec:
-    return (0,) * n
 
 
 def unit_vec(n: int, i: int) -> Vec:
@@ -109,27 +106,6 @@ def bareiss(matrix: Mat, rhs: Vec) -> tuple[tuple[int, ...], int]:
     if prev < 0:
         return tuple(-x for x in nums), -prev
     return tuple(nums), prev
-
-
-class AffineMap(NamedTuple):
-    """An exact affine transformation ``x -> linear @ x + translation``."""
-
-    linear: Mat
-    translation: Vec
-
-    @classmethod
-    def identity(cls, n: int) -> "AffineMap":
-        return cls(mat_identity(n), zero_vec(n))
-
-    def apply(self, v: Vec) -> Vec:
-        return vec_add(mat_vec(self.linear, v), self.translation)
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: ``x -> self(other(x))``."""
-        return AffineMap(
-            mat_mul(self.linear, other.linear),
-            vec_add(mat_vec(self.linear, other.translation), self.translation),
-        )
 
 
 def hermite_normal_form(generators: Iterable[Sequence[int]]) -> tuple[Vec, ...]:

@@ -19,14 +19,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import InvariantViolation
-from .linalg import (
-    AffineMap,
-    Mat,
-    Vec,
-    mat_identity,
-    mat_transpose,
-    vec_dot,
-)
+from .linalg import Mat, Vec, mat_identity, mat_transpose, vec_dot
 
 FAMILIES = "ABCDEFG"
 
@@ -252,12 +245,13 @@ def build_root_system(label: str) -> RootDatum:
     return _build(TypeLabel.parse(label))
 
 
-def longest_element(datum: RootDatum, subset: Iterable[int]) -> AffineMap:
-    """Longest element of the parabolic Weyl subgroup on the given nodes.
+def longest_element(datum: RootDatum, subset: Iterable[int]) -> Mat:
+    """Longest element of the parabolic Weyl subgroup on the given nodes,
+    as its integer matrix on coweight coordinates.
 
     Computed by the descent walk: push a vector that is strictly dominant
     for the subset down until it is antidominant, accumulating the applied
-    reflections.  The resulting map sends every positive root of the
+    reflections.  The resulting element sends every positive root of the
     sub-system to a negative one.
     """
     nodes = sorted(set(subset))
@@ -280,7 +274,7 @@ def longest_element(datum: RootDatum, subset: Iterable[int]) -> AffineMap:
             ck = col[k]
             if ck:
                 mat[k] = [x - ck * y for x, y in zip(mat[k], row_i)]
-    return AffineMap(tuple(tuple(r) for r in mat), (0,) * n)
+    return tuple(tuple(r) for r in mat)
 
 
 def _classify_component(datum: RootDatum, comp: list[int]) -> TypeLabel:

@@ -11,11 +11,14 @@ between the two descriptions of a point and a rational square solver;
 plus the earlier all-pairs cell fixed-point table, which solves every
 (cell, node) pair instead of one per orbit of the node subgroup; plus
 the earlier census serializer, which built one ``Fraction`` per printed
-coordinate into a payload dict for ``json.dumps``, and its TSV.
+coordinate into a payload dict for ``json.dumps``, and its TSV; plus
+``AffineMap``, the exact affine maps with a translation that only this
+reference builds.
 """
 
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from brauercensus.affine import (
     FOLD_ITERATION_CAP,
@@ -25,7 +28,38 @@ from brauercensus.affine import (
 from brauercensus.brauer import enumerate_subalcoves, fixed_point
 from brauercensus.census import cocharacter_lattice
 from brauercensus.errors import InvariantViolation
-from brauercensus.linalg import AffineMap, bareiss, vec_dot
+from brauercensus.linalg import (
+    bareiss,
+    lattice_contains,
+    mat_identity,
+    mat_mul,
+    mat_vec,
+    vec_add,
+    vec_dot,
+)
+
+
+class AffineMap(NamedTuple):
+    """An exact affine transformation ``x -> linear @ x + translation``:
+    the rational maps of this reference, f_a = z_a + w_a^vee, the
+    Frobenius and the affine wall reflection."""
+
+    linear: tuple
+    translation: tuple
+
+    @classmethod
+    def identity(cls, n: int) -> "AffineMap":
+        return cls(mat_identity(n), (0,) * n)
+
+    def apply(self, v):
+        return vec_add(mat_vec(self.linear, v), self.translation)
+
+    def compose(self, other: "AffineMap") -> "AffineMap":
+        """self after other: ``x -> self(other(x))``."""
+        return AffineMap(
+            mat_mul(self.linear, other.linear),
+            vec_add(mat_vec(self.linear, other.translation), self.translation),
+        )
 
 
 def in_alcove(pt):
@@ -113,7 +147,7 @@ def fixed_space(maps):
 def f_map(datum, node):
     """The alcove-stabilizing affine map ``z_node + coweight(node)``."""
     group = fundamental_group(datum)
-    return AffineMap(group.weyl[node].linear, group.lift[node])
+    return AffineMap(group.weyl[node], group.lift[node])
 
 
 def hyperplane_containment(datum, subgroup, q):
@@ -177,13 +211,14 @@ def orbit_equal(config, lam, mu):
     if not in_alcove(lam) or not in_alcove(mu):
         raise ValueError("orbit comparison requires points of the closed alcove")
     group = fundamental_group(config.datum)
-    lattice = cocharacter_lattice(config)
+    basis = cocharacter_lattice(config)
     for z in sorted(config.a_g):
         image = group.act[z](lam.affine)
         diff = tuple(
             a - b for a, b in zip(coords_from_affine(config.datum, image), mu.coords)
         )
-        if all(Fraction(x).denominator == 1 for x in diff) and lattice.contains(diff):
+        integral = all(Fraction(x).denominator == 1 for x in diff)
+        if integral and lattice_contains(basis, diff):
             return z
     return None
 

@@ -18,7 +18,7 @@ from brauercensus.affine import (
 from brauercensus import affine
 from brauercensus.census import cocharacter_lattice, make_group_config
 from brauercensus.errors import InvariantViolation
-from brauercensus.linalg import AffineMap
+from brauercensus.linalg import lattice_contains, mat_identity
 from brauercensus.rootdata import build_root_system, longest_element
 
 import fraction_reference as reference
@@ -29,15 +29,17 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 def wall_reflections(datum):
     """Reflections in the alcove walls, keyed by the node of the wall: the
     simple reflections, and for node 0 the affine reflection in
-    ``<a_0, x> = 1``."""
+    ``<a_0, x> = 1``, as reference maps."""
     n = datum.rank
-    gens = {i: longest_element(datum, [i]) for i in datum.nodes}
+    gens = {
+        i: reference.AffineMap(longest_element(datum, [i]), (0,) * n) for i in datum.nodes
+    }
     hr = datum.highest_root
     hrv = datum.coroot_coweight(datum.highest_root)
     linear = tuple(
         tuple((1 if k == j else 0) - hrv[k] * hr[j] for j in range(n)) for k in range(n)
     )
-    gens[0] = AffineMap(linear, tuple(hrv))
+    gens[0] = reference.AffineMap(linear, tuple(hrv))
     return gens
 
 
@@ -74,7 +76,7 @@ def test_alcove_membership():
 def test_z_element_identity_node():
     a2 = build_root_system("A2")
     zmap, zperm = z_element(a2, 0)
-    assert zmap == AffineMap.identity(2) and zperm.is_identity
+    assert zmap == mat_identity(2) and zperm.is_identity
 
 
 def test_z_element_cycle_in_type_a():
@@ -122,7 +124,7 @@ def test_fundamental_group_lift_law():
     # the coweight lift of a product differs from the sum of lifts by a coroot
     for label in ("A3", "D4", "D5", "E6", "E7"):
         config = make_group_config(label, "sc", 2)
-        lattice = cocharacter_lattice(config)
+        basis = cocharacter_lattice(config)
         g = fundamental_group(config.datum)
         for a in g.elements:
             for b in g.elements:
@@ -131,12 +133,12 @@ def test_fundamental_group_lift_law():
                     x + y - z
                     for x, y, z in zip(g.lift[a], g.lift[b], g.lift[c])
                 )
-                assert lattice.contains(diff)
+                assert lattice_contains(basis, diff)
 
 
 def test_f_map_basics():
     a1 = build_root_system("A1")
-    assert reference.f_map(a1, 0) == AffineMap.identity(1)
+    assert reference.f_map(a1, 0) == reference.AffineMap.identity(1)
     f = reference.f_map(a1, 1)
     assert f.apply((Fraction(0),)) == (1,)
     assert f.apply((Fraction(1, 4),)) == (Fraction(3, 4),)
@@ -352,7 +354,7 @@ def test_fundamental_group_violation_names_the_type(monkeypatch):
     # with every longest element the identity, z_a is the identity and
     # f_a translates the alcove by the coweight of a, off its vertices
     a2 = build_root_system("A2")
-    monkeypatch.setattr(affine, "longest_element", lambda datum, nodes: AffineMap.identity(2))
+    monkeypatch.setattr(affine, "longest_element", lambda datum, nodes: mat_identity(2))
     with pytest.raises(InvariantViolation, match=r"^A2: f_1 does not permute"):
         fundamental_group.__wrapped__(a2)
 
@@ -376,6 +378,8 @@ def test_hyperplane_containment_cases():
     assert invariant_space(d4, klein).orbits == ((0, 1, 3, 4), (2,))
     assert hyperplane_containment(d4, klein, 4) == ((0, 1, 1, 1), 2)
     assert hyperplane_containment(d4, klein, 3) is None
+    with pytest.raises(ValueError, match="^q must be at least 2$"):
+        hyperplane_containment(a2, frozenset({0}), 1)
 
 
 def test_fundamental_group_law_check_fires(monkeypatch):

@@ -29,7 +29,7 @@ from brauercensus.census import (
     orbit_key,
 )
 from brauercensus.errors import InvariantViolation
-from brauercensus.linalg import AffineMap, prime_power
+from brauercensus.linalg import prime_power
 from brauercensus.rootdata import build_root_system
 
 import fraction_reference as reference
@@ -73,7 +73,7 @@ def subalcove_map(datum, q, sub):
         )
         for k in range(datum.rank)
     )
-    return AffineMap(linear, tuple(Fraction(x, s) for x in origin))
+    return reference.AffineMap(linear, tuple(Fraction(x, s) for x in origin))
 
 
 def reference_fixed_point(config, sub, node):
@@ -82,7 +82,7 @@ def reference_fixed_point(config, sub, node):
     linear solve."""
     datum, q = config.datum, config.q
     perm = reference.coweight_permutation_matrix(datum, config.rho)
-    f_inverse = AffineMap(
+    f_inverse = reference.AffineMap(
         tuple(tuple(Fraction(x, q) for x in row) for row in perm), (0,) * datum.rank
     )
     composite = subalcove_map(datum, q, sub).compose(
@@ -396,34 +396,36 @@ def test_m_alpha_nonzero_and_zero_branches():
 
 
 def census_theta(label, isogeny, q, twist=False):
+    """The configuration, its census records and theta's strata."""
     config = make_group_config(label, isogeny, q, twisted=twist)
-    return config, theta(config, enumerate_classes(config))
+    records = enumerate_classes(config)
+    return config, records, theta(config, records)
 
 
 def test_theta_trivial_subgroup():
-    config, report = census_theta("A2", "sc", 3)
-    assert report.orbit_count == 9
-    assert report.strata == {0: 9}
+    config, records, strata = census_theta("A2", "sc", 3)
+    assert len(records) == 9
+    assert strata == {0: 9}
     # the identity alone: each of the 9 points is its own orbit
     table = cell_fixed_points(config)
     assert len(reference.pair_images(config.datum, config.a_g, table.points)) == 9
 
 
 def test_theta_orbits_full_group():
-    _, report = census_theta("A2", "ad", 7)
-    assert report.hypotheses_hold
-    assert report.orbit_count == 49
-    assert report.strata == {0: 49, 1: 1, 2: 1}
+    config, records, strata = census_theta("A2", "ad", 7)
+    assert config.congruence_holds()
+    assert len(records) == 49
+    assert strata == {0: 49, 1: 1, 2: 1}
 
 
 def test_theta_twisted():
-    _, report = census_theta("A2", "ad", 5, twist=True)
-    assert report.hypotheses_hold
-    assert report.orbit_count == 25
-    config, report = census_theta("E6", "ad", 2, twist=True)
+    config, records, _ = census_theta("A2", "ad", 5, twist=True)
+    assert config.congruence_holds()
+    assert len(records) == 25
+    config, records, strata = census_theta("E6", "ad", 2, twist=True)
     assert config.a_g == frozenset({0, 1, 6})
-    assert report.orbit_count == 64
-    assert report.strata[1] == 4
+    assert len(records) == 64
+    assert strata[1] == 4
 
 
 def counted_calls(monkeypatch, module, name, *holders):
@@ -530,14 +532,13 @@ def union_find_orbits(datum, subgroup, points):
 def test_theta_matches_union_find(label, isogeny, q, twist):
     # theta reads the census records; union-find runs on the subgroup
     # images of the census's integer point table
-    config, report = census_theta(label, isogeny, q, twist)
+    config, records, strata = census_theta(label, isogeny, q, twist)
     table = cell_fixed_points(config)
     points = reference.pair_images(config.datum, config.a_g, table.points)
     assert all(type(x) is int for aff in points for x in aff)
-    orbits, strata = union_find_orbits(config.datum, config.a_g, points)
-    assert report.hypotheses_hold == config.congruence_holds()
-    assert report.orbit_count == len(orbits)
-    assert list(report.strata.items()) == list(strata.items())
+    orbits, want = union_find_orbits(config.datum, config.a_g, points)
+    assert len(records) == len(orbits)
+    assert list(strata.items()) == list(want.items())
 
 
 def test_theta_missing_orbit_raises(monkeypatch):
@@ -605,12 +606,42 @@ def _unstable_orbit(monkeypatch, config):
     enumerate_classes(config)
 
 
+def _walk_leaves_the_alcove(monkeypatch, config):
+    # exchanging wall facets too, the walk steps out of the alcove
+    monkeypatch.setattr(brauer, "eq", lambda a, b: False)
+    enumerate_subalcoves(config)
+
+
+def _walk_stops_short(monkeypatch, config):
+    # exchanging across facets 0 and 1 only, the walk reaches 3 cells
+    rows = brauer.wall_neighbours(config.datum)[:2]
+    monkeypatch.setattr(brauer, "wall_neighbours", lambda datum: rows)
+    enumerate_subalcoves(config)
+
+
+def _p_in_denominator(monkeypatch, config):
+    solve = brauer.bareiss
+
+    def bareiss(rows, rhs):
+        nums, pivot = solve(rows, rhs)
+        return nums, pivot * config.p
+
+    monkeypatch.setattr(brauer, "bareiss", bareiss)
+    cell_fixed_points(config)
+
+
 @pytest.mark.parametrize(
     "check,label,q,kind,name,detail",
     [
         (_onto_no_subalcove, "A2", 5, "twisted", "A2 ad q=5 twisted", "an alcove"),
         (_m_alpha_count, "D4", 2, "triality", "D4 ad q=2 triality", "nodes [0] have 15"),
         (_unstable_orbit, "E6", 2, "twisted", "E6 ad q=2 twisted", "orbit ("),
+        (_walk_leaves_the_alcove, "A2", 5, "twisted", "A2 ad q=5 twisted",
+         "found more than 25 sub-alcoves"),
+        (_walk_stops_short, "A2", 5, "twisted", "A2 ad q=5 twisted",
+         "found 3 sub-alcoves, expected 25"),
+        (_p_in_denominator, "A2", 5, "twisted", "A2 ad q=5 twisted",
+         "the fixed point of sub-alcove"),
     ],
 )
 def test_violations_name_the_whole_configuration(

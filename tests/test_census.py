@@ -2,7 +2,7 @@ import copy
 import inspect
 import textwrap
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,6 @@ from brauercensus.affine import FundamentalGroup, affine_point, fold_coords, fun
 from brauercensus.brauer import (
     cell_fixed_points,
     frobenius_image,
-    theta,
 )
 from brauercensus.census import (
     cocharacter_lattice,
@@ -60,10 +59,21 @@ def test_isogeny_subgroup_closure():
     assert cfg.isogeny_name() == "sub:1"
 
 
-def test_cocharacter_lattice_indices():
+def test_cocharacter_lattice_indices(monkeypatch):
     for label, iso, index in [("A3", "sc", 4), ("A3", "ad", 1), ("D4", [1], 2)]:
         cfg = make_group_config(label, iso, 3)
-        assert cocharacter_lattice(cfg).index_in_coweights == index
+        basis = cocharacter_lattice(cfg)
+        assert prod(row[i] for i, row in enumerate(basis)) == index
+    # with the lifts of nodes 1 and 2 zeroed, the adjoint A2 lattice is
+    # only the coroot lattice, of index 3 instead of 1
+    cfg = make_group_config("A2", "ad", 3)
+    lift = fundamental_group(cfg.datum).lift
+    monkeypatch.setitem(lift, 1, (0, 0))
+    monkeypatch.setitem(lift, 2, (0, 0))
+    with pytest.raises(
+        InvariantViolation, match=r"^A2 ad q=3: cocharacter lattice has index 3, expected 1$"
+    ):
+        cocharacter_lattice.__wrapped__(cfg)
 
 
 def test_orbit_equal_basics():
@@ -219,7 +229,7 @@ def test_pair_orbits_match_the_all_pairs_table(label, iso, q, kind):
     }
     assert reference.pair_images(datum, config.a_g, table.points) == every
     records = enumerate_classes(config)
-    assert theta(config, records).orbit_count == q**datum.rank
+    assert len(records) == q**datum.rank
     assert table.solves == counts(config, records).rational_total
     assert table.solves <= q**datum.rank * len(config.a_g)
 
@@ -523,19 +533,33 @@ def test_d4_triality_census():
     assert c.geometric_total == 16
 
 
-def test_disconnected_check_families():
+def test_disconnected_check_families(monkeypatch):
     assert disconnected_census_check(make_group_config("A2", "ad", 5)) == 1
     assert disconnected_census_check(make_group_config("C4", "ad", 3)) == 9
     assert disconnected_census_check(make_group_config("E6", "ad", 2)) == 4
+    # a census that counts one disconnected class too many is named
+    true_counts = census.counts
+
+    def one_too_many(config):
+        c = true_counts(config)
+        return c._replace(n_disconnected=c.n_disconnected + 1)
+
+    monkeypatch.setattr(census, "counts", one_too_many)
+    with pytest.raises(
+        InvariantViolation, match=r"^A2 ad q=5: 2 disconnected classes, expected 1$"
+    ):
+        disconnected_census_check(make_group_config("A2", "ad", 5))
 
 
 def test_disconnected_check_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires p not dividing"):
         expected_disconnected_count(make_group_config("A2", "ad", 3))  # p = |A_G|
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires an isogeny group of prime order"):
         expected_disconnected_count(make_group_config("D4", "ad", 3))  # order 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires an isogeny group of prime order"):
         expected_disconnected_count(make_group_config("A1", "sc", 3))  # trivial
+    with pytest.raises(ValueError, match="requires the adjoint isogeny type"):
+        expected_disconnected_count(make_group_config("D4", [1], 3))  # order 2 of 4
 
 
 def test_unstable_orbit_raises(monkeypatch):

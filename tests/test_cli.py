@@ -120,6 +120,13 @@ def test_usage_errors():
     assert code == EXIT_USAGE and out == ""
     assert err == "usage error: q = 6 is not a prime power >= 2\n"
     assert run(["census", "--type", "A1", "--isogeny", "xx", "--q", "3"])[0] == EXIT_USAGE
+    code, out, err = run(["census", "--type", "A5", "--isogeny", "sub:x", "--q", "4"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "usage error: cannot parse isogeny node 'x'\n"
+    # the parser requires a command
+    code, out, err = run([])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "usage error: the following arguments are required: command\n"
     assert run(["census", "--type", "B3", "--isogeny", "ad", "--q", "3", "--twisted"])[0] == EXIT_USAGE
     assert run(["verify", "--suite", "nope"])[0] == EXIT_USAGE
     assert run(["bogus"])[0] == EXIT_USAGE
@@ -343,6 +350,8 @@ def test_classical_dimension_table():
     assert classical_invariant_dimension(TypeLabel("D", 5), 4) == 1
     assert classical_invariant_dimension(TypeLabel("D", 6), 6) == 3
     assert classical_invariant_dimension(TypeLabel("E", 7), 7) == 4
+    with pytest.raises(ValueError, match="^E8 has no nontrivial minuscule node 1$"):
+        classical_invariant_dimension(TypeLabel("E", 8), 1)
 
 
 def test_readme_command_line_examples_run():

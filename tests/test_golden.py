@@ -3,11 +3,16 @@
 Every ``census``, ``info`` and ``verify`` invocation of the benchmark's
 workloads (``perfbench/run.py``) runs in-process through ``cli.main``,
 and the sha256 of its stdout must equal the digest recorded for it in
-``perfbench/golden.json``.  So must the census configurations of
+``perfbench/golden.json``.  So must the invocations of
 ``golden_ladder.json``, which those workloads miss: E8, E7, F4, G2,
 B3, C3 and E6 adjoint, D4 triality, a D6 ``sub:`` type and twisted A3
-at q = 9, and the full runs of the ``verify`` suites table2, table3,
-steinberg, alovefixe, e6e7 and d-odd.  The benchmark's tracer, which
+at q = 9; split and twisted D4 adjoint at q = 3, whose fundamental
+group is the Klein four-group and whose twist swaps the spin nodes;
+twisted D5 adjoint at q = 3, which carries the split
+``d_odd_comparison`` form; the A5 ``sub:2`` type at q = 4; ``info`` on
+D6, whose invariant dimensions read the Weyl matrices; and the full
+runs of the ``verify`` suites table2, table3, steinberg, alovefixe,
+e6e7 and d-odd.  The benchmark's tracer, which
 wraps the package's layer functions by name, must still run and
 reproduce a digest.
 """

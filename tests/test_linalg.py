@@ -5,14 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauercensus.linalg import (
-    AffineMap,
     SingularMatrixError,
     bareiss,
     hermite_normal_form,
     lattice_contains,
 )
 
-from fraction_reference import fixed_space, nullspace, solve_affine, solve_linear
+from fraction_reference import (
+    AffineMap,
+    fixed_space,
+    nullspace,
+    solve_affine,
+    solve_linear,
+)
 
 
 def test_solve_linear_exact():

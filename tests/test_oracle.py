@@ -33,6 +33,8 @@ def test_spec_validation():
         SmallGroupSpec("GL2", 3)
     with pytest.raises(ValueError):
         SmallGroupSpec("SL2", 6)
+    with pytest.raises(ValueError, match="^field of order 16 not supported$"):
+        SmallGroupSpec("SL2", 16)
     assert SmallGroupSpec("SL2", 3).order == 24
     assert SmallGroupSpec("PGL2", 3).order == 24
     assert SmallGroupSpec("SL3", 2).order == 168
