@@ -1,14 +1,14 @@
 """Census of F-stable semisimple conjugacy classes for one isogeny type.
 
-An isogeny type is a subgroup of the fundamental group; it determines
-the cocharacter lattice between the coroot and coweight lattices, kept
-as its Hermite normal form basis.  Two alcove points parametrize the
-same class exactly when some subgroup element carries one onto the other
-modulo that lattice, and a class is F-stable when its point is
-equivalent to the folded image of its Frobenius translate.  Every stable
-class is classified by the zero set of its affine coordinates (a basis
-of the connected-centralizer root system), its component group inside
-the isogeny subgroup, and the Frobenius action on that component group,
+An isogeny type is a subgroup A_G of the fundamental group, whose
+elements a act on the closed alcove as the stabilizers f_a.  The closed
+alcove meets each orbit of the affine Weyl group exactly once, so two
+alcove points parametrize the same class exactly when some f_a carries
+one onto the other, and a class is F-stable when the folded image of its
+Frobenius translate is such an image of its point.  Every stable class
+is classified by the zero set of its affine coordinates (a basis of the
+connected-centralizer root system), its component group inside the
+isogeny subgroup, and the Frobenius action on that component group,
 from which the rational class and semisimple character counts follow.
 
 Points are integer affine numerators over one common denominator from
@@ -24,15 +24,13 @@ dimension of a nontrivial node, and the odd-rank D rational total.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .affine import (
     DiagramSymmetry,
     fold_coords,
     fundamental_group,
-    minuscule_nodes,
     standard_symmetry,
     validate_symmetry,
 )
@@ -43,7 +41,7 @@ from .brauer import (
     stable_cell_count,
 )
 from .errors import InvariantViolation
-from .linalg import Vec, hermite_normal_form, lattice_contains, prime_power, unit_vec
+from .linalg import prime_power
 from .rootdata import RootDatum, TypeLabel, build_root_system, subdiagram_type
 
 
@@ -155,60 +153,23 @@ def make_group_config(
     return GroupConfig(datum, nodes, q, standard_symmetry(datum, kind))
 
 
-@lru_cache(maxsize=None)
-def cocharacter_lattice(config: GroupConfig) -> tuple[Vec, ...]:
-    """The lattice spanned by the coroots and the subgroup's coweights,
-    between the coroot and coweight lattices, as its Hermite normal form
-    basis; its index in the coweights is the product of the pivots."""
-    gens = list(config.datum.coroot_coords)
-    group = fundamental_group(config.datum)
-    for a in sorted(config.a_g):
-        gens.append(group.lift[a])
-    basis = hermite_normal_form(gens)
-    index = prod(row[i] for i, row in enumerate(basis))
-    expected = group.order // len(config.a_g)
-    if index != expected:
-        raise InvariantViolation(
-            f"{config}: cocharacter lattice has index {index}, expected {expected}"
-        )
-    return basis
-
-
 def orbit_equal(config: GroupConfig, lam: tuple, mu: tuple) -> Optional[int]:
-    """A subgroup element carrying one alcove point onto the other modulo
-    the cocharacter lattice, or None.
+    """The first subgroup element a, in increasing node order (the
+    identity, node 0, first), with f_a(lam) == mu, or None.
 
-    Points are integer affine numerators over one common denominator D
-    (their sum) and must lie in the closed alcove.  Coweight coordinate i
-    is numerator i over ``marks_i * D``, so a difference is a coweight
-    vector exactly when each of its numerators is divisible by that; an
-    image equal to the other point is a witness without that test.  The
-    first witness in increasing node order is returned (the identity,
-    node 0, is tested first), so any exact-equality witness that exists
-    may be shadowed by an earlier lattice-difference witness.
+    Points are integer affine numerators over one common denominator
+    (their sum) and must lie in the closed alcove.  W ⋉ Y, Y the
+    cocharacter lattice, is the affine Weyl group extended by the f_a
+    with a in A_G, and the closed alcove meets each affine Weyl group
+    orbit once, so two alcove points lie in one class exactly when some
+    f_a carries one onto the other.
     """
     if min(lam) < 0 or min(mu) < 0:
         raise ValueError("orbit comparison requires points of the closed alcove")
-    level = sum(lam)
-    if sum(mu) != level:
+    if sum(mu) != sum(lam):
         raise ValueError("orbit comparison requires one common denominator")
-    datum = config.datum
-    act = fundamental_group(datum).act
-    basis = cocharacter_lattice(config)
-    for z in sorted(config.a_g):
-        image = act[z](lam)
-        if image == mu:
-            return z
-        diff = []
-        for a, b, i in zip(image[1:], mu[1:], datum.nodes):
-            k, r = divmod(a - b, datum.marks[i] * level)
-            if r:
-                break
-            diff.append(k)
-        else:
-            if lattice_contains(basis, diff):
-                return z
-    return None
+    act = fundamental_group(config.datum).act
+    return next((z for z in sorted(config.a_g) if act[z](lam) == mu), None)
 
 
 def f_stable(config: GroupConfig, lam: tuple) -> Optional[int]:
@@ -301,11 +262,11 @@ def _classify(
         types[zeros] = subdiagram_type(datum, zeros)
     stabilizer = frozenset(z for z in config.a_g if group.act[z](key) == key)
     if stabilizer not in components:
-        if not group.is_subgroup(stabilizer):
-            raise InvariantViolation(
-                f"{config}: point stabilizer is not a subgroup"
-            )
-        action, fixed = component_F_action(config, stabilizer)
+        # A point stabilizer is a subgroup: fundamental_group asserts the node law.
+        try:
+            action, fixed = component_F_action(config, stabilizer)
+        except ValueError as exc:
+            raise InvariantViolation(f"{config}: {exc}") from exc
         components[stabilizer] = (
             tuple(sorted(stabilizer)),
             tuple(sorted(action.items())),
@@ -338,18 +299,6 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
     expected = q**datum.rank
     table = cell_fixed_points(config)
     orbits = dict.fromkeys(orbit_key(config, aff) for aff in table.points)
-
-    # The canonical keys must agree with the pairwise orbit relation on
-    # the minuscule alcove vertices, where the key shortcut is least
-    # obvious.
-    vertex_affines = [unit_vec(datum.rank + 1, b) for b in minuscule_nodes(datum)]
-    for i, aff_a in enumerate(vertex_affines):
-        for aff_b in vertex_affines[i + 1 :]:
-            same_key = orbit_key(config, aff_a) == orbit_key(config, aff_b)
-            if same_key != (orbit_equal(config, aff_a, aff_b) is not None):
-                raise InvariantViolation(
-                    f"{config}: orbit key disagrees with the orbit relation"
-                )
 
     records = []
     types: dict = {}

@@ -571,14 +571,16 @@ def main(argv=None) -> int:
             print(json.dumps(report, indent=2, sort_keys=True))
             return EXIT_OK
         if args.command == "census":
+            isogeny = _parse_isogeny(args.isogeny)
+            # The cap needs only the type and q, so it comes before the
+            # configuration's prime-power test, which trial-divides up to
+            # isqrt(q); a q < 2 is left to that test's usage error.
+            if args.q >= 2:
+                label = TypeLabel.parse(args.type)
+                _check_subalcove_cap(label, args.q, args.max_subalcoves)
             config = make_group_config(
-                args.type,
-                _parse_isogeny(args.isogeny),
-                args.q,
-                twisted=args.twisted,
-                triality=args.triality,
+                args.type, isogeny, args.q, twisted=args.twisted, triality=args.triality
             )
-            _check_subalcove_cap(config.datum.label, config.q, args.max_subalcoves)
             report = census_report(config)
             if args.format == "tsv":
                 sys.stdout.writelines(census_tsv(report))

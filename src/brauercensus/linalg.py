@@ -6,11 +6,10 @@ touches floating point; the two kinds of entries compare and hash
 consistently, so mixed tuples are safe as dict keys.  A linear map is
 its matrix, applied with ``mat_vec`` and composed with ``mat_mul``.
 
-Four integer algorithms live here: fraction-free (Bareiss) elimination
+Three integer algorithms live here: fraction-free (Bareiss) elimination
 for square systems, with integer numerators over a positive pivot; the
-Hermite normal form, which gives ranks and canonical lattice bases;
-lattice membership by exact division against that form; and the
-prime-power test for field sizes.
+Hermite normal form, which gives ranks and canonical lattice bases; and
+the prime-power test for field sizes.
 """
 
 from __future__ import annotations
@@ -151,18 +150,3 @@ def hermite_normal_form(generators: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
             if f:
                 basis[i] = [x - f * y for x, y in zip(basis[i], basis[k])]
     return tuple(tuple(row) for row in basis)
-
-
-def lattice_contains(basis: Sequence[Vec], vec: Vec) -> bool:
-    """Membership in the lattice spanned by HNF rows, by exact division
-    (a vector with a non-integral entry is never a member)."""
-    v = list(vec)
-    for row in basis:
-        p = next(j for j, x in enumerate(row) if x)
-        if v[p] == 0:
-            continue
-        c, r = divmod(v[p], row[p])
-        if r:
-            return False
-        v = [x - c * y for x, y in zip(v, row)]
-    return all(x == 0 for x in v)

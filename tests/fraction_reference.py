@@ -13,11 +13,14 @@ plus the earlier all-pairs cell fixed-point table, which solves every
 the earlier census serializer, which built one ``Fraction`` per printed
 coordinate into a payload dict for ``json.dumps``, and its TSV; plus
 ``AffineMap``, the exact affine maps with a translation that only this
-reference builds.
+reference builds; plus the cocharacter lattice as its Hermite normal
+form basis and membership in it, the independent orbit relation that
+the census's exact-image relation is checked against.
 """
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import lcm, prod
 from typing import NamedTuple
 
 from brauercensus.affine import (
@@ -26,11 +29,10 @@ from brauercensus.affine import (
     fundamental_group,
 )
 from brauercensus.brauer import enumerate_subalcoves, fixed_point
-from brauercensus.census import cocharacter_lattice
 from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import (
     bareiss,
-    lattice_contains,
+    hermite_normal_form,
     mat_identity,
     mat_mul,
     mat_vec,
@@ -203,6 +205,40 @@ def fold(datum, coords):
         for k in range(n):
             cur[k] -= excess * hrv[k]
     raise InvariantViolation("folding did not terminate within the iteration cap")
+
+
+def lattice_contains(basis, vec):
+    """Membership in the lattice spanned by HNF rows, by exact division
+    (a vector with a non-integral entry is never a member)."""
+    v = list(vec)
+    for row in basis:
+        p = next(j for j, x in enumerate(row) if x)
+        if v[p] == 0:
+            continue
+        c, r = divmod(v[p], row[p])
+        if r:
+            return False
+        v = [x - c * y for x, y in zip(v, row)]
+    return all(x == 0 for x in v)
+
+
+@lru_cache(maxsize=None)
+def cocharacter_lattice(config):
+    """The lattice spanned by the coroots and the subgroup's coweights,
+    between the coroot and coweight lattices, as its Hermite normal form
+    basis; its index in the coweights is the product of the pivots."""
+    gens = list(config.datum.coroot_coords)
+    group = fundamental_group(config.datum)
+    for a in sorted(config.a_g):
+        gens.append(group.lift[a])
+    basis = hermite_normal_form(gens)
+    index = prod(row[i] for i, row in enumerate(basis))
+    expected = group.order // len(config.a_g)
+    if index != expected:
+        raise InvariantViolation(
+            f"{config}: cocharacter lattice has index {index}, expected {expected}"
+        )
+    return basis
 
 
 def orbit_equal(config, lam, mu):

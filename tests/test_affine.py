@@ -16,9 +16,9 @@ from brauercensus.affine import (
     validate_symmetry,
 )
 from brauercensus import affine
-from brauercensus.census import cocharacter_lattice, make_group_config
+from brauercensus.census import make_group_config
 from brauercensus.errors import InvariantViolation
-from brauercensus.linalg import lattice_contains, mat_identity
+from brauercensus.linalg import mat_identity
 from brauercensus.rootdata import build_root_system, longest_element
 
 import fraction_reference as reference
@@ -124,7 +124,7 @@ def test_fundamental_group_lift_law():
     # the coweight lift of a product differs from the sum of lifts by a coroot
     for label in ("A3", "D4", "D5", "E6", "E7"):
         config = make_group_config(label, "sc", 2)
-        basis = cocharacter_lattice(config)
+        basis = reference.cocharacter_lattice(config)
         g = fundamental_group(config.datum)
         for a in g.elements:
             for b in g.elements:
@@ -133,7 +133,7 @@ def test_fundamental_group_lift_law():
                     x + y - z
                     for x, y, z in zip(g.lift[a], g.lift[b], g.lift[c])
                 )
-                assert lattice_contains(basis, diff)
+                assert reference.lattice_contains(basis, diff)
 
 
 def test_f_map_basics():

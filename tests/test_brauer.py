@@ -475,7 +475,6 @@ def test_only_per_datum_tables_are_cached():
         "brauercensus.affine.fundamental_group",
         "brauercensus.affine.wall_neighbours",
         "brauercensus.affine.invariant_space",
-        "brauercensus.census.cocharacter_lattice",
         "brauercensus.oracle._field",
         "brauercensus.oracle._canonical",
         "brauercensus.oracle._build_group",

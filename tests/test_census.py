@@ -15,7 +15,6 @@ from brauercensus.brauer import (
     frobenius_image,
 )
 from brauercensus.census import (
-    cocharacter_lattice,
     component_F_action,
     counts,
     d_odd_comparison,
@@ -60,9 +59,11 @@ def test_isogeny_subgroup_closure():
 
 
 def test_cocharacter_lattice_indices(monkeypatch):
+    # the reference's lattice, against which the census's exact-image
+    # orbit relation is checked
     for label, iso, index in [("A3", "sc", 4), ("A3", "ad", 1), ("D4", [1], 2)]:
         cfg = make_group_config(label, iso, 3)
-        basis = cocharacter_lattice(cfg)
+        basis = reference.cocharacter_lattice(cfg)
         assert prod(row[i] for i, row in enumerate(basis)) == index
     # with the lifts of nodes 1 and 2 zeroed, the adjoint A2 lattice is
     # only the coroot lattice, of index 3 instead of 1
@@ -73,7 +74,7 @@ def test_cocharacter_lattice_indices(monkeypatch):
     with pytest.raises(
         InvariantViolation, match=r"^A2 ad q=3: cocharacter lattice has index 3, expected 1$"
     ):
-        cocharacter_lattice.__wrapped__(cfg)
+        reference.cocharacter_lattice.__wrapped__(cfg)
 
 
 def test_orbit_equal_basics():
@@ -148,7 +149,7 @@ def _grid_id(case):
 )
 def test_integer_stability_matches_the_rational_reference(label, iso, q, kind):
     config = _grid_config(label, iso, q, kind)
-    datum = config.datum
+    datum, group = config.datum, fundamental_group(config.datum)
     candidates = reference.all_pairs_fixed_points(config)
     vertices = tuple(
         reference.numerators(datum, v, reference.common_denominator(v))
@@ -161,7 +162,11 @@ def test_integer_stability_matches_the_rational_reference(label, iso, q, kind):
         assert frobenius_image(config, aff) == reference.numerators(datum, fimage, den)
         folded = fold_coords(datum, frobenius_image(config, aff))
         assert folded == reference.numerators(datum, reference.fold(datum, fimage), den)
-        assert f_stable(config, aff) == reference.f_stable(config, lam)
+        # the two relations agree on None-ness; the lattice may find an
+        # earlier witness, but the census's maps the point exactly
+        z = f_stable(config, aff)
+        assert (z is None) == (reference.f_stable(config, lam) is None)
+        assert z is None or group.act[z](aff) == folded
     for aff in candidates:
         assert f_stable(config, aff) is not None
 
@@ -180,6 +185,43 @@ def test_fold_of_every_class_key_matches_the_rational_reference(case):
         fimage = frobenius.apply(reference.point(datum, key).coords)
         expected = reference.numerators(datum, reference.fold(datum, fimage), sum(key))
         assert fold_coords(datum, frobenius_image(config, key)) == expected
+
+
+# sc, ad and sub:, split, twisted and triality: 2,572 census keys.
+LATTICE_GRID = [
+    ("A2", "ad", 7, "split"),
+    ("A3", "sc", 5, "split"),
+    ("A3", [2], 5, "twisted"),
+    ("A4", "ad", 4, "twisted"),
+    ("A5", [2], 3, "split"),
+    ("B3", "ad", 5, "split"),
+    ("C3", "ad", 4, "split"),
+    ("D4", "ad", 3, "split"),
+    ("D4", "ad", 3, "triality"),
+    ("D4", "sc", 2, "triality"),
+    ("D5", [1], 3, "split"),
+    ("D5", "ad", 3, "twisted"),
+    ("E6", "ad", 2, "twisted"),
+    ("E6", "sc", 3, "split"),
+    ("E7", "ad", 2, "split"),
+]
+
+
+@pytest.mark.parametrize("case", LATTICE_GRID, ids=map(_grid_id, LATTICE_GRID))
+def test_census_keys_pass_the_lattice_orbit_relation(case):
+    # The reference's cocharacter-lattice relation accepts every key's
+    # folded Frobenius image, and it and the census's exact-image relation
+    # reject the next key, a different class, alike.
+    config = _grid_config(*case)
+    datum = config.datum
+    keys = [r.key for r in enumerate_classes(config)]
+    for key, other in zip(keys, keys[1:] + keys[:1]):
+        folded = fold_coords(datum, frobenius_image(config, key))
+        lam = reference.point(datum, key)
+        assert reference.orbit_equal(config, lam, reference.point(datum, folded)) is not None
+        assert orbit_equal(config, key, folded) is not None
+        assert reference.orbit_equal(config, lam, reference.point(datum, other)) is None
+        assert orbit_equal(config, key, other) is None
 
 
 # Split, twisted and triality; sc, ad and sub:; p dividing the isogeny
@@ -383,10 +425,16 @@ def test_integer_orbit_tests_match_the_rational_reference(case, data):
         points.append(tuple(Fraction(w[i], datum.marks[i] * total) for i in datum.nodes))
     den = reference.common_denominator(points[0] + points[1])
     lam, mu = (reference.numerators(datum, c, den) for c in points)
-    assert f_stable(config, lam) == reference.f_stable(config, reference.point(datum, lam))
-    assert orbit_equal(config, lam, mu) == reference.orbit_equal(
+    act = fundamental_group(datum).act
+    z = f_stable(config, lam)
+    assert (z is None) == (reference.f_stable(config, reference.point(datum, lam)) is None)
+    assert z is None or act[z](lam) == fold_coords(datum, frobenius_image(config, lam))
+    z = orbit_equal(config, lam, mu)
+    witness = reference.orbit_equal(
         config, reference.point(datum, lam), reference.point(datum, mu)
     )
+    assert (z is None) == (witness is None)
+    assert z is None or act[z](lam) == mu
 
 
 def test_enumerate_classes_a1():
@@ -594,10 +642,14 @@ def test_classification_is_memoized_per_census(monkeypatch):
 
 
 def test_orbit_relation_mismatch_names_the_configuration(monkeypatch):
+    # an orbit relation that rejects every pair fails the first key's
+    # stability assertion, which names the configuration
     monkeypatch.setattr(census, "orbit_equal", lambda *args: None)
-    with pytest.raises(InvariantViolation, match="orbit key disagrees") as info:
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^D4 ad q=3: orbit \(\d+(, \d+){4}\) over \d+ is not F-stable$",
+    ):
         enumerate_classes(make_group_config("D4", "ad", 3))
-    assert "D4" in str(info.value) and "q=3" in str(info.value)
 
 
 def test_d_odd_comparison_shape():

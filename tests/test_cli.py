@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from brauercensus import cli
+from brauercensus import census, cli
 from brauercensus.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -236,11 +236,30 @@ def test_resource_cap_exit():
 
 
 def test_large_prime_q_reaches_the_cap_check():
-    code, out, err = run(["census", "--type", "A1", "--q", "10000019"])
-    assert code == EXIT_RESOURCE and out == ""
-    assert err == (
-        "resource cap: A1, q=10000019: 10000019 sub-alcoves exceed the cap 1000000\n"
-    )
+    # The cap is checked before the prime-power test, which for 2^61 - 1
+    # trial-divides up to about 1.5e9; an over-cap q that is no prime
+    # power is refused by the cap too.  A q below 2 stays a usage error,
+    # though (-1001)^2 is over the cap.
+    for label, q in (("A1", 10000019), ("A1", 2**61 - 1), ("A2", 10000)):
+        code, out, err = run(["census", "--type", label, "--q", str(q)])
+        assert code == EXIT_RESOURCE and out == ""
+        cells = q ** int(label[1:])
+        assert err == (
+            f"resource cap: {label}, q={q}: {cells} sub-alcoves exceed the cap 1000000\n"
+        )
+    code, out, err = run(["census", "--type", "A2", "--q", "-1001"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "usage error: q = -1001 is not a prime power >= 2\n"
+
+
+def test_component_action_fault_is_an_invariant_violation(monkeypatch):
+    # With every node's Frobenius image forced to 0, the first
+    # disconnected class's component group is not Frobenius-stable: an
+    # internal fault, named by the configuration, not a usage error.
+    monkeypatch.setattr(census, "central_frobenius_action", lambda *args: 0)
+    code, out, err = run(["census", "--type", "A2", "--q", "4"])
+    assert code == EXIT_INVARIANT and out == ""
+    assert err == "invariant violation: A2 ad q=4: subgroup is not Frobenius-stable\n"
 
 
 def test_census_cap_is_the_subalcove_count():

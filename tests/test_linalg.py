@@ -8,12 +8,12 @@ from brauercensus.linalg import (
     SingularMatrixError,
     bareiss,
     hermite_normal_form,
-    lattice_contains,
 )
 
 from fraction_reference import (
     AffineMap,
     fixed_space,
+    lattice_contains,
     nullspace,
     solve_affine,
     solve_linear,
