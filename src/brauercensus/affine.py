@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantViolation
-from .linalg import Vec, hermite_normal_form, mat_identity, mat_mul, mat_vec, unit_vec, vec_add
+from .linalg import Vec, hermite_normal_form, mat_identity, mat_mul, unit_vec
 from .rootdata import RootDatum, longest_element
 
 FOLD_ITERATION_CAP = 100_000
@@ -210,16 +210,16 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
     """The alcove stabilizers f_a, found on the alcove vertices scaled by
     ``L = lcm(marks)`` so that everything stays integral: vertex b is
     ``(L / n_b) e_b`` (the origin for node 0), and f_a sends it to
-    ``z_a v + L lift[a]``, which must be a scaled vertex again."""
+    ``z_a v + L lift[a]``, read off column b of z_a, which must be a
+    scaled vertex again."""
     n = datum.rank
     mins = minuscule_nodes(datum)
     marks = datum.marks
     scale = lcm(*marks.values())
-    vertices = [(0,) * n] + [
-        tuple(scale // marks[i] if j == i - 1 else 0 for j in range(n))
-        for i in datum.nodes
-    ]
-    vertex_of = {v: b for b, v in enumerate(vertices)}
+    steps = [scale // marks[i] for i in datum.nodes]
+    vertex_of = {(0,) * n: 0}
+    for b, step in enumerate(steps, start=1):
+        vertex_of[tuple(step * x for x in unit_vec(n, b - 1))] = b
     weyl = {0: mat_identity(n)}
     perm = {0: DiagramSymmetry.identity(n)}
     lift = {a: coweight_lift(datum, a) for a in mins}
@@ -229,14 +229,16 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
         wa = longest_element(datum, [i for i in datum.nodes if i != a])
         z = mat_mul(wa, w0)
         shift = tuple(scale * x for x in lift[a])
-        images = []
-        for v in vertices:
-            node = vertex_of.get(vec_add(mat_vec(z, v), shift))
-            if node is None:
-                raise InvariantViolation(
-                    f"{datum.label}: f_{a} does not permute the alcove vertices"
-                )
-            images.append(node)
+        # Scaled vertex b is step_b e_b, so its image is step_b times
+        # column b of z_a, plus the shift; vertex 0 goes to the shift.
+        images = [vertex_of.get(shift)] + [
+            vertex_of.get(tuple(step * x + y for x, y in zip(column, shift)))
+            for step, column in zip(steps, zip(*z))
+        ]
+        if None in images:
+            raise InvariantViolation(
+                f"{datum.label}: f_{a} does not permute the alcove vertices"
+            )
         # Vertex 0 goes to L lift[a], scaled vertex a as n_a = 1: sym(0) == a.
         sym = DiagramSymmetry(tuple(images))
         validate_symmetry(datum, sym)

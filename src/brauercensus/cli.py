@@ -573,8 +573,8 @@ def main(argv=None) -> int:
         if args.command == "census":
             isogeny = _parse_isogeny(args.isogeny)
             # The cap needs only the type and q, so it comes before the
-            # configuration's prime-power test, which trial-divides up to
-            # isqrt(q); a q < 2 is left to that test's usage error.
+            # configuration is built; a q < 2 is left to the prime-power
+            # test's usage error.
             if args.q >= 2:
                 label = TypeLabel.parse(args.type)
                 _check_subalcove_cap(label, args.q, args.max_subalcoves)

@@ -9,12 +9,11 @@ its matrix, applied with ``mat_vec`` and composed with ``mat_mul``.
 Three integer algorithms live here: fraction-free (Bareiss) elimination
 for square systems, with integer numerators over a positive pivot; the
 Hermite normal form, which gives ranks and canonical lattice bases; and
-the prime-power test for field sizes.
+the prime-power test for field sizes, exact below a fixed bound.
 """
 
 from __future__ import annotations
 
-from math import isqrt
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -26,18 +25,69 @@ class SingularMatrixError(ValueError):
     """A linear solve met a singular system."""
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality
+# exactly below this bound (Sorenson and Webster, Math. Comp. 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_POWER_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for an n below ``PRIME_POWER_BOUND``
+    with no prime factor among the witnesses."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for w in _WITNESSES:
+        x = pow(w, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(q: int, f: int) -> int:
+    """The floor of the f-th root of q >= 1, by integer Newton steps from
+    a power of two above it."""
+    x = 1 << -(-q.bit_length() // f)
+    while True:
+        y = ((f - 1) * x + q // x ** (f - 1)) // f
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q: int) -> Optional[tuple[int, int]]:
     """(p, f) with q = p**f, or None if q is not a prime power >= 2.
-    Trial division stops at the square root: a q with no divisor up to
-    there is prime."""
+    A q with a prime factor among the witnesses is divided out; otherwise
+    each exponent f that a prime above 41 allows takes the exact f-th
+    root of q and tests it for primality.  A q at or beyond
+    ``PRIME_POWER_BOUND``, where that test is no longer exact, raises
+    ``ValueError``."""
     if q < 2:
         return None
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    f, rest = 0, q
-    while rest % p == 0:
-        rest //= p
-        f += 1
-    return (p, f) if rest == 1 else None
+    if q >= PRIME_POWER_BOUND:
+        raise ValueError(
+            f"q = {q} is too large for the exact prime-power test (q < {PRIME_POWER_BOUND})"
+        )
+    for w in _WITNESSES:
+        if q % w == 0:
+            f, rest = 0, q
+            while rest % w == 0:
+                rest //= w
+                f += 1
+            return (w, f) if rest == 1 else None
+    # Every prime factor now exceeds 41, so q = p**f has 43**f <= q.
+    for f in range(1, q.bit_length() // 5 + 1):
+        p = _integer_root(q, f)
+        if p**f == q and _is_prime(p):
+            return p, f
+    return None
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:

@@ -7,6 +7,11 @@ a point ``x`` of V is the plain dot product ``sum c_i x_i``.  Simple
 coroots then have the columns of the Cartan matrix as coordinate
 vectors, and every object in the package is exact.
 
+The positive roots are the closure of the simple roots under the simple
+reflections that keep them positive, each reflection one O(n) update of
+the root's pairings with the simple coroots; the negative roots are
+their negations.
+
 Node conventions: simple roots are numbered 1..rank as in the Bourbaki
 plates; node 0 denotes the extra node of the extended Dynkin diagram
 (the negative of the highest root).
@@ -19,7 +24,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import InvariantViolation
-from .linalg import Mat, Vec, mat_identity, mat_transpose, vec_dot
+from .linalg import Mat, Vec, mat_identity, mat_transpose, unit_vec, vec_dot
 
 FAMILIES = "ABCDEFG"
 
@@ -104,8 +109,10 @@ def cartan_matrix(label: TypeLabel) -> Mat:
 class RootDatum:
     """An irreducible root system with exact Weyl-group machinery.
 
-    All roots are generated as the closure of the simple roots under the
-    simple reflections; each root carries its coroot so that pairings of
+    The positive roots are generated as the closure of the simple roots
+    under the simple reflections that keep them positive, with O(n)
+    pairing updates per reflection; the negative roots are their
+    negations.  Each root carries its coroot so that pairings of
     arbitrary roots and coroots stay integer computations.
     """
 
@@ -123,42 +130,58 @@ class RootDatum:
         return f"RootDatum({self.label})"
 
     def _generate_roots(self):
+        """Close the simple roots under the simple reflections that keep
+        them positive.  Every positive root of height above 1 pairs
+        positively with some simple coroot a_i^vee, and s_i sends it to a
+        positive root of lower height (Bourbaki, ch. VI, 1.6), so this
+        closure is all of the positive roots.  Each frontier entry carries
+        its root with its pairing row ``<root, a_j^vee>`` and its coroot
+        with its pairing column ``<a_j, coroot>``, so that s_i costs one
+        O(n) update of each: row i of the Cartan matrix for the root,
+        column i for the coroot.  s_i sends a positive root to a negative
+        one only when it is a_i (where ``root[i] < <root, a_i^vee>``), and
+        that image is skipped, so no admitted root has a negative
+        coefficient; the negative roots and their coroots are the
+        negations of the positive ones."""
         n = self.rank
-        a = self.cartan
-        simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        coroot_of = {simple[i]: simple[i] for i in range(n)}
-        frontier = list(simple)
+        rows = self.cartan
+        cols = self.coroot_coords
+        coroot_of = {}
+        frontier = []
+        for i in range(n):
+            simple = unit_vec(n, i)
+            coroot_of[simple] = simple
+            frontier.append((simple, rows[i], simple, cols[i]))
         while frontier:
-            root = frontier.pop()
-            dual = coroot_of[root]
-            for i in range(n):
-                # <root, a_i^vee> and <a_i, dual> read off the Cartan matrix.
-                pr = sum(root[j] * a[j][i] for j in range(n))
-                new_root = tuple(
-                    root[j] - pr if j == i else root[j] for j in range(n)
-                )
-                if new_root not in coroot_of:
-                    pc = sum(a[i][j] * dual[j] for j in range(n))
-                    new_dual = tuple(
-                        dual[j] - pc if j == i else dual[j] for j in range(n)
+            root, row, dual, col = frontier.pop()
+            for i, pr in enumerate(row):
+                if not pr or root[i] < pr:
+                    continue
+                new_root = (*root[:i], root[i] - pr, *root[i + 1 :])
+                if new_root in coroot_of:
+                    continue
+                pc = col[i]
+                new_dual = (*dual[:i], dual[i] - pc, *dual[i + 1 :])
+                coroot_of[new_root] = new_dual
+                frontier.append(
+                    (
+                        new_root,
+                        tuple([x - pr * y for x, y in zip(row, rows[i])]),
+                        new_dual,
+                        tuple([x - pc * y for x, y in zip(col, cols[i])]),
                     )
-                    coroot_of[new_root] = new_dual
-                    frontier.append(new_root)
+                )
         expected = _ROOT_COUNTS[self.label.family](n)
-        if len(coroot_of) != expected:
+        if 2 * len(coroot_of) != expected:
             raise InvariantViolation(
-                f"{self.label}: generated {len(coroot_of)} roots, expected {expected}"
+                f"{self.label}: generated {2 * len(coroot_of)} roots, expected {expected}"
             )
-        positive = sorted(
-            (r for r in coroot_of if all(c >= 0 for c in r)),
-            key=lambda r: (sum(r), r),
-        )
-        if 2 * len(positive) != len(coroot_of):
-            raise InvariantViolation(f"{self.label}: positive roots do not halve the system")
+        positive = sorted(coroot_of, key=lambda r: (sum(r), r))
+        negative = tuple(tuple(-c for c in r) for r in positive)
+        for r, neg in zip(positive, negative):
+            coroot_of[neg] = tuple(-c for c in coroot_of[r])
         self.positive_roots: tuple[Vec, ...] = tuple(positive)
-        self.roots: tuple[Vec, ...] = tuple(positive) + tuple(
-            tuple(-c for c in r) for r in positive
-        )
+        self.roots: tuple[Vec, ...] = self.positive_roots + negative
         self._coroot_of = coroot_of
 
     # -- basic queries -------------------------------------------------

@@ -15,7 +15,10 @@ coordinate into a payload dict for ``json.dumps``, and its TSV; plus
 ``AffineMap``, the exact affine maps with a translation that only this
 reference builds; plus the cocharacter lattice as its Hermite normal
 form basis and membership in it, the independent orbit relation that
-the census's exact-image relation is checked against.
+the census's exact-image relation is checked against; plus the earlier
+closure of all the roots under every simple reflection, with each
+pairing an n-term sum, and the earlier vertex permutation of an alcove
+stabilizer, mapped through its matrix.
 """
 
 from fractions import Fraction
@@ -370,3 +373,65 @@ def payload_tsv(payload):
             )
         )
     return "\n".join(lines) + "\n"
+
+
+class RootSystem(NamedTuple):
+    """The root data that ``RootDatum`` derives from its Cartan matrix."""
+
+    roots: tuple
+    positive_roots: tuple
+    coroot_coweight: dict
+    highest_root: tuple
+    marks: dict
+
+
+def root_system(cartan):
+    """Every root and its coroot, as the closure of the simple roots under
+    all simple reflections, negative roots included; each pairing is an
+    n-term sum over the Cartan matrix.  The positive roots are the ones
+    with no negative coefficient, sorted by (height, coefficients), and
+    the highest root is the one that dominates them all, coefficient by
+    coefficient."""
+    n = len(cartan)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    coroot_of = {simple[i]: simple[i] for i in range(n)}
+    frontier = list(simple)
+    while frontier:
+        root = frontier.pop()
+        dual = coroot_of[root]
+        for i in range(n):
+            pr = sum(root[j] * cartan[j][i] for j in range(n))
+            new_root = tuple(root[j] - pr if j == i else root[j] for j in range(n))
+            if new_root not in coroot_of:
+                pc = sum(cartan[i][j] * dual[j] for j in range(n))
+                coroot_of[new_root] = tuple(
+                    dual[j] - pc if j == i else dual[j] for j in range(n)
+                )
+                frontier.append(new_root)
+    positive = sorted(
+        (r for r in coroot_of if all(c >= 0 for c in r)), key=lambda r: (sum(r), r)
+    )
+    assert 2 * len(positive) == len(coroot_of)
+    roots = tuple(positive) + tuple(tuple(-c for c in r) for r in positive)
+    coweight = {
+        r: tuple(sum(cartan[i][j] * d[j] for j in range(n)) for i in range(n))
+        for r, d in coroot_of.items()
+    }
+    (top,) = [t for t in positive if all(c <= x for r in positive for c, x in zip(r, t))]
+    return RootSystem(
+        roots, tuple(positive), coweight, top, {0: 1, **dict(enumerate(top, start=1))}
+    )
+
+
+def vertex_permutation(datum, linear, lift):
+    """The images of the alcove vertices, scaled by L = lcm(marks), under
+    ``x -> linear x + L lift``: each vertex through ``mat_vec`` and
+    ``vec_add``, as the extended node it lands on."""
+    n = datum.rank
+    scale = lcm(*datum.marks.values())
+    vertices = [(0,) * n] + [
+        tuple(scale // datum.marks[i] if j == i - 1 else 0 for j in range(n))
+        for i in datum.nodes
+    ]
+    shift = tuple(scale * x for x in lift)
+    return tuple(vertices.index(vec_add(mat_vec(linear, v), shift)) for v in vertices)

@@ -15,10 +15,10 @@ from brauercensus.affine import (
     standard_symmetry,
     validate_symmetry,
 )
-from brauercensus import affine
+from brauercensus import affine, cli
 from brauercensus.census import make_group_config
 from brauercensus.errors import InvariantViolation
-from brauercensus.linalg import mat_identity
+from brauercensus.linalg import mat_identity, mat_mul
 from brauercensus.rootdata import build_root_system, longest_element
 
 import fraction_reference as reference
@@ -108,6 +108,19 @@ def test_z_element_rejects_non_minuscule():
 )
 def test_fundamental_group_order(label, order):
     assert fundamental_group(build_root_system(label)).order == order
+
+
+@pytest.mark.parametrize("label", cli.TABLE1_TYPES + ("A8", "D8", "D9"))
+def test_fundamental_group_matches_its_reference(label):
+    # z_a = w_a w_0, and perm[a] is the permutation that z_a and the
+    # coweight lift induce on the scaled vertices, mapped one by one.
+    datum = build_root_system(label)
+    group = fundamental_group(datum)
+    w0 = longest_element(datum, datum.nodes)
+    for a in group.elements:
+        weyl = mat_mul(longest_element(datum, set(datum.nodes) - {a}), w0)
+        assert group.weyl[a] == weyl
+        assert group.perm[a].perm == reference.vertex_permutation(datum, weyl, group.lift[a])
 
 
 def test_d4_group_is_klein_four():

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from brauercensus.cli import (
 )
 from brauercensus.census import classical_invariant_dimension, make_group_config
 from brauercensus.errors import InvariantViolation
+from brauercensus.linalg import PRIME_POWER_BOUND
 from brauercensus.rootdata import TypeLabel
 
 import fraction_reference as reference
@@ -236,10 +238,9 @@ def test_resource_cap_exit():
 
 
 def test_large_prime_q_reaches_the_cap_check():
-    # The cap is checked before the prime-power test, which for 2^61 - 1
-    # trial-divides up to about 1.5e9; an over-cap q that is no prime
-    # power is refused by the cap too.  A q below 2 stays a usage error,
-    # though (-1001)^2 is over the cap.
+    # The cap is checked before the prime-power test; an over-cap q that
+    # is no prime power is refused by the cap too.  A q below 2 stays a
+    # usage error, though (-1001)^2 is over the cap.
     for label, q in (("A1", 10000019), ("A1", 2**61 - 1), ("A2", 10000)):
         code, out, err = run(["census", "--type", label, "--q", str(q)])
         assert code == EXIT_RESOURCE and out == ""
@@ -250,6 +251,26 @@ def test_large_prime_q_reaches_the_cap_check():
     code, out, err = run(["census", "--type", "A2", "--q", "-1001"])
     assert code == EXIT_USAGE and out == ""
     assert err == "usage error: q = -1001 is not a prime power >= 2\n"
+
+
+def test_large_q_under_a_raised_cap_is_a_quick_usage_error():
+    # With the cap raised past it, a semiprime q near 10^18 reaches the
+    # prime-power test, which is bounded and does not trial-divide; a q
+    # beyond the test's exact range is a usage error too.
+    q = 1000000007 * 1000000009
+    start = time.perf_counter()
+    code, out, err = run(
+        ["census", "--type", "A1", "--q", str(q), "--max-subalcoves", str(10**19)]
+    )
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"usage error: q = {q} is not a prime power >= 2\n"
+    q = PRIME_POWER_BOUND + 2
+    code, out, err = run(
+        ["census", "--type", "A1", "--q", str(q), "--max-subalcoves", str(10**25)]
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"usage error: q = {q} is too large for the exact prime-power test")
 
 
 def test_component_action_fault_is_an_invariant_violation(monkeypatch):

@@ -1,13 +1,16 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauercensus.linalg import (
+    PRIME_POWER_BOUND,
     SingularMatrixError,
     bareiss,
     hermite_normal_form,
+    prime_power,
 )
 
 from fraction_reference import (
@@ -18,6 +21,41 @@ from fraction_reference import (
     solve_affine,
     solve_linear,
 )
+
+
+def trial_division_prime_power(q):
+    """The earlier test: the least divisor up to isqrt(q), or q itself,
+    and its multiplicity."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    f, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        f += 1
+    return (p, f) if rest == 1 else None
+
+
+def test_prime_power_agrees_with_trial_division():
+    for q in range(-2, 20000):
+        assert prime_power(q) == trial_division_prime_power(q), q
+
+
+def test_prime_power_is_exact_up_to_its_bound():
+    # 2^61 - 1 is prime; 43^14 and 2^81 are prime powers with a base
+    # above and among the witnesses; a semiprime of two primes near 10^9
+    # and 47 times the square of 2^31 - 1 are no prime powers.
+    assert prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert prime_power(43**14) == (43, 14)
+    assert prime_power(2**81) == (2, 81)
+    assert prime_power(1000000007**2) == (1000000007, 2)
+    assert prime_power(1000000007 * 1000000009) is None
+    assert prime_power(47 * (2**31 - 1) ** 2) is None
+    # The least strong pseudoprime to the first 12 prime bases, which
+    # the 13th base, 41, exposes; the bound is the least one to all 13.
+    assert prime_power(318665857834031151167461) is None
+    with pytest.raises(ValueError, match="too large for the exact prime-power test"):
+        prime_power(PRIME_POWER_BOUND)
 
 
 def test_solve_linear_exact():

@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauercensus import rootdata
 from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import mat_identity, mat_mul, mat_transpose, mat_vec, vec_dot
 from brauercensus.rootdata import (
+    RootDatum,
+    TypeLabel,
     build_root_system,
+    cartan_matrix,
     longest_element,
     subdiagram_type,
 )
 
-from fraction_reference import solve_linear
+from fraction_reference import root_system, solve_linear
 
 
 def simple_reflection(datum, i):
@@ -53,6 +57,35 @@ ALL_TYPES = [
 )
 def test_root_counts(label, count):
     assert len(build_root_system(label).roots) == count
+
+
+REFERENCE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{family}{n}" for family in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 10)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", REFERENCE_TYPES)
+def test_root_data_match_the_full_closure(label):
+    # The positive closure with O(n) pairing updates gives what the
+    # closure of all roots under every simple reflection gives, in order.
+    datum = RootDatum(TypeLabel.parse(label))
+    reference = root_system(datum.cartan)
+    assert datum.roots == reference.roots
+    assert datum.positive_roots == reference.positive_roots
+    assert {r: datum.coroot_coweight(r) for r in datum.roots} == reference.coroot_coweight
+    assert datum.highest_root == reference.highest_root
+    assert datum.marks == reference.marks
+
+
+def test_root_count_check_fires(monkeypatch):
+    # D4 built on the A4 Cartan matrix closes to the 20 roots of A4.
+    a4 = cartan_matrix(TypeLabel("A", 4))
+    monkeypatch.setattr(rootdata, "cartan_matrix", lambda label: a4)
+    with pytest.raises(InvariantViolation, match="^D4: generated 20 roots, expected 24$"):
+        RootDatum(TypeLabel("D", 4))
 
 
 @pytest.mark.parametrize("bad", ["B1", "C1", "D2", "E5", "E9", "F3", "G3", "H4", "A0"])
