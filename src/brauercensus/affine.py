@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantViolation
-from .linalg import Vec, hermite_normal_form, mat_identity, mat_mul, unit_vec
+from .linalg import Vec, mat_identity, mat_mul, rank, unit_vec
 from .rootdata import RootDatum, longest_element
 
 FOLD_ITERATION_CAP = 100_000
@@ -146,30 +146,20 @@ def minuscule_nodes(datum: RootDatum) -> tuple[int, ...]:
     return tuple(a for a in datum.extended_nodes if datum.marks[a] == 1)
 
 
-def coweight_lift(datum: RootDatum, node: int) -> Vec:
-    """The fundamental coweight of a node (zero vector for node 0)."""
-    if node == 0:
-        return (0,) * datum.rank
-    return unit_vec(datum.rank, node - 1)
-
-
 class FundamentalGroup(NamedTuple):
     """The stabilizer of the alcove, indexed by minuscule nodes.
 
     ``elements`` lists the minuscule nodes with node 0 as the identity;
     the group law in node terms is ``mult[(a, b)] = perm[a](b)``.
-    ``weyl[a]`` is the integer matrix of ``z_a`` on coweight coordinates
-    and ``lift[a]`` the coweight ``w_a^vee``.  ``act[a]`` applies ``f_a``
-    to affine coordinates: an ``itemgetter`` of the inverse node
-    permutation.
+    ``weyl[a]`` is the integer matrix of ``z_a`` on coweight coordinates.
+    ``act[a]`` applies ``f_a`` to affine coordinates: an ``itemgetter``
+    of the inverse node permutation.
     """
 
     elements: tuple[int, ...]
     mult: dict
     perm: dict
-    inv_perm: dict
     weyl: dict
-    lift: dict
     act: dict
 
     @property
@@ -191,7 +181,7 @@ class FundamentalGroup(NamedTuple):
         return cur
 
     def inverse(self, a: int) -> int:
-        return self.inv_perm[a](0)
+        return self.perm[a].perm.index(0)
 
     def subgroup(self, generators: Iterable[int]) -> frozenset[int]:
         """The generated subgroup, which is <g_1> <g_2> ... as A is abelian."""
@@ -209,29 +199,30 @@ class FundamentalGroup(NamedTuple):
 def fundamental_group(datum: RootDatum) -> FundamentalGroup:
     """The alcove stabilizers f_a, found on the alcove vertices scaled by
     ``L = lcm(marks)`` so that everything stays integral: vertex b is
-    ``(L / n_b) e_b`` (the origin for node 0), and f_a sends it to
-    ``z_a v + L lift[a]``, read off column b of z_a, which must be a
-    scaled vertex again."""
+    ``(L / n_b) e_b`` (the origin for node 0).  Node a has mark 1, so f_a
+    sends vertex 0 to L times the coweight of a, which is scaled vertex
+    a, and vertex b to column b of z_a scaled by ``L / n_b`` plus that
+    shift, which must be a scaled vertex again."""
     n = datum.rank
     mins = minuscule_nodes(datum)
     marks = datum.marks
     scale = lcm(*marks.values())
     steps = [scale // marks[i] for i in datum.nodes]
-    vertex_of = {(0,) * n: 0}
-    for b, step in enumerate(steps, start=1):
-        vertex_of[tuple(step * x for x in unit_vec(n, b - 1))] = b
+    vertices = [(0,) * n] + [
+        tuple(step * x for x in unit_vec(n, b)) for b, step in enumerate(steps)
+    ]
+    vertex_of = {v: b for b, v in enumerate(vertices)}
     weyl = {0: mat_identity(n)}
     perm = {0: DiagramSymmetry.identity(n)}
-    lift = {a: coweight_lift(datum, a) for a in mins}
     # E8, F4 and G2 have no minuscule node but node 0, and need no w0.
     w0 = longest_element(datum, datum.nodes) if len(mins) > 1 else None
     for a in mins[1:]:
         wa = longest_element(datum, [i for i in datum.nodes if i != a])
         z = mat_mul(wa, w0)
-        shift = tuple(scale * x for x in lift[a])
+        shift = vertices[a]
         # Scaled vertex b is step_b e_b, so its image is step_b times
         # column b of z_a, plus the shift; vertex 0 goes to the shift.
-        images = [vertex_of.get(shift)] + [
+        images = [a] + [
             vertex_of.get(tuple(step * x + y for x, y in zip(column, shift)))
             for step, column in zip(steps, zip(*z))
         ]
@@ -239,7 +230,6 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
             raise InvariantViolation(
                 f"{datum.label}: f_{a} does not permute the alcove vertices"
             )
-        # Vertex 0 goes to L lift[a], scaled vertex a as n_a = 1: sym(0) == a.
         sym = DiagramSymmetry(tuple(images))
         validate_symmetry(datum, sym)
         weyl[a] = z
@@ -255,15 +245,12 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
                 raise InvariantViolation(
                     f"{datum.label}: fundamental group law violated on matrices"
                 )
-    inv_perm = {a: perm[a].inverse() for a in mins}
     return FundamentalGroup(
         elements=mins,
         mult=mult,
         perm=perm,
-        inv_perm=inv_perm,
         weyl=weyl,
-        lift=lift,
-        act={a: itemgetter(*inv_perm[a].perm) for a in mins},
+        act={a: itemgetter(*perm[a].inverse().perm) for a in mins},
     )
 
 
@@ -357,8 +344,8 @@ def invariant_space(datum: RootDatum, subgroup: frozenset[int]) -> InvariantSpac
     is fixed by H exactly when its affine coordinates are constant on each
     H-orbit of nodes, and the dimension is the orbit count minus one.  It
     must equal the kernel dimension of the integer rows of ``z_h - I``
-    stacked over h in H, whose rank is the row count of their Hermite
-    normal form; a mismatch would mean corrupted group data.
+    stacked over h in H, which is the rank of the datum minus the rank
+    of those rows; a mismatch would mean corrupted group data.
     """
     group = fundamental_group(datum)
     nodes = sorted(subgroup)
@@ -367,17 +354,15 @@ def invariant_space(datum: RootDatum, subgroup: frozenset[int]) -> InvariantSpac
     orbits = sorted(
         {tuple(sorted({group.perm[h](a) for h in nodes})) for a in datum.extended_nodes}
     )
-    rank = len(
-        hermite_normal_form(
-            [x - (i == j) for j, x in enumerate(row)]
-            for h in nodes
-            for i, row in enumerate(group.weyl[h])
-        )
+    kernel = datum.rank - rank(
+        [x - (i == j) for j, x in enumerate(row)]
+        for h in nodes
+        for i, row in enumerate(group.weyl[h])
     )
-    if len(orbits) - 1 != datum.rank - rank:
+    if len(orbits) - 1 != kernel:
         raise InvariantViolation(
             f"{datum.label}: the nodes {nodes} have {len(orbits)} vertex orbits but "
-            f"the kernel of the rows z_h - I has dimension {datum.rank - rank}"
+            f"the kernel of the rows z_h - I has dimension {kernel}"
         )
     return InvariantSpace(len(orbits) - 1, tuple(orbits))
 

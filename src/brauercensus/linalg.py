@@ -4,12 +4,12 @@ Vectors are tuples and matrices are tuples of row tuples, with entries
 that are Python ints or exact rationals.  Nothing in this package ever
 touches floating point; the two kinds of entries compare and hash
 consistently, so mixed tuples are safe as dict keys.  A linear map is
-its matrix, applied with ``mat_vec`` and composed with ``mat_mul``.
+its matrix, composed with ``mat_mul``.
 
 Three integer algorithms live here: fraction-free (Bareiss) elimination
 for square systems, with integer numerators over a positive pivot; the
-Hermite normal form, which gives ranks and canonical lattice bases; and
-the prime-power test for field sizes, exact below a fixed bound.
+rank by the same elimination; and the prime-power test for field sizes,
+exact below a fixed bound.
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_dot(u: Vec, v: Vec):
     return sum(a * b for a, b in zip(u, v))
 
@@ -106,17 +102,9 @@ def mat_identity(n: int) -> Mat:
     return tuple(unit_vec(n, i) for i in range(n))
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(vec_dot(row, v) for row in m)
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = tuple(zip(*b))
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
-
-
-def mat_transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
 
 
 def bareiss(matrix: Mat, rhs: Vec) -> tuple[tuple[int, ...], int]:
@@ -157,46 +145,24 @@ def bareiss(matrix: Mat, rhs: Vec) -> tuple[tuple[int, ...], int]:
     return tuple(nums), prev
 
 
-def hermite_normal_form(generators: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
-    """Row-style Hermite normal form of an integer generating set.
-
-    The result rows have positive pivots in strictly increasing columns,
-    with the entries above each pivot reduced into ``[0, pivot)``; they are
-    a canonical basis of the generated lattice.
-    """
-    work = [list(int(x) for x in row) for row in generators]
-    work = [r for r in work if any(r)]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    basis: list[list[int]] = []
-    r = 0
-    for c in range(ncols):
-        idx = [i for i in range(r, len(work)) if work[i][c] != 0]
-        if not idx:
+def rank(rows: Iterable[Sequence[int]]) -> int:
+    """The rank of an integer matrix given by its rows, by fraction-free
+    elimination: as in ``bareiss``, each step divides exactly by the
+    previous pivot, and a column with no nonzero entry left is skipped."""
+    rows = [list(row) for row in rows]
+    found, prev = 0, 1
+    while rows and rows[0]:
+        for k, row in enumerate(rows):
+            if row[0]:
+                break
+        else:
+            rows = [row[1:] for row in rows]
             continue
-        # Euclidean elimination in column c among the remaining rows.
-        while len(idx) > 1:
-            idx.sort(key=lambda i: abs(work[i][c]))
-            base = work[idx[0]]
-            for i in idx[1:]:
-                f = work[i][c] // base[c]
-                work[i] = [x - f * y for x, y in zip(work[i], base)]
-            idx = [i for i in idx if work[i][c] != 0]
-        i = idx[0]
-        work[r], work[i] = work[i], work[r]
-        if work[r][c] < 0:
-            work[r] = [-x for x in work[r]]
-        basis.append(work[r])
-        r += 1
-        if r == len(work):
-            break
-    # Reduce entries above every pivot.
-    pivcols = [next(j for j, x in enumerate(row) if x) for row in basis]
-    for k in range(len(basis) - 1, -1, -1):
-        p = pivcols[k]
-        for i in range(k):
-            f = basis[i][p] // basis[k][p]
-            if f:
-                basis[i] = [x - f * y for x, y in zip(basis[i], basis[k])]
-    return tuple(tuple(row) for row in basis)
+        head = rows.pop(k)
+        p, tail = head[0], head[1:]
+        rows = [
+            [(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in rows
+        ]
+        found += 1
+        prev = p
+    return found

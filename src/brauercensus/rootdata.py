@@ -9,8 +9,9 @@ vectors, and every object in the package is exact.
 
 The positive roots are the closure of the simple roots under the simple
 reflections that keep them positive, each reflection one O(n) update of
-the root's pairings with the simple coroots; the negative roots are
-their negations.
+the root's pairings with the simple coroots and of its coroot's pairings
+with the simple roots, which are the coroot's coweight coordinates; the
+negative roots are their negations.
 
 Node conventions: simple roots are numbered 1..rank as in the Bourbaki
 plates; node 0 denotes the extra node of the extended Dynkin diagram
@@ -24,7 +25,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import InvariantViolation
-from .linalg import Mat, Vec, mat_identity, mat_transpose, unit_vec, vec_dot
+from .linalg import Mat, Vec, mat_identity, unit_vec, vec_dot
 
 FAMILIES = "ABCDEFG"
 
@@ -112,8 +113,9 @@ class RootDatum:
     The positive roots are generated as the closure of the simple roots
     under the simple reflections that keep them positive, with O(n)
     pairing updates per reflection; the negative roots are their
-    negations.  Each root carries its coroot so that pairings of
-    arbitrary roots and coroots stay integer computations.
+    negations.  Each root keeps its coroot in coweight coordinates, the
+    closure's pairing column, so that pairings of arbitrary roots and
+    coroots stay integer dot products.
     """
 
     def __init__(self, label: TypeLabel):
@@ -122,8 +124,7 @@ class RootDatum:
         self.cartan: Mat = cartan_matrix(label)
         # coroot_coords[j] = coordinates of the simple coroot a_{j+1}^vee in
         # the coweight basis = column j of the Cartan matrix.
-        cols = mat_transpose(self.cartan)
-        self.coroot_coords: tuple[Vec, ...] = tuple(cols)
+        self.coroot_coords: tuple[Vec, ...] = tuple(zip(*self.cartan))
         self._generate_roots()
 
     def __repr__(self) -> str:
@@ -135,65 +136,55 @@ class RootDatum:
         positively with some simple coroot a_i^vee, and s_i sends it to a
         positive root of lower height (Bourbaki, ch. VI, 1.6), so this
         closure is all of the positive roots.  Each frontier entry carries
-        its root with its pairing row ``<root, a_j^vee>`` and its coroot
-        with its pairing column ``<a_j, coroot>``, so that s_i costs one
-        O(n) update of each: row i of the Cartan matrix for the root,
-        column i for the coroot.  s_i sends a positive root to a negative
-        one only when it is a_i (where ``root[i] < <root, a_i^vee>``), and
-        that image is skipped, so no admitted root has a negative
-        coefficient; the negative roots and their coroots are the
-        negations of the positive ones."""
+        its root with its pairing row ``<root, a_j^vee>`` and its pairing
+        column ``<a_j, coroot>``, which is the coroot in coweight
+        coordinates, so that s_i costs one O(n) update of each: row i of
+        the Cartan matrix for the row, column i for the column.  s_i sends
+        a positive root to a negative one only when it is a_i (where
+        ``root[i] < <root, a_i^vee>``), and that image is skipped, so no
+        admitted root has a negative coefficient; the negative roots and
+        their coroots are the negations of the positive ones."""
         n = self.rank
         rows = self.cartan
         cols = self.coroot_coords
-        coroot_of = {}
+        coroots = {}
         frontier = []
         for i in range(n):
             simple = unit_vec(n, i)
-            coroot_of[simple] = simple
-            frontier.append((simple, rows[i], simple, cols[i]))
+            coroots[simple] = cols[i]
+            frontier.append((simple, rows[i], cols[i]))
         while frontier:
-            root, row, dual, col = frontier.pop()
+            root, row, col = frontier.pop()
             for i, pr in enumerate(row):
                 if not pr or root[i] < pr:
                     continue
                 new_root = (*root[:i], root[i] - pr, *root[i + 1 :])
-                if new_root in coroot_of:
+                if new_root in coroots:
                     continue
                 pc = col[i]
-                new_dual = (*dual[:i], dual[i] - pc, *dual[i + 1 :])
-                coroot_of[new_root] = new_dual
+                new_col = tuple([x - pc * y for x, y in zip(col, cols[i])])
+                coroots[new_root] = new_col
                 frontier.append(
-                    (
-                        new_root,
-                        tuple([x - pr * y for x, y in zip(row, rows[i])]),
-                        new_dual,
-                        tuple([x - pc * y for x, y in zip(col, cols[i])]),
-                    )
+                    (new_root, tuple([x - pr * y for x, y in zip(row, rows[i])]), new_col)
                 )
         expected = _ROOT_COUNTS[self.label.family](n)
-        if 2 * len(coroot_of) != expected:
+        if 2 * len(coroots) != expected:
             raise InvariantViolation(
-                f"{self.label}: generated {2 * len(coroot_of)} roots, expected {expected}"
+                f"{self.label}: generated {2 * len(coroots)} roots, expected {expected}"
             )
-        positive = sorted(coroot_of, key=lambda r: (sum(r), r))
+        positive = sorted(coroots, key=lambda r: (sum(r), r))
         negative = tuple(tuple(-c for c in r) for r in positive)
         for r, neg in zip(positive, negative):
-            coroot_of[neg] = tuple(-c for c in coroot_of[r])
+            coroots[neg] = tuple(-c for c in coroots[r])
         self.positive_roots: tuple[Vec, ...] = tuple(positive)
         self.roots: tuple[Vec, ...] = self.positive_roots + negative
-        self._coroot_of = coroot_of
+        self._coroots = coroots
 
     # -- basic queries -------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def coroot_coweight(self, root: Vec) -> Vec:
         """Coordinates of the coroot of ``root`` in the coweight basis."""
-        dual = self._coroot_of[tuple(root)]
-        return tuple(
-            sum(self.cartan[i][j] * dual[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return self._coroots[root]
 
     # -- highest root, marks, extended diagram -------------------------
 
@@ -235,10 +226,6 @@ class RootDatum:
         roots = [self.node_root(a) for a in self.extended_nodes]
         coroots = [self.coroot_coweight(r) for r in roots]
         return tuple(tuple(vec_dot(r, c) for c in coroots) for r in roots)
-
-    def extended_pairing(self, node_a: int, node_b: int) -> int:
-        """``<root(a), coroot(b)>`` over extended nodes."""
-        return self.extended_cartan[node_a][node_b]
 
     @cached_property
     def alcove_vertices(self) -> tuple[Vec, ...]:
@@ -312,13 +299,14 @@ def _classify_component(datum: RootDatum, comp: list[int]) -> TypeLabel:
     where = f"{datum.label}: the subdiagram on nodes {comp}"
     if m == 1:
         return TypeLabel("A", 1)
+    cartan = datum.extended_cartan
     pair = {}
     adj: dict[int, list[int]] = {c: [] for c in comp}
     for x in comp:
         for y in comp:
             if x < y:
-                axy = datum.extended_pairing(x, y)
-                ayx = datum.extended_pairing(y, x)
+                axy = cartan[x][y]
+                ayx = cartan[y][x]
                 if axy:
                     pair[(x, y)] = (axy, ayx)
                     adj[x].append(y)
@@ -363,7 +351,7 @@ def _classify_component(datum: RootDatum, comp: list[int]) -> TypeLabel:
             return TypeLabel("F", 4)
         raise InvariantViolation(f"{where} has an interior double bond in rank != 4")
     other = y if end == x else x
-    axy = datum.extended_pairing(other, end)
+    axy = cartan[other][end]
     return TypeLabel("B" if axy == -2 else "C", m)
 
 
@@ -394,6 +382,7 @@ def subdiagram_type(datum: RootDatum, nodes: Iterable[int]) -> tuple[TypeLabel, 
     for x in node_list:
         if x not in datum.extended_nodes:
             raise ValueError(f"node {x} is not an extended node of {datum.label}")
+    cartan = datum.extended_cartan
     remaining = set(node_list)
     comps = []
     while remaining:
@@ -403,7 +392,7 @@ def subdiagram_type(datum: RootDatum, nodes: Iterable[int]) -> tuple[TypeLabel, 
         while frontier:
             x = frontier.pop()
             for y in remaining - comp:
-                if datum.extended_pairing(x, y) != 0:
+                if cartan[x][y] != 0:
                     comp.add(y)
                     frontier.append(y)
         remaining -= comp

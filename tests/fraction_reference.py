@@ -18,7 +18,11 @@ form basis and membership in it, the independent orbit relation that
 the census's exact-image relation is checked against; plus the earlier
 closure of all the roots under every simple reflection, with each
 pairing an n-term sum, and the earlier vertex permutation of an alcove
-stabilizer, mapped through its matrix.
+stabilizer, mapped through its matrix.  The integer helpers that only
+these references use live here too: the Hermite normal form of a
+generating set, ``mat_vec``, ``vec_add`` and ``mat_transpose``, and
+``coweight_lift``, the translation part ``w_a^vee`` of the alcove
+stabilizer f_a, which the package reads off the alcove vertices instead.
 """
 
 from fractions import Fraction
@@ -33,15 +37,71 @@ from brauercensus.affine import (
 )
 from brauercensus.brauer import enumerate_subalcoves, fixed_point
 from brauercensus.errors import InvariantViolation
-from brauercensus.linalg import (
-    bareiss,
-    hermite_normal_form,
-    mat_identity,
-    mat_mul,
-    mat_vec,
-    vec_add,
-    vec_dot,
-)
+from brauercensus.linalg import bareiss, mat_identity, mat_mul, unit_vec, vec_dot
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def mat_vec(m, v):
+    return tuple(vec_dot(row, v) for row in m)
+
+
+def mat_transpose(m):
+    return tuple(zip(*m))
+
+
+def hermite_normal_form(generators):
+    """Row-style Hermite normal form of an integer generating set.
+
+    The result rows have positive pivots in strictly increasing columns,
+    with the entries above each pivot reduced into ``[0, pivot)``; they are
+    a canonical basis of the generated lattice.
+    """
+    work = [list(int(x) for x in row) for row in generators]
+    work = [r for r in work if any(r)]
+    if not work:
+        return ()
+    ncols = len(work[0])
+    basis = []
+    r = 0
+    for c in range(ncols):
+        idx = [i for i in range(r, len(work)) if work[i][c] != 0]
+        if not idx:
+            continue
+        # Euclidean elimination in column c among the remaining rows.
+        while len(idx) > 1:
+            idx.sort(key=lambda i: abs(work[i][c]))
+            base = work[idx[0]]
+            for i in idx[1:]:
+                f = work[i][c] // base[c]
+                work[i] = [x - f * y for x, y in zip(work[i], base)]
+            idx = [i for i in idx if work[i][c] != 0]
+        i = idx[0]
+        work[r], work[i] = work[i], work[r]
+        if work[r][c] < 0:
+            work[r] = [-x for x in work[r]]
+        basis.append(work[r])
+        r += 1
+        if r == len(work):
+            break
+    # Reduce entries above every pivot.
+    pivcols = [next(j for j, x in enumerate(row) if x) for row in basis]
+    for k in range(len(basis) - 1, -1, -1):
+        p = pivcols[k]
+        for i in range(k):
+            f = basis[i][p] // basis[k][p]
+            if f:
+                basis[i] = [x - f * y for x, y in zip(basis[i], basis[k])]
+    return tuple(tuple(row) for row in basis)
+
+
+def coweight_lift(datum, node):
+    """The fundamental coweight of a node (zero vector for node 0)."""
+    if node == 0:
+        return (0,) * datum.rank
+    return unit_vec(datum.rank, node - 1)
 
 
 class AffineMap(NamedTuple):
@@ -152,7 +212,7 @@ def fixed_space(maps):
 def f_map(datum, node):
     """The alcove-stabilizing affine map ``z_node + coweight(node)``."""
     group = fundamental_group(datum)
-    return AffineMap(group.weyl[node], group.lift[node])
+    return AffineMap(group.weyl[node], coweight_lift(datum, node))
 
 
 def hyperplane_containment(datum, subgroup, q):
@@ -233,7 +293,7 @@ def cocharacter_lattice(config):
     gens = list(config.datum.coroot_coords)
     group = fundamental_group(config.datum)
     for a in sorted(config.a_g):
-        gens.append(group.lift[a])
+        gens.append(coweight_lift(config.datum, a))
     basis = hermite_normal_form(gens)
     index = prod(row[i] for i, row in enumerate(basis))
     expected = group.order // len(config.a_g)

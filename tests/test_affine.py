@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -120,7 +121,8 @@ def test_fundamental_group_matches_its_reference(label):
     for a in group.elements:
         weyl = mat_mul(longest_element(datum, set(datum.nodes) - {a}), w0)
         assert group.weyl[a] == weyl
-        assert group.perm[a].perm == reference.vertex_permutation(datum, weyl, group.lift[a])
+        lift = reference.coweight_lift(datum, a)
+        assert group.perm[a].perm == reference.vertex_permutation(datum, weyl, lift)
 
 
 def test_d4_group_is_klein_four():
@@ -139,13 +141,11 @@ def test_fundamental_group_lift_law():
         config = make_group_config(label, "sc", 2)
         basis = reference.cocharacter_lattice(config)
         g = fundamental_group(config.datum)
+        lift = {a: reference.coweight_lift(config.datum, a) for a in g.elements}
         for a in g.elements:
             for b in g.elements:
                 c = g.mult[(a, b)]
-                diff = tuple(
-                    x + y - z
-                    for x, y, z in zip(g.lift[a], g.lift[b], g.lift[c])
-                )
+                diff = tuple(x + y - z for x, y, z in zip(lift[a], lift[b], lift[c]))
                 assert reference.lattice_contains(basis, diff)
 
 
@@ -360,6 +360,17 @@ def test_invariant_space_dimension_check_fires(monkeypatch):
     corrupted = group._replace(perm={a: identity for a in group.perm})
     monkeypatch.setattr(affine, "fundamental_group", lambda datum: corrupted)
     with pytest.raises(InvariantViolation, match="vertex orbits"):
+        invariant_space.__wrapped__(a2, frozenset({0, 1, 2}))
+    # and matrices that disagree with the permutations: with every z_a
+    # the identity, the rows z_h - I have rank 0, so the kernel is all
+    # of V while the group has one orbit
+    corrupted = group._replace(weyl={a: mat_identity(2) for a in group.weyl})
+    monkeypatch.setattr(affine, "fundamental_group", lambda datum: corrupted)
+    message = (
+        "A2: the nodes [0, 1, 2] have 1 vertex orbits but the kernel of the "
+        "rows z_h - I has dimension 2"
+    )
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
         invariant_space.__wrapped__(a2, frozenset({0, 1, 2}))
 
 

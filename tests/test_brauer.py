@@ -205,7 +205,7 @@ def test_subalcoves_are_closed_under_facet_exchange(label, q):
         # with vertex j exchanged, otherwise
         for j, apex in enumerate(sub.vertices):
             step = [
-                sum(marks[i] * datum.extended_pairing(i, j) * v[k]
+                sum(marks[i] * datum.extended_cartan[i][j] * v[k]
                     for i, v in enumerate(sub.vertices))
                 for k in datum.extended_nodes
             ]
@@ -462,12 +462,20 @@ def test_verify_computes_nothing_twice(monkeypatch, capsys):
 def test_only_per_datum_tables_are_cached():
     # A process-lifetime cache of cells or fixed points would outlive its
     # census; only the tables of a root datum, its fundamental group and
-    # the oracle's small groups may be cached.
-    cached = {
-        f"{obj.__module__}.{obj.__qualname__}"
+    # the oracle's small groups may be cached.  Methods count too: a
+    # cache on a method keeps ``self`` in its key.
+    namespaces = [
+        vars(obj)
         for name, module in sys.modules.items()
         if name.startswith("brauercensus")
-        for obj in vars(module).values()
+        for obj in (module, *vars(module).values())
+        if obj is module
+        or (isinstance(obj, type) and obj.__module__.startswith("brauercensus"))
+    ]
+    cached = {
+        f"{obj.__module__}.{obj.__qualname__}"
+        for namespace in namespaces
+        for obj in namespace.values()
         if hasattr(obj, "cache_info")
     }
     assert cached == {

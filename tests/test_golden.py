@@ -10,7 +10,9 @@ at q = 9; split and twisted D4 adjoint at q = 3, whose fundamental
 group is the Klein four-group and whose twist swaps the spin nodes;
 twisted D5 adjoint at q = 3, which carries the split
 ``d_odd_comparison`` form; the A5 ``sub:2`` type at q = 4; ``info`` on
-D6, whose invariant dimensions read the Weyl matrices; and the full
+D6, whose invariant dimensions read the Weyl matrices, and on A7 (Z/8),
+D5 (Z/4), E6 and E7, whose fundamental groups are read off the alcove
+vertices; and the full
 runs of the ``verify`` suites table2, table3, steinberg, alovefixe,
 e6e7 and d-odd.  The benchmark's tracer, which
 wraps the package's layer functions by name, must still run and

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauercensus.affine import fundamental_group
 from brauercensus.linalg import (
     PRIME_POWER_BOUND,
     SingularMatrixError,
     bareiss,
-    hermite_normal_form,
     prime_power,
+    rank,
 )
+from brauercensus.rootdata import build_root_system
 
 from fraction_reference import (
     AffineMap,
     fixed_space,
+    hermite_normal_form,
     lattice_contains,
     nullspace,
     solve_affine,
@@ -164,3 +167,49 @@ def test_hnf_spans_same_lattice(gens):
         # every basis row is an integer combination of the generators: it is
         # at least inside the HNF of the generators, which is the lattice
         assert lattice_contains(basis, row)
+
+
+RANK_TYPES = (
+    [f"A{n}" for n in range(1, 10)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 10)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_rank_matches_the_reference_hnf():
+    # the stacked rows z_h - I of every subgroup of every fundamental
+    # group, which is what invariant_space ranks
+    cases = 0
+    for label in RANK_TYPES:
+        group = fundamental_group(build_root_system(label))
+        subgroups = {
+            group.subgroup([a, b]) for a in group.elements for b in group.elements
+        }
+        for subgroup in subgroups:
+            rows = [
+                [x - (i == j) for j, x in enumerate(row)]
+                for h in sorted(subgroup)
+                for i, row in enumerate(group.weyl[h])
+            ]
+            assert rank(rows) == len(hermite_normal_form(rows)), (label, subgroup)
+            cases += 1
+    assert cases > len(RANK_TYPES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=1, max_size=7
+        )
+    ),
+    st.data(),
+)
+def test_rank_matches_the_hnf_on_integer_matrices(rows, data):
+    # zero rows and repeated rows lower the rank below the row count
+    n = len(rows[0])
+    pool = st.sampled_from([[0] * n, *rows])
+    rows = rows + data.draw(st.lists(pool, max_size=7 - len(rows)), label="extra rows")
+    assert rank(rows) == len(hermite_normal_form(rows))
+    assert rank([]) == 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from brauercensus import rootdata
 from brauercensus.errors import InvariantViolation
-from brauercensus.linalg import mat_identity, mat_mul, mat_transpose, mat_vec, vec_dot
+from brauercensus.linalg import mat_identity, mat_mul, vec_dot
 from brauercensus.rootdata import (
     RootDatum,
     TypeLabel,
@@ -17,7 +17,7 @@ from brauercensus.rootdata import (
     subdiagram_type,
 )
 
-from fraction_reference import root_system, solve_linear
+from fraction_reference import mat_transpose, mat_vec, root_system, solve_linear
 
 
 def simple_reflection(datum, i):
