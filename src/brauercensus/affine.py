@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantViolation
-from .linalg import Vec, mat_identity, mat_mul, rank, unit_vec
+from .linalg import Vec, mat_identity, mat_mul, rank_det, unit_vec
 from .rootdata import RootDatum, longest_element
 
 FOLD_ITERATION_CAP = 100_000
@@ -354,11 +354,11 @@ def invariant_space(datum: RootDatum, subgroup: frozenset[int]) -> InvariantSpac
     orbits = sorted(
         {tuple(sorted({group.perm[h](a) for h in nodes})) for a in datum.extended_nodes}
     )
-    kernel = datum.rank - rank(
+    kernel = datum.rank - rank_det(
         [x - (i == j) for j, x in enumerate(row)]
         for h in nodes
         for i, row in enumerate(group.weyl[h])
-    )
+    )[0]
     if len(orbits) - 1 != kernel:
         raise InvariantViolation(
             f"{datum.label}: the nodes {nodes} have {len(orbits)} vertex orbits but "

@@ -7,9 +7,10 @@ consistently, so mixed tuples are safe as dict keys.  A linear map is
 its matrix, composed with ``mat_mul``.
 
 Three integer algorithms live here: fraction-free (Bareiss) elimination
-for square systems, with integer numerators over a positive pivot; the
-rank by the same elimination; and the prime-power test for field sizes,
-exact below a fixed bound.
+for square systems, with integer numerators over a positive pivot; one
+elimination of the same kind that gives both the rank of a matrix and,
+for a square one of full rank, its determinant; and the prime-power
+test for field sizes, exact below a fixed bound.
 """
 
 from __future__ import annotations
@@ -145,11 +146,12 @@ def bareiss(matrix: Mat, rhs: Vec) -> tuple[tuple[int, ...], int]:
     return tuple(nums), prev
 
 
-def rank(rows: Iterable[Sequence[int]]) -> int:
-    """The rank of an integer matrix given by its rows, by fraction-free
-    elimination: as in ``bareiss``, each step divides exactly by the
-    previous pivot, and a column with no nonzero entry left is skipped."""
-    rows = [list(row) for row in rows]
+def rank_det(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
+    """The rank of an integer matrix given by its rows, and the last pivot
+    of its fraction-free elimination: for a square matrix of full rank,
+    the determinant up to sign.  As in ``bareiss``, each step divides
+    exactly by the previous pivot; a column with no pivot is skipped."""
+    rows = list(rows)
     found, prev = 0, 1
     while rows and rows[0]:
         for k, row in enumerate(rows):
@@ -161,8 +163,11 @@ def rank(rows: Iterable[Sequence[int]]) -> int:
         head = rows.pop(k)
         p, tail = head[0], head[1:]
         rows = [
-            [(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in rows
+            [(p * x - a * y) // prev for x, y in zip(row[1:], tail)]
+            if (a := row[0])
+            else [p * x // prev for x in row[1:]]
+            for row in rows
         ]
         found += 1
         prev = p
-    return found
+    return found, prev

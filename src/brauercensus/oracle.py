@@ -34,7 +34,8 @@ _REDUCTIONS = {
 
 
 class FiniteField:
-    """A finite field of order at most 9 with table-based arithmetic.
+    """A finite field of any prime order, or of order 4, 8 or 9 through
+    ``_REDUCTIONS``, with table-based arithmetic.
 
     Elements 0..q-1 are coefficient tuples in base p, constant term first;
     0 and `one` = p^(f-1) are the identities for + and ×.

@@ -13,6 +13,9 @@ the root's pairings with the simple coroots and of its coroot's pairings
 with the simple roots, which are the coroot's coweight coordinates; the
 negative roots are their negations.
 
+Subdiagrams of the extended diagram are typed by the rank and the
+determinant of their Cartan submatrices (``subdiagram_type``).
+
 Node conventions: simple roots are numbered 1..rank as in the Bourbaki
 plates; node 0 denotes the extra node of the extended Dynkin diagram
 (the negative of the highest root).
@@ -22,10 +25,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import InvariantViolation
-from .linalg import Mat, Vec, mat_identity, unit_vec, vec_dot
+from .linalg import Mat, Vec, mat_identity, rank_det, unit_vec, vec_dot
 
 FAMILIES = "ABCDEFG"
 
@@ -287,96 +291,46 @@ def longest_element(datum: RootDatum, subset: Iterable[int]) -> Mat:
     return tuple(tuple(r) for r in mat)
 
 
-def _classify_component(datum: RootDatum, comp: list[int]) -> TypeLabel:
-    """Classify one connected induced subdiagram against the catalogue.
-
-    Matching is up to node relabelling; when a Cartan matrix fits several
-    catalogue entries (B2/C2, A3/D3) the ambient family decides, falling
-    back to the alphabetically first name.
-    """
-    m = len(comp)
-    ambient = datum.label.family
-    where = f"{datum.label}: the subdiagram on nodes {comp}"
+def _component_type(datum: RootDatum, comp: list[int]) -> TypeLabel:
+    """The type of one connected induced subdiagram; see ``subdiagram_type``."""
+    cartan = datum.extended_cartan
+    m, ambient = len(comp), datum.label.family
     if m == 1:
         return TypeLabel("A", 1)
-    cartan = datum.extended_cartan
-    pair = {}
-    adj: dict[int, list[int]] = {c: [] for c in comp}
-    for x in comp:
-        for y in comp:
-            if x < y:
-                axy = cartan[x][y]
-                ayx = cartan[y][x]
-                if axy:
-                    pair[(x, y)] = (axy, ayx)
-                    adj[x].append(y)
-                    adj[y].append(x)
-    weights = {e: a * b for e, (a, b) in pair.items()}
-    # A finite-type diagram is a tree with bonds of weight at most 3; the
-    # affine diagrams fail here with a bond of weight 4 (A1) or a cycle.
-    if max(weights.values()) > 3 or len(weights) != m - 1:
-        raise InvariantViolation(f"{where} is not of finite type")
-    if any(w == 3 for w in weights.values()):
-        if m == 2:
-            return TypeLabel("G", 2)
-        raise InvariantViolation(f"{where} has a triple bond in rank > 2")
-    degrees = {x: len(adj[x]) for x in comp}
-    doubles = [e for e, w in weights.items() if w == 2]
-    if not doubles:
-        branch = [x for x in comp if degrees[x] >= 3]
-        if not branch:
-            if m == 3 and ambient == "D":
-                return TypeLabel("D", 3)
-            return TypeLabel("A", m)
-        if len(branch) > 1 or degrees[branch[0]] > 3:
-            raise InvariantViolation(f"{where} is not of finite type")
-        arms = sorted(_arm_lengths(adj, branch[0], where))
-        if arms[0] == 1 and arms[1] == 1:
-            return TypeLabel("D", m)
-        if arms == [1, 2, 2]:
-            return TypeLabel("E", 6)
-        if arms == [1, 2, 3]:
-            return TypeLabel("E", 7)
-        if arms == [1, 2, 4]:
-            return TypeLabel("E", 8)
-        raise InvariantViolation(f"{where} is not of finite type")
-    if len(doubles) > 1 or any(degrees[x] >= 3 for x in comp):
-        raise InvariantViolation(f"{where} is not of finite type")
-    if m == 2:
-        return TypeLabel(ambient if ambient in "BC" else "B", 2)
-    (x, y) = doubles[0]
-    end = x if degrees[x] == 1 else y if degrees[y] == 1 else None
-    if end is None:
-        if m == 4:
-            return TypeLabel("F", 4)
-        raise InvariantViolation(f"{where} has an interior double bond in rank != 4")
-    other = y if end == x else x
-    axy = cartan[other][end]
-    return TypeLabel("B" if axy == -2 else "C", m)
-
-
-def _arm_lengths(adj: dict[int, list[int]], branch: int, where: str) -> list[int]:
-    lengths = []
-    for start in adj[branch]:
-        length = 1
-        prev, cur = branch, start
-        while True:
-            nxt = [z for z in adj[cur] if z != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                raise InvariantViolation(f"{where} is not of finite type")
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    return lengths
+    pick = itemgetter(*comp)
+    sub = [pick(cartan[x]) for x in comp]
+    found, det = rank_det(sub)
+    if found < m:
+        raise InvariantViolation(
+            f"{datum.label}: the subdiagram on nodes {comp} is not of finite type"
+        )
+    det, bond = abs(det), min(map(min, sub))
+    if bond == -3:
+        return TypeLabel("G", 2)
+    if bond == -1:
+        if det == m + 1:
+            return TypeLabel("D" if m == 3 and ambient == "D" else "A", m)
+        return TypeLabel("D" if det == 4 else "E", m)
+    if det == 1:
+        return TypeLabel("F", 4)
+    if m == 2 and ambient in "BC":
+        return TypeLabel(ambient, 2)
+    # <a_x, a_y^vee> = -2 marks y as the short node; an end's row has two nonzeros
+    short = next(j for row in sub for j, a in enumerate(row) if a == -2)
+    return TypeLabel("B" if sum(map(bool, sub[short])) == 2 else "C", m)
 
 
 def subdiagram_type(datum: RootDatum, nodes: Iterable[int]) -> tuple[TypeLabel, ...]:
-    """Types of the connected components induced on extended-diagram nodes.
+    """Types of the connected components induced on extended-diagram nodes,
+    sorted by (family, rank) so equal inputs give identical output.
 
-    The result is sorted by (family, rank) so equal inputs give identical
-    output.
+    One elimination of a component's Cartan submatrix gives its rank m
+    and determinant, which fix a connected Dynkin type up to B/C
+    (Bourbaki, ch. VI, Plates I-IX): a triple bond is G2; a double bond
+    is F4 at determinant 1, else B_m if its short node is an end and C_m
+    if not; a simply laced component is A_m, D_m or E_m at determinant
+    m+1, 4 or 9-m.  The ambient family decides A3/D3 and B2/C2.  Only the
+    whole extended diagram lacks full rank: it is not of finite type.
     """
     node_list = sorted(set(nodes))
     for x in node_list:
@@ -397,4 +351,4 @@ def subdiagram_type(datum: RootDatum, nodes: Iterable[int]) -> tuple[TypeLabel, 
                     frontier.append(y)
         remaining -= comp
         comps.append(sorted(comp))
-    return tuple(sorted(_classify_component(datum, c) for c in comps))
+    return tuple(sorted(_component_type(datum, c) for c in comps))

@@ -18,7 +18,10 @@ form basis and membership in it, the independent orbit relation that
 the census's exact-image relation is checked against; plus the earlier
 closure of all the roots under every simple reflection, with each
 pairing an n-term sum, and the earlier vertex permutation of an alcove
-stabilizer, mapped through its matrix.  The integer helpers that only
+stabilizer, mapped through its matrix; plus the earlier classifier of
+extended-diagram subdiagrams, which walks each component's tree (bond
+weights, branch node, arm lengths) where the package reads its rank and
+determinant.  The integer helpers that only
 these references use live here too: the Hermite normal form of a
 generating set, ``mat_vec``, ``vec_add`` and ``mat_transpose``, and
 ``coweight_lift``, the translation part ``w_a^vee`` of the alcove
@@ -38,6 +41,7 @@ from brauercensus.affine import (
 from brauercensus.brauer import enumerate_subalcoves, fixed_point
 from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import bareiss, mat_identity, mat_mul, unit_vec, vec_dot
+from brauercensus.rootdata import TypeLabel
 
 
 def vec_add(u, v):
@@ -495,3 +499,114 @@ def vertex_permutation(datum, linear, lift):
     ]
     shift = tuple(scale * x for x in lift)
     return tuple(vertices.index(vec_add(mat_vec(linear, v), shift)) for v in vertices)
+
+
+def classify_component(datum, comp):
+    """Classify one connected induced subdiagram by walking its tree: its
+    bond weights, its branch node and the lengths of its arms.
+
+    Matching is up to node relabelling; when a Cartan matrix fits several
+    catalogue entries (B2/C2, A3/D3) the ambient family decides, falling
+    back to the alphabetically first name.
+    """
+    m = len(comp)
+    ambient = datum.label.family
+    where = f"{datum.label}: the subdiagram on nodes {comp}"
+    if m == 1:
+        return TypeLabel("A", 1)
+    cartan = datum.extended_cartan
+    pair = {}
+    adj = {c: [] for c in comp}
+    for x in comp:
+        for y in comp:
+            if x < y:
+                axy = cartan[x][y]
+                ayx = cartan[y][x]
+                if axy:
+                    pair[(x, y)] = (axy, ayx)
+                    adj[x].append(y)
+                    adj[y].append(x)
+    weights = {e: a * b for e, (a, b) in pair.items()}
+    # A finite-type diagram is a tree with bonds of weight at most 3; the
+    # affine diagrams fail here with a bond of weight 4 (A1) or a cycle.
+    if max(weights.values()) > 3 or len(weights) != m - 1:
+        raise InvariantViolation(f"{where} is not of finite type")
+    if any(w == 3 for w in weights.values()):
+        if m == 2:
+            return TypeLabel("G", 2)
+        raise InvariantViolation(f"{where} has a triple bond in rank > 2")
+    degrees = {x: len(adj[x]) for x in comp}
+    doubles = [e for e, w in weights.items() if w == 2]
+    if not doubles:
+        branch = [x for x in comp if degrees[x] >= 3]
+        if not branch:
+            if m == 3 and ambient == "D":
+                return TypeLabel("D", 3)
+            return TypeLabel("A", m)
+        if len(branch) > 1 or degrees[branch[0]] > 3:
+            raise InvariantViolation(f"{where} is not of finite type")
+        arms = sorted(_arm_lengths(adj, branch[0], where))
+        if arms[0] == 1 and arms[1] == 1:
+            return TypeLabel("D", m)
+        if arms == [1, 2, 2]:
+            return TypeLabel("E", 6)
+        if arms == [1, 2, 3]:
+            return TypeLabel("E", 7)
+        if arms == [1, 2, 4]:
+            return TypeLabel("E", 8)
+        raise InvariantViolation(f"{where} is not of finite type")
+    if len(doubles) > 1 or any(degrees[x] >= 3 for x in comp):
+        raise InvariantViolation(f"{where} is not of finite type")
+    if m == 2:
+        return TypeLabel(ambient if ambient in "BC" else "B", 2)
+    (x, y) = doubles[0]
+    end = x if degrees[x] == 1 else y if degrees[y] == 1 else None
+    if end is None:
+        if m == 4:
+            return TypeLabel("F", 4)
+        raise InvariantViolation(f"{where} has an interior double bond in rank != 4")
+    other = y if end == x else x
+    axy = cartan[other][end]
+    return TypeLabel("B" if axy == -2 else "C", m)
+
+
+def _arm_lengths(adj, branch, where):
+    lengths = []
+    for start in adj[branch]:
+        length = 1
+        prev, cur = branch, start
+        while True:
+            nxt = [z for z in adj[cur] if z != prev]
+            if not nxt:
+                break
+            if len(nxt) > 1:
+                raise InvariantViolation(f"{where} is not of finite type")
+            prev, cur = cur, nxt[0]
+            length += 1
+        lengths.append(length)
+    return lengths
+
+
+def tree_walk_subdiagram_type(datum, nodes):
+    """Types of the connected components induced on extended-diagram
+    nodes, each classified by ``classify_component``, sorted."""
+    node_list = sorted(set(nodes))
+    for x in node_list:
+        if x not in datum.extended_nodes:
+            raise ValueError(f"node {x} is not an extended node of {datum.label}")
+    cartan = datum.extended_cartan
+    remaining = set(node_list)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            x = frontier.pop()
+            for y in remaining - comp:
+                if cartan[x][y] != 0:
+                    comp.add(y)
+                    frontier.append(y)
+        remaining -= comp
+        comps.append(sorted(comp))
+    return tuple(sorted(classify_component(datum, c) for c in comps))

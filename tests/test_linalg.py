@@ -11,9 +11,9 @@ from brauercensus.linalg import (
     SingularMatrixError,
     bareiss,
     prime_power,
-    rank,
+    rank_det,
 )
-from brauercensus.rootdata import build_root_system
+from brauercensus.rootdata import build_root_system, cartan_matrix
 
 from fraction_reference import (
     AffineMap,
@@ -177,6 +177,17 @@ RANK_TYPES = (
 )
 
 
+@pytest.mark.parametrize("label", RANK_TYPES)
+def test_cartan_determinant_is_the_fundamental_group_order(label):
+    # |det A| = |P^vee / Q^vee|, the order of the fundamental group, and
+    # the extended Cartan matrix has corank 1
+    datum = build_root_system(label)
+    found, det = rank_det(cartan_matrix(datum.label))
+    assert found == datum.rank
+    assert abs(det) == fundamental_group(datum).order
+    assert rank_det(datum.extended_cartan)[0] == datum.rank
+
+
 def test_rank_matches_the_reference_hnf():
     # the stacked rows z_h - I of every subgroup of every fundamental
     # group, which is what invariant_space ranks
@@ -192,7 +203,7 @@ def test_rank_matches_the_reference_hnf():
                 for h in sorted(subgroup)
                 for i, row in enumerate(group.weyl[h])
             ]
-            assert rank(rows) == len(hermite_normal_form(rows)), (label, subgroup)
+            assert rank_det(rows)[0] == len(hermite_normal_form(rows)), (label, subgroup)
             cases += 1
     assert cases > len(RANK_TYPES)
 
@@ -211,5 +222,5 @@ def test_rank_matches_the_hnf_on_integer_matrices(rows, data):
     n = len(rows[0])
     pool = st.sampled_from([[0] * n, *rows])
     rows = rows + data.draw(st.lists(pool, max_size=7 - len(rows)), label="extra rows")
-    assert rank(rows) == len(hermite_normal_form(rows))
-    assert rank([]) == 0
+    assert rank_det(rows)[0] == len(hermite_normal_form(rows))
+    assert rank_det([]) == (0, 1)

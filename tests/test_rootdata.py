@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,13 @@ from brauercensus.rootdata import (
     subdiagram_type,
 )
 
-from fraction_reference import mat_transpose, mat_vec, root_system, solve_linear
+from fraction_reference import (
+    mat_transpose,
+    mat_vec,
+    root_system,
+    solve_linear,
+    tree_walk_subdiagram_type,
+)
 
 
 def simple_reflection(datum, i):
@@ -204,15 +211,50 @@ def test_subdiagram_rejects_bad_nodes():
         subdiagram_type(build_root_system("A2"), [5])
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "D4", "E8", "G2"])
+EXTENDED_TYPES = (
+    [f"A{n}" for n in range(1, 10)]
+    + [f"{family}{n}" for family in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 10)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", EXTENDED_TYPES)
 def test_full_extended_diagram_is_not_of_finite_type(label):
-    # The affine diagram has a bond of weight 4 (A1), a cycle (A2), a node
-    # of degree 4 (D4), an arm too long (E8) or a triple bond in rank 3 (G2).
+    # The extended Cartan matrix has corank 1, so the whole affine
+    # diagram is the one subdiagram without full rank.
     datum = build_root_system(label)
     nodes = list(datum.extended_nodes)
-    where = rf"^{label}: the subdiagram on nodes {re.escape(str(nodes))} "
-    with pytest.raises(InvariantViolation, match=where):
+    message = f"{label}: the subdiagram on nodes {nodes} is not of finite type"
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
         subdiagram_type(datum, nodes)
+
+
+def subdiagram_outcome(classify, datum, nodes):
+    """The types, or the ``{label}: the subdiagram on nodes [...]`` prefix
+    of the ``InvariantViolation`` raised."""
+    try:
+        return classify(datum, nodes)
+    except InvariantViolation as exc:
+        prefix = re.match(r"[A-G]\d: the subdiagram on nodes \[[\d, ]*\] ", str(exc))
+        assert prefix, str(exc)
+        return prefix.group()
+
+
+def test_subdiagram_type_matches_the_tree_walk_reference():
+    # every subset of the extended nodes of every type, empty and whole
+    # included; only the 35 whole diagrams raise
+    subsets = raised = 0
+    for label in EXTENDED_TYPES:
+        datum = build_root_system(label)
+        for size in range(datum.rank + 2):
+            for nodes in combinations(datum.extended_nodes, size):
+                got = subdiagram_outcome(subdiagram_type, datum, nodes)
+                want = subdiagram_outcome(tree_walk_subdiagram_type, datum, nodes)
+                assert got == want, (label, nodes)
+                subsets += 1
+                raised += isinstance(got, str)
+    assert (subsets, raised) == (7044, len(EXTENDED_TYPES))
 
 
 @settings(max_examples=30, deadline=None)
