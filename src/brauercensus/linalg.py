@@ -152,7 +152,7 @@ def rank_det(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
     the determinant up to sign.  As in ``bareiss``, each step divides
     exactly by the previous pivot; a column with no pivot is skipped."""
     rows = list(rows)
-    found, prev = 0, 1
+    m, prev = len(rows), 1
     while rows and rows[0]:
         for k, row in enumerate(rows):
             if row[0]:
@@ -162,12 +162,12 @@ def rank_det(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
             continue
         head = rows.pop(k)
         p, tail = head[0], head[1:]
+        # a zero lead only rescales the row: the same update, without zero products
         rows = [
             [(p * x - a * y) // prev for x, y in zip(row[1:], tail)]
             if (a := row[0])
             else [p * x // prev for x in row[1:]]
             for row in rows
         ]
-        found += 1
         prev = p
-    return found, prev
+    return m - len(rows), prev  # each pivot takes its row out

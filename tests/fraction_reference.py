@@ -586,27 +586,3 @@ def _arm_lengths(adj, branch, where):
         lengths.append(length)
     return lengths
 
-
-def tree_walk_subdiagram_type(datum, nodes):
-    """Types of the connected components induced on extended-diagram
-    nodes, each classified by ``classify_component``, sorted."""
-    node_list = sorted(set(nodes))
-    for x in node_list:
-        if x not in datum.extended_nodes:
-            raise ValueError(f"node {x} is not an extended node of {datum.label}")
-    cartan = datum.extended_cartan
-    remaining = set(node_list)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for y in remaining - comp:
-                if cartan[x][y] != 0:
-                    comp.add(y)
-                    frontier.append(y)
-        remaining -= comp
-        comps.append(sorted(comp))
-    return tuple(sorted(classify_component(datum, c) for c in comps))

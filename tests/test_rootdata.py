@@ -22,8 +22,8 @@ from fraction_reference import (
     mat_transpose,
     mat_vec,
     root_system,
+    classify_component,
     solve_linear,
-    tree_walk_subdiagram_type,
 )
 
 
@@ -241,16 +241,22 @@ def subdiagram_outcome(classify, datum, nodes):
         return prefix.group()
 
 
-def test_subdiagram_type_matches_the_tree_walk_reference():
+def test_subdiagram_type_matches_the_tree_walk_reference(monkeypatch):
     # every subset of the extended nodes of every type, empty and whole
-    # included; only the 35 whole diagrams raise
+    # included; only the 35 whole diagrams raise.  The reference side runs
+    # the same component search with the tree walk classifying components.
+    def tree_walk(datum, nodes):
+        with monkeypatch.context() as patch:
+            patch.setattr(rootdata, "_component_type", classify_component)
+            return subdiagram_type(datum, nodes)
+
     subsets = raised = 0
     for label in EXTENDED_TYPES:
         datum = build_root_system(label)
         for size in range(datum.rank + 2):
             for nodes in combinations(datum.extended_nodes, size):
                 got = subdiagram_outcome(subdiagram_type, datum, nodes)
-                want = subdiagram_outcome(tree_walk_subdiagram_type, datum, nodes)
+                want = subdiagram_outcome(tree_walk, datum, nodes)
                 assert got == want, (label, nodes)
                 subsets += 1
                 raised += isinstance(got, str)
