@@ -181,8 +181,12 @@ def fixed_point(config: GroupConfig, sub: SubAlcove, node: int) -> CellPoint:
     1``; the first equation follows from the rest, and x_0 = 1 - x_1 -
     ... - x_n is eliminated by hand, which leaves the rank-by-rank system
     ``sum_i (N[t][i] - N[t][0] - S*[t = i]) x_i = -N[t][0]`` for t, i =
-    1..rank.  The map contracts by 1/q, so the system is never singular,
-    and the denominators are coprime to p.
+    1..rank, whose augmented rows are built in one pass over the
+    vertices.  The map contracts by 1/q, so the system is never singular,
+    and the denominators are coprime to p.  Coweight coordinate i is
+    ``y_i / P`` with ``P = pivot * lcm(marks)`` and ``y_i = nums[i - 1] *
+    lcm(marks) / mark_i``, so the point's least denominator is ``P //
+    gcd(P, *y)``.
     """
     datum = config.datum
     group = fundamental_group(datum)
@@ -190,21 +194,14 @@ def fixed_point(config: GroupConfig, sub: SubAlcove, node: int) -> CellPoint:
         raise ValueError(f"node {node} is not minuscule in {datum.label}")
     s = scale(datum, config.q)
     rho = config.rho.perm
-    # Column 0 of N, and its other columns, whose rows 1..rank (with
-    # column 0 subtracted) make the reduced system.
     first, *rest = (sub.vertices[rho[b]] for b in group.perm[node].perm)
-    rows = [
-        [x - y for x in row] for y, row in zip(first[1:], list(zip(*rest))[1:])
-    ]
+    rows = [[v[t] - y for v in rest] + [-y] for t, y in enumerate(first[1:], 1)]
     for t, row in enumerate(rows):
         row[t] -= s
-    nums, pivot = bareiss(rows, [-y for y in first[1:]])
-    # Coweight coordinate i is nums[i - 1] / (mark_i * pivot); the point's
-    # denominator is the lcm of their reduced denominators.
-    marks = datum.marks
-    den = lcm(
-        *(marks[i] * pivot // gcd(x, marks[i] * pivot) for i, x in enumerate(nums, 1))
-    )
+    nums, pivot = bareiss(rows)
+    marks, lcm_marks = datum.marks, s // config.q
+    big = pivot * lcm_marks  # P above
+    den = big // gcd(big, *(x * (lcm_marks // marks[i]) for i, x in enumerate(nums, 1)))
     if den % config.p == 0:
         raise InvariantViolation(
             f"{config}: the fixed point of sub-alcove {sub.key} over node {node} "

@@ -6,17 +6,17 @@ touches floating point; the two kinds of entries compare and hash
 consistently, so mixed tuples are safe as dict keys.  A linear map is
 its matrix, composed with ``mat_mul``.
 
-Three integer algorithms live here: fraction-free (Bareiss) elimination
-for square systems, with integer numerators over a positive pivot; one
-elimination of the same kind that gives both the rank of a matrix and,
-for a square one of full rank, its determinant; and the prime-power
-test for field sizes, exact below a fixed bound.
+One fraction-free (Bareiss) elimination serves three ends: the solve of
+a square system, as integer numerators over a positive pivot, the rank
+of a matrix and, for a square one of full rank, its determinant.  Next
+to it is the prime-power test for field sizes, exact below a fixed
+bound.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Vec = tuple
 Mat = tuple
@@ -108,32 +108,47 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
 
 
-def bareiss(matrix: Mat, rhs: Vec) -> tuple[tuple[int, ...], int]:
-    """Solve an integer square system with a unique solution by
-    fraction-free (Bareiss) elimination: each step divides exactly by the
-    previous pivot, and the solution is the returned integer numerators
-    over the returned positive pivot (the determinant up to sign).
-
-    Each step takes the first remaining row with a nonzero entry in the
-    current column as its pivot row, and updates only the columns after
-    the pivot: the remaining rows drop the current column, which the back
-    substitution never reads."""
-    rows = [[*row, b] for row, b in zip(matrix, rhs)]
-    echelon = []
+def _eliminate(rows: Iterable[Sequence[int]]) -> Iterator[Optional[list]]:
+    """Fraction-free (Bareiss) elimination of the rows of an integer
+    matrix, yielding per column its pivot row or None if it has none.
+    The first row with a nonzero lead is the pivot row, yielded as its
+    pivot and its later entries; the other rows drop the column, and each
+    update divides exactly by the previous pivot."""
+    rows = list(rows)
     prev = 1
-    for _ in rhs:
+    while rows and rows[0]:
         for k, row in enumerate(rows):
             if row[0]:
                 break
         else:
-            raise SingularMatrixError("singular coefficient matrix")
+            rows = [row[1:] for row in rows]
+            yield None
+            continue
         head = rows.pop(k)
         p, tail = head[0], head[1:]
+        # a zero lead only rescales the row: the same update, without zero products
         rows = [
-            [(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in rows
+            [(p * x - a * y) // prev for x, y in zip(row[1:], tail)]
+            if (a := row[0])
+            else [p * x // prev for x in row[1:]]
+            for row in rows
         ]
-        echelon.append(head)
         prev = p
+        yield head
+
+
+def bareiss(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], int]:
+    """Solve an integer square system with a unique solution, given by
+    its augmented rows (the coefficients, then the right-hand side): the
+    integer numerators of the solution over a positive pivot, the
+    determinant up to sign.  A coefficient column with no pivot raises
+    ``SingularMatrixError``; the right-hand side is never a pivot."""
+    echelon, prev = [], 1
+    for head in _eliminate(rows):
+        if head is None:
+            raise SingularMatrixError("singular coefficient matrix")
+        echelon.append(head)
+        prev = head[0]
     # Pivot row c holds its pivot, the coefficients of the unknowns after
     # c and the right-hand side; nums collects the unknowns from the last.
     nums = []
@@ -149,25 +164,9 @@ def bareiss(matrix: Mat, rhs: Vec) -> tuple[tuple[int, ...], int]:
 def rank_det(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
     """The rank of an integer matrix given by its rows, and the last pivot
     of its fraction-free elimination: for a square matrix of full rank,
-    the determinant up to sign.  As in ``bareiss``, each step divides
-    exactly by the previous pivot; a column with no pivot is skipped."""
-    rows = list(rows)
-    m, prev = len(rows), 1
-    while rows and rows[0]:
-        for k, row in enumerate(rows):
-            if row[0]:
-                break
-        else:
-            rows = [row[1:] for row in rows]
-            continue
-        head = rows.pop(k)
-        p, tail = head[0], head[1:]
-        # a zero lead only rescales the row: the same update, without zero products
-        rows = [
-            [(p * x - a * y) // prev for x, y in zip(row[1:], tail)]
-            if (a := row[0])
-            else [p * x // prev for x in row[1:]]
-            for row in rows
-        ]
-        prev = p
-    return m - len(rows), prev  # each pivot takes its row out
+    the determinant up to sign."""
+    rank, prev = 0, 1
+    for head in _eliminate(rows):
+        if head is not None:
+            rank, prev = rank + 1, head[0]
+    return rank, prev

@@ -139,12 +139,11 @@ def in_alcove(pt):
 def solve_linear(matrix, rhs):
     """Solve a rational square system with a unique solution exactly: the
     equations are scaled to integers and solved by ``bareiss``."""
-    rows, values = [], []
+    rows = []
     for row, b in zip(matrix, rhs):
         den = lcm(*(Fraction(x).denominator for x in (*row, b)))
-        rows.append([int(x * den) for x in row])
-        values.append(int(b * den))
-    nums, pivot = bareiss(rows, values)
+        rows.append([int(x * den) for x in (*row, b)])
+    nums, pivot = bareiss(rows)
     return tuple(Fraction(x, pivot) for x in nums)
 
 

@@ -70,32 +70,56 @@ def test_solve_linear_exact():
 def test_bareiss_integer_numerators_over_a_positive_pivot():
     # det = -2: the pivot comes out negative and is normalised
     a = ((0, 1), (2, 0))
-    nums, pivot = bareiss(a, (3, 5))
+    nums, pivot = bareiss(((0, 1, 3), (2, 0, 5)))
     assert pivot == 2 and nums == (5, 6)
     assert all(type(x) is int for x in nums)
     assert solve_linear(a, (3, 5)) == (Fraction(5, 2), 3)
     with pytest.raises(SingularMatrixError):
-        bareiss(((1, 2), (2, 4)), (1, 1))
+        bareiss(((1, 2, 1), (2, 4, 1)))
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.tuples(
-            st.lists(
-                st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n
-            ),
-            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
-        )
-    )
-)
+def test_singular_system_never_pivots_in_the_right_hand_side():
+    # Eliminating column 0 leaves the second row (0, 1) in the first
+    # system and (0, 0) in the second: column 1 has no pivot, and the
+    # inconsistent system would otherwise take its pivot in the
+    # right-hand side.
+    for rows in ([[1, 2, 1], [2, 4, 3]], [[1, 2, 1], [2, 4, 2]]):
+        with pytest.raises(SingularMatrixError, match="singular coefficient matrix"):
+            bareiss(rows)
+
+
+def square_systems(n):
+    """An n x n integer matrix with entries in [-5, 5], some of its rows
+    replaced by zero rows or by copies of other rows, and a right-hand
+    side."""
+    entries = st.integers(-5, 5)
+    rows = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    edits = st.lists(st.tuples(st.integers(0, n - 1), st.integers(-1, n - 1)), max_size=2)
+
+    def edit(matrix, changes):
+        for i, j in changes:
+            matrix[i] = [0] * n if j < 0 else list(matrix[j])
+        return matrix
+
+    rhs = st.lists(entries, min_size=n, max_size=n)
+    return st.tuples(st.builds(edit, rows, edits), rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(square_systems))
 def test_bareiss_solves_integer_systems(system):
+    # The two entry points run one elimination: the solve fails exactly
+    # when the rank falls short, and otherwise its pivot is the
+    # determinant up to sign.
     a, b = system
+    n = len(a)
+    rank, det = rank_det(a)
     try:
-        nums, pivot = bareiss(a, b)
+        nums, pivot = bareiss([(*row, v) for row, v in zip(a, b)])
     except SingularMatrixError:
+        assert rank < n
         return
-    assert pivot > 0
+    assert rank == n and pivot == abs(det)
     assert [sum(r * x for r, x in zip(row, nums)) for row in a] == [pivot * v for v in b]
 
 
