@@ -337,18 +337,22 @@ def subdiagram_type(datum: RootDatum, nodes: Iterable[int]) -> tuple[TypeLabel, 
         if x not in datum.extended_nodes:
             raise ValueError(f"node {x} is not an extended node of {datum.label}")
     cartan = datum.extended_cartan
+    # A node leaves ``remaining`` when its component reaches it; each
+    # popped node's neighbours are the nonzero entries of its Cartan row.
     remaining = set(node_list)
     comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
+    for seed in node_list:
+        if seed not in remaining:
+            continue
+        remaining.remove(seed)
+        comp = [seed]
         frontier = [seed]
         while frontier:
-            x = frontier.pop()
-            for y in remaining - comp:
-                if cartan[x][y] != 0:
-                    comp.add(y)
+            row = cartan[frontier.pop()]
+            for y, a in enumerate(row):
+                if a and y in remaining:
+                    remaining.remove(y)
+                    comp.append(y)
                     frontier.append(y)
-        remaining -= comp
         comps.append(sorted(comp))
     return tuple(sorted(_component_type(datum, c) for c in comps))

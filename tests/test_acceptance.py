@@ -7,7 +7,7 @@ module doubles as a human-readable report under ``pytest -v -s``.
 
 import time
 
-from brauercensus import cli
+from brauercensus import cli, verify
 from brauercensus.affine import (
     fundamental_group,
     hyperplane_containment,
@@ -25,7 +25,7 @@ from brauercensus.census import (
     enumerate_classes,
     make_group_config,
 )
-from brauercensus.cli import (
+from brauercensus.verify import (
     SUBALCOVE_GRID,
     TABLE1_TYPES,
     TABLE2_WITNESSES,
@@ -51,7 +51,7 @@ def _split_config(label, q):
 
 def test_c01_invariant_dimension_table():
     start = time.monotonic()
-    checks = cli.suite_table1()
+    checks = verify.suite_table1()
     assert {check.name.split("/")[1] for check in checks} == set(TABLE1_TYPES)
     for check in checks:
         assert check.ok is True, f"{check.name}: {check.detail}"
@@ -172,7 +172,7 @@ def test_c07_oracle_equivalence():
 def test_c08_invariant_witness_points():
     # each check holds when its witness point is fixed by some stabilizer
     # and its centralizer type is the expected one
-    checks = cli.suite_table2()
+    checks = verify.suite_table2()
     assert len(checks) == len(TABLE2_WITNESSES)
     for check in checks:
         assert check.ok is True, f"{check.name}: {check.detail}"

@@ -16,7 +16,7 @@ from brauercensus.affine import (
     standard_symmetry,
     validate_symmetry,
 )
-from brauercensus import affine, cli
+from brauercensus import affine, verify
 from brauercensus.census import make_group_config
 from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import mat_identity, mat_mul
@@ -111,7 +111,7 @@ def test_fundamental_group_order(label, order):
     assert fundamental_group(build_root_system(label)).order == order
 
 
-@pytest.mark.parametrize("label", cli.TABLE1_TYPES + ("A8", "D8", "D9"))
+@pytest.mark.parametrize("label", verify.TABLE1_TYPES + ("A8", "D8", "D9"))
 def test_fundamental_group_matches_its_reference(label):
     # z_a = w_a w_0, and perm[a] is the permutation that z_a and the
     # coweight lift induce on the scaled vertices, mapped one by one.

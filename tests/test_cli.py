@@ -10,13 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from brauercensus import census, cli
+from brauercensus import census, cli, verify
 from brauercensus.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
-    Check,
     census_report,
     main,
 )
@@ -24,6 +23,7 @@ from brauercensus.census import classical_invariant_dimension, make_group_config
 from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import PRIME_POWER_BOUND
 from brauercensus.rootdata import TypeLabel
+from brauercensus.verify import Check
 
 import fraction_reference as reference
 
@@ -179,9 +179,9 @@ def test_unknown_type_fails_before_any_case_runs(monkeypatch, suite):
     def forbidden(*args, **kw):
         raise AssertionError("a case ran")
 
-    monkeypatch.setattr(cli, "make_group_config", forbidden)
-    monkeypatch.setattr(cli, "build_root_system", forbidden)
-    known = cli.SUITES[suite].cases[0][0]
+    monkeypatch.setattr(verify, "make_group_config", forbidden)
+    monkeypatch.setattr(verify, "build_root_system", forbidden)
+    known = verify.SUITES[suite].cases[0][0]
     for types in ("X9", f"{known},X9"):
         code, out, err = run(["verify", "--suite", suite, "--types", types])
         assert code == EXIT_USAGE and out == "" and "select no check" in err
@@ -195,7 +195,7 @@ def test_unknown_type_fails_before_any_case_runs(monkeypatch, suite):
     ],
 )
 def test_invariant_violation_is_one_fail_line(monkeypatch, suite, callee, config_of, case):
-    real = getattr(cli, callee)
+    real = getattr(verify, callee)
 
     def broken(*args, **kw):
         datum, q = config_of(*args, **kw)
@@ -206,7 +206,7 @@ def test_invariant_violation_is_one_fail_line(monkeypatch, suite, callee, config
     argv = ["verify", "--suite", suite, "--types", "A1,A2", "--max-q", "3"]
     _, want, _ = run(argv)
     kept = [line for line in want.splitlines() if "/A2/q3" not in line]
-    monkeypatch.setattr(cli, callee, broken)
+    monkeypatch.setattr(verify, callee, broken)
     code, out, _ = run(argv)
     assert code == EXIT_INVARIANT
     # the other cases still print; the broken one (the last) is one line
@@ -219,7 +219,7 @@ def test_d_odd_stratum_lines_can_fail(monkeypatch):
     # stratum identity rests on the congruence hypothesis, which fails at
     # q=3 for the order-4 group, so there every stratum line must read FAIL.
     monkeypatch.setattr(
-        cli, "make_group_config", lambda *args, **kw: make_group_config("D5", "ad", 3)
+        verify, "make_group_config", lambda *args, **kw: make_group_config("D5", "ad", 3)
     )
     code, out, _ = run(["verify", "--suite", "d-odd"])
     lines = [line.split("\t")[:2] for line in out.splitlines()]
@@ -296,8 +296,8 @@ def test_verify_cap_is_checked_before_any_case_runs(monkeypatch):
     def forbidden(*args, **kw):
         raise AssertionError("a case ran")
 
-    monkeypatch.setattr(cli, "build_root_system", forbidden)
-    monkeypatch.setattr(cli, "make_group_config", forbidden)
+    monkeypatch.setattr(verify, "build_root_system", forbidden)
+    monkeypatch.setattr(verify, "make_group_config", forbidden)
     code, out, err = run(["verify", "--suite", "alovefixe", "--max-subalcoves", "100"])
     assert code == EXIT_RESOURCE and out == ""
     assert err == "resource cap: B3, q=5: 125 sub-alcoves exceed the cap 100\n"
@@ -370,19 +370,34 @@ def test_census_violation_writes_nothing(monkeypatch, fmt):
     assert err == "invariant violation: injected\n"
 
 
-def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
-    # pytest itself has imported dataclasses and fractions, so a fresh
-    # interpreter checks
-    probe = (
-        "import brauercensus.cli, sys; print([m for m in "
-        "('dataclasses', 'fractions', 'brauercensus.oracle') if m in sys.modules])"
-    )
+def _fresh_modules(statement, modules):
+    """The given modules loaded after ``statement`` runs in a fresh
+    interpreter: pytest itself has imported dataclasses, fractions and
+    argparse, so only a fresh one can check."""
+    probe = f"import sys\n{statement}\nprint([m for m in {modules!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
+    # Importing cli compiles only the census path: no verify suites, no
+    # argument parser, no oracle.
+    modules = (
+        "dataclasses", "fractions", "argparse", "brauercensus.oracle", "brauercensus.verify"
+    )
+    assert _fresh_modules("import brauercensus.cli", modules) == "[]"
+    # A census, in either format, parses its flags but loads no suite.
+    for fmt in ("json", "tsv"):
+        argv = ["census", "--type", "A2", "--q", "3", "--format", fmt]
+        census_run = f"from brauercensus import cli; cli.main({argv!r})"
+        assert _fresh_modules(census_run, modules) == "['argparse']"
+    # A suite loads verify, and only the oracle suite loads the oracle.
+    suite_run = "from brauercensus import cli; cli.main(['verify', '--suite', 'theta'])"
+    assert _fresh_modules(suite_run, modules) == "['argparse', 'brauercensus.verify']"
 
 
 def test_classical_dimension_table():

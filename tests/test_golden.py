@@ -16,7 +16,7 @@ vertices; and the full
 runs of the ``verify`` suites table2, table3, steinberg, alovefixe,
 e6e7 and d-odd.  The benchmark's tracer, which
 wraps the package's layer functions by name, must still run and
-reproduce a digest.
+reproduce a digest, for a census and for a ``verify`` suite.
 """
 
 import hashlib
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from brauercensus import cli
+from brauercensus import cli, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
@@ -77,8 +77,8 @@ def test_census_matches_ladder_digest(name):
     assert _stdout_digest(LADDER[name]["argv"]) == LADDER[name]["sha256"]
 
 
-def test_tracer_runs_and_reproduces_a_digest():
-    argv = ["census", "--type", "A2", "--isogeny", "ad", "--q", "7"]
+def _traced(argv):
+    """The tracer's record of one ``cli`` invocation."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(BENCH / "tracer.py"), "cli", *argv],
@@ -89,6 +89,28 @@ def test_tracer_runs_and_reproduces_a_digest():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_tracer_runs_and_reproduces_a_digest():
+    result = _traced(["census", "--type", "A2", "--isogeny", "ad", "--q", "7"])
     assert result["exit"] == 0
     assert result["sha256"] == GOLDEN["census-A2-ad-q7"]
+
+
+def test_tracer_wraps_a_suite_and_reproduces_its_digest():
+    # The tracer wraps each value of cli.SUITES; the suite then imports
+    # verify, whose calls into census go through the wrapped functions.
+    result = _traced(["verify", "--suite", "theta"])
+    assert result["exit"] == 0
+    assert result["sha256"] == GOLDEN["verify-theta"]
+    names = [span[0] for span in result["spans"]]
+    assert names.count("cli.verify_suite") == 1
+    assert names.count("census.enumerate_classes") == len(verify.THETA_CASES)
+
+
+def test_cli_suites_follow_the_suite_table():
+    # cli lists the suites without importing verify; the usage error for
+    # an unknown suite prints the names in cli.SUITES.
+    assert list(cli.SUITES) == list(verify.SUITES)
+    assert all(verify.SUITES[name].name == name for name in verify.SUITES)

@@ -127,6 +127,39 @@ def test_wrong_search_tree_fails_the_identity_check(monkeypatch):
         oracle.conjugacy_classes.cache_clear()
 
 
+def test_field_without_a_primitive_element_is_an_invariant_violation():
+    # with every product forced to 1, each element other than 1 has
+    # order 2, so none has order q - 1 = 4
+    field = FiniteField(5)
+    field.mul = [[field.one] * 5 for _ in range(5)]
+    with pytest.raises(InvariantViolation, match=r"^GF\(5\): no primitive element found$"):
+        field.primitive_element()
+
+
+def test_wrong_right_table_fails_the_partition_check(monkeypatch):
+    # exchange two entries of one right-multiplication table of SL2(2):
+    # the tables no longer conjugate, and their orbits have sizes 1 and 5
+    build = oracle._build_group
+
+    def swapped(spec):
+        elements, parent, via, right = build(spec)
+        table = list(right[0])
+        table[1], table[3] = table[3], table[1]
+        return elements, parent, via, [table, *right[1:]]
+
+    monkeypatch.setattr(oracle, "_build_group", swapped)
+    oracle.conjugacy_classes.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation) as raised:
+            conjugacy_classes(SmallGroupSpec("SL2", 2))
+        assert str(raised.value) == (
+            "conjugacy classes of SL2(2) do not partition the group "
+            "into divisors of 6: sizes [1, 5]"
+        )
+    finally:
+        oracle.conjugacy_classes.cache_clear()
+
+
 def test_classes_partition_the_group():
     for kind, q in [("SL2", 5), ("PGL2", 4), ("SL3", 2)]:
         spec = SmallGroupSpec(kind, q)
@@ -138,6 +171,15 @@ def test_character_degrees_match_class_counts():
     for kind, q in [("SL2", 3), ("SL2", 5), ("PGL2", 3), ("PGL2", 5), ("SL2", 4)]:
         spec = SmallGroupSpec(kind, q)
         assert len(character_degrees(spec)) == len(conjugacy_classes(spec))
+
+
+@pytest.mark.parametrize("kind", ["SL2", "PGL2"])
+def test_character_degree_squares_sum_to_the_group_order(kind):
+    # an identity in q on each branch, proved in character_degrees'
+    # docstring; here checked at every supported q up to 13
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        spec = SmallGroupSpec(kind, q)
+        assert sum(d * d for d in character_degrees(spec)) == spec.order == q**3 - q
 
 
 def test_character_degree_values():

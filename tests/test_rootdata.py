@@ -263,6 +263,35 @@ def test_subdiagram_type_matches_the_tree_walk_reference(monkeypatch):
     assert (subsets, raised) == (7044, len(EXTENDED_TYPES))
 
 
+
+def test_subdiagram_components_are_the_connected_components(monkeypatch):
+    # The reference above shares the component search, so this checks the
+    # search alone: over every proper subset of every extended diagram,
+    # the classifier gets each connected component once, sorted.  The
+    # reference merges the components of any two nodes whose Cartan entry
+    # is nonzero.
+    classify = rootdata._component_type
+    comps = []
+
+    def record(datum, comp):
+        comps.append(tuple(comp))
+        return classify(datum, comp)
+
+    monkeypatch.setattr(rootdata, "_component_type", record)
+    for label in EXTENDED_TYPES:
+        datum = build_root_system(label)
+        cartan = datum.extended_cartan
+        for size in range(datum.rank + 1):
+            for nodes in combinations(datum.extended_nodes, size):
+                owner = {x: frozenset([x]) for x in nodes}
+                for x, y in combinations(nodes, 2):
+                    if cartan[x][y] and owner[x] != owner[y]:
+                        merged = owner[x] | owner[y]
+                        owner.update(dict.fromkeys(merged, merged))
+                comps.clear()
+                subdiagram_type(datum, nodes)
+                assert sorted(comps) == sorted({tuple(sorted(c)) for c in owner.values()})
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["A3", "B3", "C3", "D4", "G2"]), st.data())
 def test_root_action_preserves_system(label, data):
