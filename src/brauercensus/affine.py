@@ -285,11 +285,11 @@ def wall_neighbours(datum: RootDatum) -> tuple[tuple[int, tuple], ...]:
 def fold_coords(datum: RootDatum, affine: tuple[int, ...]) -> tuple[int, ...]:
     """Move a point into the closed alcove by wall reflections.
 
-    The point is given by integer affine numerators over a common
-    denominator D (their sum), each divisible by its node's mark, so that
-    the coweight coordinates ``x_i / (n_i D)`` are over D too.  While some
-    numerator x_i is negative, the point is reflected in wall i: this is
-    the numbers game on the extended diagram, which keeps the numerators
+    The point is given by integer affine numerators over a denominator D
+    (their sum), each divisible by its node's mark, so that the coweight
+    coordinates ``x_i / (n_i D)`` are over D too.  While some numerator
+    x_i is negative, the point is reflected in wall i: this is the
+    numbers game on the extended diagram, which keeps the numerators
     integral and divisible by the marks, and preserves D.  It is
     homogeneous, so one code path serves every denominator.
 
@@ -377,9 +377,13 @@ def hyperplane_containment(
     ``sum(|O| t_O) = 1``, so ``<b, x> = sum(t_O C_O) / L`` with L =
     lcm(marks) and ``C_O = sum(b_i L / n_i)`` over the simple nodes i of O.
     It is constant exactly when all ``C_O / |O|`` are equal, with value
-    ``C_O0 / (L |O0|)`` for node 0's orbit O0.  Walls of the alcove never
-    contain the fixed space (it holds points with all affine coordinates
-    positive), so finding one signals corruption.
+    ``C_O0 / (L |O0|)`` for node 0's orbit O0.  No such root is an alcove
+    wall.  Every f_h permutes the alcove vertices, so H fixes the
+    barycenter x, whose affine coordinates are all ``1/(rank+1)``.  There
+    ``0 < <b, x> <= 1 - x_0 < 1`` for every positive root b, as b's
+    coefficients are at most the marks, so a root constant on the fixed
+    space takes a value strictly between 0 and 1, and ``C_O0`` is neither
+    0 nor ``L |O0|``.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -394,9 +398,5 @@ def hyperplane_containment(
             continue
         if q * c0 % den:
             continue
-        if c0 == 0 or (beta == datum.highest_root and c0 == den):
-            raise InvariantViolation(
-                f"{datum.label}, q={q}: fixed space contained in an alcove wall"
-            )
         return beta, q * c0 // den
     return None

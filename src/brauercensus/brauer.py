@@ -16,10 +16,11 @@ translate carries a unique point fixed by "translate after
 Frobenius-inverse after alcove stabilizer", solved from the images of
 the alcove vertices for one (translate, stabilizer) pair per orbit of
 the stabilizers' action on those pairs, and kept as integer affine
-numerators over one common denominator.  A census solves each cell as
-the one walk of the cells yields it, and the walk keeps only their
-keys; neither the cells nor the point table is cached.  Theta's strata,
-the orbits meeting each node's fixed space, are read off the records.
+numerators over the point's own least denominator, their sum.  A
+census solves each cell as the one walk of the cells yields it, and the
+walk keeps only their keys; neither the cells nor the point table is
+cached.  Theta's strata, the orbits meeting each node's fixed space, are
+read off the records.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ if TYPE_CHECKING:
 
 
 def frobenius_image(config: GroupConfig, affine: tuple[int, ...]) -> tuple[int, ...]:
-    """F of ``config`` on integer affine numerators over a common
-    denominator: F is q times the coweight permutation of rho inverse, so
-    simple numerator b becomes ``q * affine[rho(b)]`` (rho preserves the
-    marks), and node 0 takes the rest of the unchanged denominator."""
+    """F of ``config`` on integer affine numerators over their sum: F is
+    q times the coweight permutation of rho inverse, so simple numerator
+    b becomes ``q * affine[rho(b)]`` (rho preserves the marks), and node
+    0 takes the rest of the unchanged denominator."""
     q, rho = config.q, config.rho.perm
     simple = tuple(q * affine[rho[b]] for b in range(1, len(affine)))
     return (sum(affine) - sum(simple),) + simple
@@ -220,9 +221,10 @@ def central_frobenius_action(config: GroupConfig, z: int) -> int:
 
 
 class CellTable(NamedTuple):
-    """The fixed points of one (cell, node) pair per orbit of the node
-    subgroup, as integer affine numerators over one common denominator,
-    and the number of pairs solved, which is the number of pair orbits."""
+    """The distinct fixed points of one (cell, node) pair per orbit of
+    the node subgroup, each exactly as ``fixed_point`` gives it (integer
+    affine numerators over its own least denominator), and the number of
+    pairs solved, which is the number of pair orbits."""
 
     points: tuple[tuple[int, ...], ...]
     solves: int
@@ -241,9 +243,8 @@ def cell_fixed_points(config: GroupConfig) -> CellTable:
     way into that of ``f_b(w)``, and a pair is solved only when it is the
     least of its images, ordered by (key, node).  The image node lies in
     the subgroup because ``GroupConfig`` checks that rho stabilizes it.
-    The points are rescaled to one common denominator D, the lcm of their
-    own, so the tuples sort in the order of the points' affine
-    coordinates.
+    Each point keeps its own least denominator, so two pairs with one
+    fixed point give one tuple.
     """
     group = fundamental_group(config.datum)
     order = sorted(config.a_g)
@@ -271,10 +272,7 @@ def cell_fixed_points(config: GroupConfig) -> CellTable:
         for a in least[stabilizer]:
             solves += 1
             points[fixed_point(config, sub, a).affine] = None
-    common = lcm(*(sum(aff) for aff in points))
-    return CellTable(
-        tuple(tuple(x * (common // sum(aff)) for x in aff) for aff in points), solves
-    )
+    return CellTable(tuple(points), solves)
 
 
 def stable_cell_count(datum: RootDatum, subgroup: frozenset[int], q: int) -> int:

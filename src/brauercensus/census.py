@@ -11,10 +11,10 @@ connected-centralizer root system), its component group inside the
 isogeny subgroup, and the Frobenius action on that component group,
 from which the rational class and semisimple character counts follow.
 
-Points are integer affine numerators over one common denominator from
-the fixed-point solve to the class records: orbit keys are int tuples,
-and each record carries its key, which only the serializer turns into
-rationals.
+Each point is integer affine numerators over its own least denominator,
+their sum, from the fixed-point solve to the class records, whose keys
+only the serializer turns into rationals; only the sort of the records
+brings their keys to one common denominator.
 
 The paper's closed forms live here too: the Table 1 fixed-space
 dimensions, the Table 3 disconnected count, which is q to the Table 1
@@ -24,7 +24,7 @@ dimension of a nontrivial node, and the odd-rank D rational total.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .affine import (
@@ -157,8 +157,8 @@ def orbit_equal(config: GroupConfig, lam: tuple, mu: tuple) -> Optional[int]:
     """The first subgroup element a, in increasing node order (the
     identity, node 0, first), with f_a(lam) == mu, or None.
 
-    Points are integer affine numerators over one common denominator
-    (their sum) and must lie in the closed alcove.  W ⋉ Y, Y the
+    Both points are integer affine numerators over one denominator,
+    their sum, and must lie in the closed alcove.  W ⋉ Y, Y the
     cocharacter lattice, is the affine Weyl group extended by the f_a
     with a in A_G, and the closed alcove meets each affine Weyl group
     orbit once, so two alcove points lie in one class exactly when some
@@ -175,11 +175,11 @@ def orbit_equal(config: GroupConfig, lam: tuple, mu: tuple) -> Optional[int]:
 def f_stable(config: GroupConfig, lam: tuple) -> Optional[int]:
     """Witness that the class of an alcove point is Frobenius-stable.
 
-    The point is integer affine numerators over a common denominator
-    that its coweight coordinates share.  Its Frobenius translate, over
-    the same denominator, is folded back into the alcove and compared
-    against the point up to the isogeny subgroup; valid for every point
-    of the closed alcove, vertices included.
+    The point is integer affine numerators over a denominator of its
+    coweight coordinates, such as its least one.  Its Frobenius
+    translate, over the same denominator, is folded back into the alcove
+    and compared against the point up to the isogeny subgroup; valid for
+    every point of the closed alcove, vertices included.
     """
     folded = fold_coords(config.datum, frobenius_image(config, lam))
     return orbit_equal(config, lam, folded)
@@ -194,8 +194,8 @@ def orbit_key(config: GroupConfig, affine: tuple) -> tuple:
 
 class ClassRecord(NamedTuple):
     """One F-stable semisimple class of the configured group, keyed by
-    the integer affine numerators of its canonical representative, whose
-    sum is their denominator."""
+    the integer affine numerators of its canonical representative over
+    its own least denominator, their sum."""
 
     key: tuple[int, ...]
     i_lambda: tuple[int, ...]
@@ -288,22 +288,23 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
     """All F-stable semisimple classes, exactly ``q**rank`` of them.
 
     Candidates are the stabilizer fixed points of one (cell, node) pair
-    per orbit of the isogeny subgroup, as integer affine numerators over
-    one common denominator; the other pairs' points are their subgroup
-    images, with the same orbit keys.  The candidates are grouped by
-    canonical orbit key, and every orbit is asserted to be
-    Frobenius-stable and classified.
+    per orbit of the isogeny subgroup, each over its own least
+    denominator; the other pairs' points are their subgroup images, with
+    the same orbit keys.  The candidates are grouped by canonical orbit
+    key, and every orbit, in the order of its key's rational affine
+    coordinates, is asserted to be Frobenius-stable and classified.
     """
     datum = config.datum
     q = config.q
     expected = q**datum.rank
     table = cell_fixed_points(config)
     orbits = dict.fromkeys(orbit_key(config, aff) for aff in table.points)
+    common = lcm(*map(sum, orbits))  # over it, keys sort as rational coordinates
 
     records = []
     types: dict = {}
     components: dict = {}
-    for key in sorted(orbits):
+    for key in sorted(orbits, key=lambda k: tuple(map((common // sum(k)).__mul__, k))):
         # Stable by construction.  A candidate solves x = w(F^-1(f_a(x)))
         # with w in the q-refined affine Weyl group and a in the isogeny
         # subgroup, so F(x) = (F w F^-1)(f_a(x)) with F w F^-1 in W_aff:

@@ -192,13 +192,13 @@ class RootDatum:
 
     # -- highest root, marks, extended diagram -------------------------
 
-    @cached_property
+    @property
     def highest_root(self) -> Vec:
-        top = max(self.positive_roots, key=lambda r: (sum(r), r))
-        for r in self.positive_roots:
-            if any(c > t for c, t in zip(r, top)):
-                raise InvariantViolation(f"{self.label}: no dominating root")
-        return top
+        """The positive root of greatest height, the last.  The closure
+        admits only reflections of roots and its count is asserted, so
+        these are all the positive roots, and in an irreducible system the
+        root of greatest height dominates them (Bourbaki, VI, 1.8, Prop. 25)."""
+        return self.positive_roots[-1]
 
     @cached_property
     def marks(self) -> dict[int, int]:

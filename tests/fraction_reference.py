@@ -1,7 +1,7 @@
 """Rational references for the integer census core.
 
-The census keeps every point as integer affine numerators over one
-common denominator, and reads fixed spaces off node-permutation orbits.
+The census keeps every point as integer affine numerators over its own
+least denominator, and reads fixed spaces off node-permutation orbits.
 These are the earlier rational versions of the Frobenius map, the fold
 into the alcove, the orbit test, the stability test and the fixed space
 of a subgroup of alcove stabilizers (Gauss-Jordan elimination on the
@@ -370,15 +370,17 @@ def pair_images(datum, nodes, points):
 
 def all_pairs_fixed_points(config):
     """The distinct fixed points of every sub-alcove over every node of
-    the isogeny subgroup, as integer affine numerators over one common
-    denominator, sorted."""
-    points = {
-        fixed_point(config, sub, a).affine
-        for sub in enumerate_subalcoves(config)
-        for a in sorted(config.a_g)
-    }
-    common = lcm(*(sum(aff) for aff in points))
-    return tuple(sorted(tuple(x * (common // sum(aff)) for x in aff) for aff in points))
+    the isogeny subgroup, each as integer affine numerators over its own
+    least denominator, sorted."""
+    return tuple(
+        sorted(
+            {
+                fixed_point(config, sub, a).affine
+                for sub in enumerate_subalcoves(config)
+                for a in sorted(config.a_g)
+            }
+        )
+    )
 
 
 def record_payload(datum, record):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 import re
 import sys
-from math import factorial, lcm
+from math import factorial, gcd
 from operator import itemgetter
 
 import pytest
@@ -295,30 +295,44 @@ def test_fixed_points_have_pprime_denominators_and_stay_inside(label, q):
             assert all(b >= 0 for b in bary)
 
 
-def test_cell_fixed_points_share_one_denominator():
-    datum, config = split("B2", 5)
-    nodes = frozenset(minuscule_nodes(datum))
-    assert config.a_g == nodes
+# Split, twisted, adjoint and simply connected; the common denominator of
+# the table points has 26 bits on D5 ad q=3 and 48 on E7 sc q=2.
+OWN_DENOMINATOR_GRID = [
+    ("B2", "ad", 5, False),
+    ("D5", "ad", 3, False),
+    ("E6", "ad", 2, True),
+    ("E7", "sc", 2, False),
+]
+
+
+@pytest.mark.parametrize(
+    "label,iso,q,twisted",
+    OWN_DENOMINATOR_GRID,
+    ids=[f"{c[0]}-{c[1]}-q{c[2]}" + "-twisted" * c[3] for c in OWN_DENOMINATOR_GRID],
+)
+def test_cell_fixed_points_keep_their_own_denominators(label, iso, q, twisted):
+    config = make_group_config(label, iso, q, twisted=twisted)
+    datum, nodes = config.datum, config.a_g
     table = cell_fixed_points(config)
     points = {
         fixed_point(config, sub, a).affine
         for sub in enumerate_subalcoves(config)
         for a in nodes
     }
-    # one solve per pair orbit; every other pair's point is an image
-    assert table.solves < len(nodes) * 5**2
+    # the table points are solved points, as the solve gives them; one
+    # solve per pair orbit, and every other pair's point is an image
+    assert set(table.points) <= points
+    pairs = len(nodes) * q**datum.rank
+    assert table.solves == pairs if len(nodes) == 1 else table.solves < pairs
     group = fundamental_group(datum)
-    images = {group.act[b](aff) for aff in table.points for b in nodes}
-    assert len(images) == len(points)
-    common = lcm(*(sum(aff) for aff in points))
-    assert {sum(aff) for aff in table.points} == {common}
-    assert {reference.point(datum, aff) for aff in images} == {
-        reference.point(datum, aff) for aff in points
-    }
-    # integer order is the order of the rational affine coordinates
-    assert sorted(images, key=lambda aff: reference.point(datum, aff).affine) == sorted(
-        images
-    )
+    assert {group.act[b](aff) for aff in table.points for b in nodes} == points
+    # each record key is over the least denominator of its coweight
+    # coordinates, and the records are in the order of their rational
+    # affine coordinates
+    keys = [r.key for r in enumerate_classes(config)]
+    for key in keys:
+        assert gcd(sum(key), *(key[i] // datum.marks[i] for i in datum.nodes)) == 1
+    assert keys == sorted(keys, key=lambda key: reference.point(datum, key).affine)
 
 
 def corrupt_stabilizer(monkeypatch, datum):

@@ -2,7 +2,7 @@ import copy
 import inspect
 import textwrap
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -214,7 +214,8 @@ LATTICE_GRID = [
 def test_census_keys_pass_the_lattice_orbit_relation(case):
     # The reference's cocharacter-lattice relation accepts every key's
     # folded Frobenius image, and it and the census's exact-image relation
-    # reject the next key, a different class, alike.
+    # reject the next key, a different class, alike; the census's relation
+    # takes the two keys over their common denominator.
     config = _grid_config(*case)
     datum = config.datum
     keys = [r.key for r in enumerate_classes(config)]
@@ -224,7 +225,9 @@ def test_census_keys_pass_the_lattice_orbit_relation(case):
         assert reference.orbit_equal(config, lam, reference.point(datum, folded)) is not None
         assert orbit_equal(config, key, folded) is not None
         assert reference.orbit_equal(config, lam, reference.point(datum, other)) is None
-        assert orbit_equal(config, key, other) is None
+        level = lcm(sum(key), sum(other))
+        lifted = [tuple(x * (level // sum(k)) for x in k) for k in (key, other)]
+        assert orbit_equal(config, *lifted) is None
 
 
 # Split, twisted and triality; sc, ad and sub:; p dividing the isogeny
@@ -448,12 +451,12 @@ def test_enumerate_classes_a1():
     ad = make_group_config("A1", "ad", 3)
     recs = enumerate_classes(ad)
     assert len(recs) == 3
-    # keys are affine numerators over the common denominator 4
+    # keys are affine numerators over their own least denominators
     by_key = {r.key: r for r in recs}
-    central = by_key[(0, 4)]  # canonical rep of the 0 ~ 1 orbit
+    central = by_key[(0, 1)]  # canonical rep of the 0 ~ 1 orbit
     assert central.comp_group_order == 1
     assert str(central.centralizer_components[0]) == "A1"
-    half = by_key[(2, 2)]
+    half = by_key[(1, 1)]
     assert half.comp_group == (0, 1)
     assert half.fixed_count == 2 and half.h1_count == 2
     # the canonical representative of the {1/4, 3/4} orbit is the point
@@ -495,12 +498,15 @@ def _leaves(value):
     "label,q,twisted", [("A1", 3, False), ("D5", 3, False), ("E6", 2, True)]
 )
 def test_class_records_hold_no_rationals(label, q, twisted):
-    # the records stay integer; only the serializer writes ratios
+    # the records stay integer, each key over the least denominator of
+    # its coweight coordinates; only the serializer writes ratios
     config = make_group_config(label, "ad", q, twisted=twisted)
+    datum = config.datum
     records = enumerate_classes(config)
     assert {type(x) for r in records for x in _leaves(r)} <= {int, str}
-    denominators = {sum(r.key) for r in records}
-    assert len(denominators) == 1
+    for key in (r.key for r in records):
+        assert all(key[i] % datum.marks[i] == 0 for i in datum.nodes)
+        assert gcd(sum(key), *(key[i] // datum.marks[i] for i in datum.nodes)) == 1
     assert all(orbit_key(config, r.key) == r.key for r in records)
 
 
