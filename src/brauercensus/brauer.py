@@ -314,9 +314,10 @@ def theta(config: GroupConfig, records: Sequence[ClassRecord]) -> dict[int, int]
     abelian, so a node fixing one point of an orbit fixes all of them:
     the orbit meets the fixed space of node a exactly when a is in the
     record's component group.  The census asserts that the orbits, the
-    records, number ``q**rank`` whatever the hypothesis.  Only the strata
-    depend on ``config.congruence_holds()`` (split with q = 1 mod the
-    subgroup order, or twisted with q = -1): they are the paper's counts
-    only when it holds.
+    records, number ``q**rank`` whatever the hypothesis, and that the
+    stratum of each F-fixed node b is N(<b>), the number of cells that b
+    fixes.  Only the strata depend on ``config.congruence_holds()``
+    (split with q = 1 mod the subgroup order, or twisted with q = -1):
+    they are the paper's counts only when it holds.
     """
     return {a: sum(1 for r in records if a in r.comp_group) for a in sorted(config.a_g)}

@@ -39,6 +39,7 @@ from .brauer import (
     central_frobenius_action,
     frobenius_image,
     stable_cell_count,
+    theta,
 )
 from .errors import InvariantViolation
 from .linalg import prime_power
@@ -195,7 +196,10 @@ def orbit_key(config: GroupConfig, affine: tuple) -> tuple:
 class ClassRecord(NamedTuple):
     """One F-stable semisimple class of the configured group, keyed by
     the integer affine numerators of its canonical representative over
-    its own least denominator, their sum."""
+    its own least denominator, their sum.  ``fixed_count`` is the number
+    of Frobenius-fixed elements of the component group, which for a
+    finite abelian group is also the size of its first cohomology: the
+    report writes it as ``h1_count`` too."""
 
     key: tuple[int, ...]
     i_lambda: tuple[int, ...]
@@ -204,21 +208,6 @@ class ClassRecord(NamedTuple):
     comp_group: tuple[int, ...]
     f_action: tuple[tuple[int, int], ...]
     fixed_count: int
-
-    @property
-    def h1_count(self) -> int:
-        """Size of the first cohomology of the Frobenius action on the
-        component group, which for a finite abelian group equals the
-        number of fixed elements."""
-        return self.fixed_count
-
-    @property
-    def comp_group_order(self) -> int:
-        return len(self.comp_group)
-
-    @property
-    def is_disconnected(self) -> bool:
-        return len(self.comp_group) > 1
 
     def centralizer_name(self) -> str:
         if not self.centralizer_components:
@@ -263,10 +252,7 @@ def _classify(
     stabilizer = frozenset(z for z in config.a_g if group.act[z](key) == key)
     if stabilizer not in components:
         # A point stabilizer is a subgroup: fundamental_group asserts the node law.
-        try:
-            action, fixed = component_F_action(config, stabilizer)
-        except ValueError as exc:
-            raise InvariantViolation(f"{config}: {exc}") from exc
+        action, fixed = component_F_action(config, stabilizer)
         components[stabilizer] = (
             tuple(sorted(stabilizer)),
             tuple(sorted(action.items())),
@@ -293,6 +279,8 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
     the same orbit keys.  The candidates are grouped by canonical orbit
     key, and every orbit, in the order of its key's rational affine
     coordinates, is asserted to be Frobenius-stable and classified.
+    The Burnside identities are then asserted on ``counts`` and
+    ``theta`` of the records, the numbers that the report shows.
     """
     datum = config.datum
     q = config.q
@@ -322,11 +310,12 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
     # Burnside: b fixes the pair (w, a) exactly when f_b fixes the cell
     # and F(b) = b, so a class s is the image of |C_A(s)^F| pair orbits,
     # and the pair orbits count the rational classes.
-    rational = sum(r.fixed_count for r in records)
-    if table.solves != rational:
+    c = counts(config, records)
+    strata = theta(config, records)
+    if table.solves != c.rational_total:
         raise InvariantViolation(
             f"{config}: {table.solves} (cell, node) pair orbits, but the fixed counts "
-            f"sum to {rational}"
+            f"sum to {c.rational_total}"
         )
     # Per b, an F-fixed b fixes its m_b = N(<b>) cells with every node; per
     # (b, c), both fix a pair when both are F-fixed and <b, c> fixes its
@@ -337,40 +326,38 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
     pairs = {(b, c): group.subgroup((b, c)) for b in fixed_nodes for c in fixed_nodes}
     cells = {h: stable_cell_count(datum, h, q) for h in dict.fromkeys(pairs.values())}
     fixed_cells = sum(cells[pairs[b, 0]] for b in fixed_nodes)
-    if fixed_cells != rational:
+    if fixed_cells != c.rational_total:
         raise InvariantViolation(
             f"{config}: the stable cells of the F-fixed nodes sum to {fixed_cells}, "
-            f"but the fixed counts sum to {rational}"
+            f"but the fixed counts sum to {c.rational_total}"
         )
     # The same identity node by node: over a class whose component group
     # holds an F-fixed b, b fixes all |A| pairs, and over any other class
     # none, so those classes number m_b (README).
     for b in fixed_nodes:
-        holding = sum(1 for r in records if b in r.comp_group)
-        if holding != cells[pairs[b, 0]]:
+        if strata[b] != cells[pairs[b, 0]]:
             raise InvariantViolation(
-                f"{config}: {holding} classes have node {b} in their component "
+                f"{config}: {strata[b]} classes have node {b} in their component "
                 f"group, but N(<{b}>) = {cells[pairs[b, 0]]}"
             )
     pair_cells = sum(cells[h] for h in pairs.values())
-    chars = sum(r.fixed_count**2 for r in records)
-    if pair_cells != chars:
+    if pair_cells != c.pprime_char_total:
         raise InvariantViolation(
             f"{config}: the stable cells of the F-fixed node pairs sum to "
-            f"{pair_cells}, but the squared fixed counts sum to {chars}"
+            f"{pair_cells}, but the squared fixed counts sum to {c.pprime_char_total}"
         )
     return tuple(records)
 
 
 class CensusCounts(NamedTuple):
-    """Aggregated class counts for one configuration."""
+    """Aggregated class counts for one configuration: the ``counts``
+    block of the JSON report, field for field."""
 
     geometric_total: int
     n_disconnected: int
     rational_total: int
     pprime_char_total: int
-    by_component_order: tuple[tuple[int, int], ...]
-    warnings: tuple[str, ...] = ()
+    by_component_order: dict[str, int]
 
 
 def counts(
@@ -386,19 +373,13 @@ def counts(
     """
     if records is None:
         records = enumerate_classes(config)
-    by_order = Counter(r.comp_group_order for r in records)
-    warnings = []
-    if config.p_divides_isogeny_order:
-        warnings.append(
-            f"p = {config.p} divides the isogeny group order {len(config.a_g)}"
-        )
+    by_order = Counter(len(r.comp_group) for r in records)
     return CensusCounts(
         geometric_total=len(records),
-        n_disconnected=sum(1 for r in records if r.is_disconnected),
+        n_disconnected=len(records) - by_order[1],
         rational_total=sum(r.fixed_count for r in records),
         pprime_char_total=sum(r.fixed_count**2 for r in records),
-        by_component_order=tuple(sorted(by_order.items())),
-        warnings=tuple(warnings),
+        by_component_order={str(k): v for k, v in sorted(by_order.items())},
     )
 
 

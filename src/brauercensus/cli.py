@@ -4,7 +4,8 @@ All payload output is deterministic: JSON is emitted with sorted keys
 and exact rationals as strings, TSV with a fixed column order, and no
 timestamps appear anywhere.  A census is written only after every one
 of its assertions has run.  Exit codes: 0 success, 1 usage error,
-2 invariant violation, 3 resource cap exceeded.
+2 invariant violation, which a ``ValueError`` raised past a valid
+configuration is too, 3 resource cap exceeded.
 
 Every process compiles this module, so it holds only what ``census``
 and ``info`` run.  The ``verify`` suites live in ``verify``, which
@@ -82,10 +83,10 @@ def _record_json(datum: RootDatum, record: ClassRecord, profiles: dict) -> str:
       "component_group": {{
         "frobenius_action": {_json_list(pairs, " " * 8)},
         "nodes": {_json_list([str(a) for a in record.comp_group], " " * 8)},
-        "order": {record.comp_group_order}
+        "order": {len(record.comp_group)}
       }},
       "fixed_count": {record.fixed_count},
-      "h1_count": {record.h1_count},
+      "h1_count": {record.fixed_count},
       "i_lambda": {_json_list([str(a) for a in record.i_lambda], " " * 6)},
 """
     marks, level = datum.marks, sum(key)
@@ -130,14 +131,12 @@ def census_report(config: GroupConfig) -> dict:
             "p_divides_isogeny_order": config.p_divides_isogeny_order,
         },
         "classes": records,
-        "counts": {
-            "geometric_total": c.geometric_total,
-            "n_disconnected": c.n_disconnected,
-            "rational_total": c.rational_total,
-            "pprime_char_total": c.pprime_char_total,
-            "by_component_order": {str(k): v for k, v in c.by_component_order},
-        },
-        "warnings": list(c.warnings),
+        "counts": c._asdict(),
+        "warnings": [
+            f"p = {config.p} divides the isogeny group order {len(config.a_g)}"
+        ]
+        if config.p_divides_isogeny_order
+        else [],
     }
     if has_d_odd_comparison(config):
         payload["d_odd_comparison"] = d_odd_comparison(config, c)._asdict()
@@ -177,9 +176,9 @@ def census_tsv(report: dict) -> Iterator[str]:
                 ",".join(_ratio(x, level) for x in rec.key),
                 ",".join(str(i) for i in rec.i_lambda),
                 rec.centralizer_name(),
-                str(rec.comp_group_order),
+                str(len(rec.comp_group)),
                 str(rec.fixed_count),
-                str(rec.h1_count),
+                str(rec.fixed_count),
             )
         ) + "\n"
 
@@ -314,7 +313,11 @@ def main(argv=None) -> int:
             config = make_group_config(
                 args.type, isogeny, args.q, twisted=args.twisted, triality=args.triality
             )
-            report = census_report(config)
+            try:
+                report = census_report(config)
+            except ValueError as exc:
+                # The configuration is valid, so this is an internal fault.
+                raise InvariantViolation(f"{config}: {exc}") from exc
             if args.format == "tsv":
                 sys.stdout.writelines(census_tsv(report))
             else:

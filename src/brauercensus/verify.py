@@ -137,8 +137,10 @@ class Suite:
     any case runs: a type that no case has, or ``max_q`` on a suite whose
     cases have no q, is a usage error, and a selected case with more
     sub-alcoves than ``cap`` raises ``ResourceCapExceeded``.  A case whose
-    checks raise ``InvariantViolation`` becomes one ``FAIL`` line under
-    the case's name, and the suite goes on with its other cases.
+    checks raise ``InvariantViolation`` or ``ValueError``, an internal
+    fault since every case is a valid configuration, becomes one ``FAIL``
+    line under the case's name, and the suite goes on with its other
+    cases.
     """
 
     def __init__(self, name: str, cases: tuple, checks):
@@ -169,7 +171,7 @@ class Suite:
             try:
                 # list() first: a case that fails midway leaves no lines
                 checks.extend(list(self.checks(name, *case)))
-            except InvariantViolation as exc:
+            except (InvariantViolation, ValueError) as exc:
                 checks.append(Check(name, False, str(exc)))
         return checks
 

@@ -400,11 +400,11 @@ def record_payload(datum, record):
         },
         "component_group": {
             "nodes": list(record.comp_group),
-            "order": record.comp_group_order,
+            "order": len(record.comp_group),
             "frobenius_action": [list(pair) for pair in record.f_action],
         },
         "fixed_count": record.fixed_count,
-        "h1_count": record.h1_count,
+        "h1_count": record.fixed_count,
     }
 
 

@@ -26,7 +26,7 @@ from brauercensus.census import (
     orbit_equal,
     orbit_key,
 )
-from brauercensus import census
+from brauercensus import census, cli
 from brauercensus.errors import InvariantViolation
 from brauercensus.rootdata import TypeLabel, subdiagram_type
 
@@ -409,6 +409,50 @@ def test_strata_mutant_dropping_a_component_node_raises(monkeypatch):
     assert [r.comp_group for r in dropped] == [(0, 1, 2)]
 
 
+@pytest.mark.parametrize(
+    "field,message",
+    [
+        ("rational_total", r"51 \(cell, node\) pair orbits, but the fixed counts sum to 52"),
+        (
+            "pprime_char_total",
+            r"the stable cells of the F-fixed node pairs sum to 57, "
+            r"but the squared fixed counts sum to 58",
+        ),
+    ],
+    ids=["rational_total", "pprime_char_total"],
+)
+def test_census_asserts_the_counts_it_reports(monkeypatch, field, message):
+    # The census checks the counts block that the report prints: a
+    # counts that over-reports a total by one fails the census itself.
+    true_counts = census.counts
+
+    def over_reporting(config, records=None):
+        c = true_counts(config, records)
+        return c._replace(**{field: getattr(c, field) + 1})
+
+    monkeypatch.setattr(census, "counts", over_reporting)
+    with pytest.raises(InvariantViolation, match=rf"^A2 ad q=7: {message}$"):
+        enumerate_classes(make_group_config("A2", "ad", 7))
+
+
+def test_census_asserts_the_theta_strata(monkeypatch):
+    # The per-node check reads theta's strata, the ones that the verify
+    # suites print.  On A2 ad q=7, N(<2>) = 1.
+    true_theta = census.theta
+
+    def lowered(config, records):
+        strata = true_theta(config, records)
+        return {**strata, 2: strata[2] - 1}
+
+    monkeypatch.setattr(census, "theta", lowered)
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^A2 ad q=7: 0 classes have node 2 in their component group, "
+        r"but N\(<2>\) = 1$",
+    ):
+        enumerate_classes(make_group_config("A2", "ad", 7))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(REFERENCE_GRID), st.data())
 def test_integer_orbit_tests_match_the_rational_reference(case, data):
@@ -447,22 +491,22 @@ def test_enumerate_classes_a1():
     sc = make_group_config("A1", "sc", 3)
     recs = enumerate_classes(sc)
     assert len(recs) == 3
-    assert all(r.comp_group_order == 1 for r in recs)
+    assert all(len(r.comp_group) == 1 for r in recs)
     ad = make_group_config("A1", "ad", 3)
     recs = enumerate_classes(ad)
     assert len(recs) == 3
     # keys are affine numerators over their own least denominators
     by_key = {r.key: r for r in recs}
     central = by_key[(0, 1)]  # canonical rep of the 0 ~ 1 orbit
-    assert central.comp_group_order == 1
+    assert len(central.comp_group) == 1
     assert str(central.centralizer_components[0]) == "A1"
     half = by_key[(1, 1)]
     assert half.comp_group == (0, 1)
-    assert half.fixed_count == 2 and half.h1_count == 2
+    assert half.fixed_count == 2
     # the canonical representative of the {1/4, 3/4} orbit is the point
     # with the lexicographically smaller affine coordinates, (1/4, 3/4)
     quarter = by_key[(1, 3)]
-    assert quarter.comp_group_order == 1
+    assert len(quarter.comp_group) == 1
     assert quarter.torus_rank == 1
 
 
@@ -541,8 +585,8 @@ def test_counts_a1_ad():
     assert c.rational_total == 4
     assert c.pprime_char_total == 6
     assert c.n_disconnected == 1
-    assert c.by_component_order == ((1, 2), (2, 1))
-    assert c.warnings == ()
+    assert c.by_component_order == {"1": 2, "2": 1}
+    assert cli.census_report(cfg)["warnings"] == []
 
 
 def test_counts_warns_when_p_divides_order():
@@ -550,7 +594,7 @@ def test_counts_warns_when_p_divides_order():
     c = counts(cfg)
     assert c.n_disconnected == 0
     assert c.rational_total == 9
-    assert any("divides" in w for w in c.warnings)
+    assert any("divides" in w for w in cli.census_report(cfg)["warnings"])
 
 
 def test_simply_connected_always_connected():
@@ -597,8 +641,8 @@ def test_disconnected_check_families(monkeypatch):
     # a census that counts one disconnected class too many is named
     true_counts = census.counts
 
-    def one_too_many(config):
-        c = true_counts(config)
+    def one_too_many(config, records=None):
+        c = true_counts(config, records)
         return c._replace(n_disconnected=c.n_disconnected + 1)
 
     monkeypatch.setattr(census, "counts", one_too_many)
@@ -692,7 +736,7 @@ def test_component_groups_are_subgroups():
             nodes = frozenset(rec.comp_group)
             assert nodes <= cfg.a_g
             assert group.is_subgroup(nodes)
-            if rec.is_disconnected and len(cfg.a_g) in (2, 3):
+            if len(rec.comp_group) > 1 and len(cfg.a_g) in (2, 3):
                 assert nodes == cfg.a_g
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from brauercensus import census, cli, verify
+from brauercensus import brauer, census, cli, verify
 from brauercensus.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -21,7 +21,7 @@ from brauercensus.cli import (
 )
 from brauercensus.census import classical_invariant_dimension, make_group_config
 from brauercensus.errors import InvariantViolation
-from brauercensus.linalg import PRIME_POWER_BOUND
+from brauercensus.linalg import PRIME_POWER_BOUND, SingularMatrixError
 from brauercensus.rootdata import TypeLabel
 from brauercensus.verify import Check
 
@@ -281,6 +281,52 @@ def test_component_action_fault_is_an_invariant_violation(monkeypatch):
     code, out, err = run(["census", "--type", "A2", "--q", "4"])
     assert code == EXIT_INVARIANT and out == ""
     assert err == "invariant violation: A2 ad q=4: subgroup is not Frobenius-stable\n"
+
+
+def _singular(rows):
+    raise SingularMatrixError("singular coefficient matrix")
+
+
+@pytest.mark.parametrize(
+    "module,attr,fault,argv,message",
+    [
+        # an unfolded Frobenius image leaves the closed alcove
+        (
+            census,
+            "fold_coords",
+            lambda datum, coords: coords,
+            ["census", "--type", "D5", "--q", "3"],
+            "D5 ad q=3: orbit comparison requires points of the closed alcove",
+        ),
+        (
+            brauer,
+            "bareiss",
+            _singular,
+            ["census", "--type", "A2", "--q", "4"],
+            "A2 ad q=4: singular coefficient matrix",
+        ),
+    ],
+    ids=["fold_coords", "bareiss"],
+)
+def test_internal_value_errors_are_invariant_violations(
+    monkeypatch, module, attr, fault, argv, message
+):
+    # A ValueError raised past a valid configuration is an internal
+    # fault, named by the configuration, not a usage error.
+    monkeypatch.setattr(module, attr, fault)
+    code, out, err = run(argv)
+    assert code == EXIT_INVARIANT and out == ""
+    assert err == f"invariant violation: {message}\n"
+
+
+def test_internal_value_error_is_one_fail_line_per_case(monkeypatch):
+    monkeypatch.setattr(brauer, "bareiss", _singular)
+    code, out, err = run(["verify", "--suite", "theta"])
+    assert code == EXIT_INVARIANT and err == ""
+    assert out.splitlines() == [
+        f"FAIL\t{case}\tsingular coefficient matrix"
+        for case in ("theta/A2/q7/split", "theta/A2/q5/twisted", "theta/E6/q2/twisted")
+    ]
 
 
 def test_census_cap_is_the_subalcove_count():
