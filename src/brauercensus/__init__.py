@@ -3,7 +3,6 @@ algebraic groups over finite fields, computed through alcove geometry.
 """
 
 from .affine import (
-    DiagramSymmetry,
     FundamentalGroup,
     fundamental_group,
     hyperplane_containment,

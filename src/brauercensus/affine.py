@@ -56,56 +56,21 @@ def affine_point(datum: RootDatum, coords: Vec) -> AffinePoint:
 # diagram symmetries
 
 
-class DiagramSymmetry(NamedTuple):
-    """A permutation of the extended node set preserving bonds and marks."""
-
-    perm: tuple[int, ...]  # image of node i at index i; index 0 is node 0
-
-    def __call__(self, node: int) -> int:
-        return self.perm[node]
-
-    @property
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm))
-
-    def inverse(self) -> "DiagramSymmetry":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return DiagramSymmetry(tuple(inv))
-
-    def compose(self, other: "DiagramSymmetry") -> "DiagramSymmetry":
-        """self after other."""
-        return DiagramSymmetry(tuple(self.perm[p] for p in other.perm))
-
-    @property
-    def order(self) -> int:
-        k, cur = 1, self
-        while not cur.is_identity:
-            cur = cur.compose(self)
-            k += 1
-        return k
-
-    @classmethod
-    def identity(cls, rank: int) -> "DiagramSymmetry":
-        return cls(tuple(range(rank + 1)))
-
-
-def validate_symmetry(datum: RootDatum, sym: DiagramSymmetry) -> None:
-    """Reject permutations that do not preserve the extended diagram."""
-    if len(sym.perm) != datum.rank + 1 or sorted(sym.perm) != list(datum.extended_nodes):
+def validate_symmetry(datum: RootDatum, perm: tuple[int, ...]) -> None:
+    """Reject node permutations that do not preserve the extended diagram."""
+    if len(perm) != datum.rank + 1 or sorted(perm) != list(datum.extended_nodes):
         raise ValueError("permutation does not cover the extended node set")
     cartan = datum.extended_cartan
     for a in datum.extended_nodes:
-        if datum.marks[sym(a)] != datum.marks[a]:
+        if datum.marks[perm[a]] != datum.marks[a]:
             raise ValueError("permutation does not preserve marks")
         for b in datum.extended_nodes:
-            if cartan[sym(a)][sym(b)] != cartan[a][b]:
+            if cartan[perm[a]][perm[b]] != cartan[a][b]:
                 raise ValueError("permutation does not preserve the extended diagram")
 
 
-def standard_symmetry(datum: RootDatum, kind: str) -> DiagramSymmetry:
-    """The conventional diagram symmetry of a given kind.
+def standard_symmetry(datum: RootDatum, kind: str) -> tuple[int, ...]:
+    """The conventional diagram symmetry of a given kind: its node images.
 
     ``"split"`` is the identity; ``"twisted"`` the order-2 symmetry of
     A_n (n>=2), D_n and E6; ``"triality"`` the order-3 symmetry of D4.
@@ -113,8 +78,6 @@ def standard_symmetry(datum: RootDatum, kind: str) -> DiagramSymmetry:
     """
     n = datum.rank
     fam = datum.label.family
-    if kind == "split":
-        return DiagramSymmetry.identity(n)
     perm = list(range(n + 1))
     if kind == "twisted":
         if fam == "A" and n >= 2:
@@ -132,9 +95,9 @@ def standard_symmetry(datum: RootDatum, kind: str) -> DiagramSymmetry:
             perm[1], perm[3], perm[4] = 3, 4, 1
         else:
             raise ValueError("triality only exists for D4")
-    else:
+    elif kind != "split":
         raise ValueError(f"unknown symmetry kind {kind!r}")
-    return DiagramSymmetry(tuple(perm))
+    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +112,15 @@ def minuscule_nodes(datum: RootDatum) -> tuple[int, ...]:
 class FundamentalGroup(NamedTuple):
     """The stabilizer of the alcove, indexed by minuscule nodes.
 
-    ``elements`` lists the minuscule nodes with node 0 as the identity;
-    the group law in node terms is ``mult[(a, b)] = perm[a](b)``.
+    ``elements`` lists the minuscule nodes with node 0 as the identity.
+    ``perm[a]`` is the node permutation of ``z_a``, the tuple of node
+    images, and the group law in node terms is ``a b = perm[a][b]``.
     ``weyl[a]`` is the integer matrix of ``z_a`` on coweight coordinates.
     ``act[a]`` applies ``f_a`` to affine coordinates: an ``itemgetter``
     of the inverse node permutation.
     """
 
     elements: tuple[int, ...]
-    mult: dict
     perm: dict
     weyl: dict
     act: dict
@@ -169,7 +132,7 @@ class FundamentalGroup(NamedTuple):
     def order_of(self, a: int) -> int:
         k, cur = 1, a
         while cur != 0:
-            cur = self.mult[(cur, a)]
+            cur = self.perm[cur][a]
             k += 1
         return k
 
@@ -177,17 +140,17 @@ class FundamentalGroup(NamedTuple):
         k %= self.order_of(a)
         cur = 0
         for _ in range(k):
-            cur = self.mult[(cur, a)]
+            cur = self.perm[cur][a]
         return cur
 
     def inverse(self, a: int) -> int:
-        return self.perm[a].perm.index(0)
+        return self.perm[a].index(0)
 
     def subgroup(self, generators: Iterable[int]) -> frozenset[int]:
         """The generated subgroup, which is <g_1> <g_2> ... as A is abelian."""
         closed = frozenset({0})
         for g in generators:
-            while not closed.issuperset(grown := {self.mult[a, g] for a in closed}):
+            while not closed.issuperset(grown := {self.perm[a][g] for a in closed}):
                 closed |= grown
         return closed
 
@@ -213,7 +176,7 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
     ]
     vertex_of = {v: b for b, v in enumerate(vertices)}
     weyl = {0: mat_identity(n)}
-    perm = {0: DiagramSymmetry.identity(n)}
+    perm = {0: tuple(range(n + 1))}
     # E8, F4 and G2 have no minuscule node but node 0, and need no w0.
     w0 = longest_element(datum, datum.nodes) if len(mins) > 1 else None
     for a in mins[1:]:
@@ -222,35 +185,32 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
         shift = vertices[a]
         # Scaled vertex b is step_b e_b, so its image is step_b times
         # column b of z_a, plus the shift; vertex 0 goes to the shift.
-        images = [a] + [
+        images = (a,) + tuple(
             vertex_of.get(tuple(step * x + y for x, y in zip(column, shift)))
             for step, column in zip(steps, zip(*z))
-        ]
+        )
         if None in images:
             raise InvariantViolation(
                 f"{datum.label}: f_{a} does not permute the alcove vertices"
             )
-        sym = DiagramSymmetry(tuple(images))
-        validate_symmetry(datum, sym)
+        validate_symmetry(datum, images)
         weyl[a] = z
-        perm[a] = sym
-    mult = {(a, b): perm[a](b) for a in mins for b in mins}
+        perm[a] = images
     # The node law must agree with composition.  Each f_c maps the alcove
     # vertices by perm[c] (checked above), and an affine map is fixed by its
     # values on rank+1 affinely independent points, so equal permutations
     # give f_a f_b = f_{ab}, and the matrix law z_a z_b = z_{ab} follows.
     for a in mins:
         for b in mins:
-            if perm[a].compose(perm[b]) != perm[mult[(a, b)]]:
+            if tuple(perm[a][x] for x in perm[b]) != perm[perm[a][b]]:
                 raise InvariantViolation(
                     f"{datum.label}: fundamental group law violated on matrices"
                 )
     return FundamentalGroup(
         elements=mins,
-        mult=mult,
         perm=perm,
         weyl=weyl,
-        act={a: itemgetter(*perm[a].inverse().perm) for a in mins},
+        act={a: itemgetter(*map(perm[a].index, datum.extended_nodes)) for a in mins},
     )
 
 
@@ -352,7 +312,7 @@ def invariant_space(datum: RootDatum, subgroup: frozenset[int]) -> InvariantSpac
     if not group.is_subgroup(subgroup):
         raise ValueError(f"{nodes} is not a node subgroup of {datum.label}")
     orbits = sorted(
-        {tuple(sorted({group.perm[h](a) for h in nodes})) for a in datum.extended_nodes}
+        {tuple(sorted({group.perm[h][a] for h in nodes})) for a in datum.extended_nodes}
     )
     kernel = datum.rank - rank_det(
         [x - (i == j) for j, x in enumerate(row)]

@@ -36,9 +36,9 @@ from .affine import (
     invariant_space,
     wall_neighbours,
 )
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ResourceCapExceeded
 from .linalg import bareiss
-from .rootdata import RootDatum
+from .rootdata import RootDatum, TypeLabel
 
 if TYPE_CHECKING:
     from .census import ClassRecord, GroupConfig
@@ -47,11 +47,23 @@ if TYPE_CHECKING:
 def frobenius_image(config: GroupConfig, affine: tuple[int, ...]) -> tuple[int, ...]:
     """F of ``config`` on integer affine numerators over their sum: F is
     q times the coweight permutation of rho inverse, so simple numerator
-    b becomes ``q * affine[rho(b)]`` (rho preserves the marks), and node
+    b becomes ``q * affine[rho[b]]`` (rho preserves the marks), and node
     0 takes the rest of the unchanged denominator."""
-    q, rho = config.q, config.rho.perm
+    q, rho = config.q, config.rho
     simple = tuple(q * affine[rho[b]] for b in range(1, len(affine)))
     return (sum(affine) - sum(simple),) + simple
+
+
+DEFAULT_SUBALCOVE_CAP = 10**6
+
+
+def check_subalcove_cap(label: TypeLabel, q: int, cap: int) -> None:
+    """A type and q have exactly ``q**rank`` sub-alcoves, as
+    ``walk_subalcoves`` asserts, so the cap is checked before any work."""
+    if q**label.rank > cap:
+        raise ResourceCapExceeded(
+            f"{label}, q={q}: {q**label.rank} sub-alcoves exceed the cap {cap}"
+        )
 
 
 def scale(datum: RootDatum, q: int) -> int:
@@ -175,7 +187,7 @@ def fixed_point(config: GroupConfig, sub: SubAlcove, node: int) -> CellPoint:
     ``config`` after the stabilizer of ``node``; it always lies inside the
     sub-alcove.
 
-    The map sends alcove vertex b to ``sub.vertices[rho(perm(b))]``, so
+    The map sends alcove vertex b to ``sub.vertices[rho[perm[b]]]``, so
     in affine coordinates (barycentric for the alcove vertices) it is the
     matrix N whose column b is that vertex: an integer matrix with column
     sums S.  The fixed point solves ``(N - S*I) x = 0`` with ``sum(x) =
@@ -194,8 +206,8 @@ def fixed_point(config: GroupConfig, sub: SubAlcove, node: int) -> CellPoint:
     if node not in group.perm:
         raise ValueError(f"node {node} is not minuscule in {datum.label}")
     s = scale(datum, config.q)
-    rho = config.rho.perm
-    first, *rest = (sub.vertices[rho[b]] for b in group.perm[node].perm)
+    rho = config.rho
+    first, *rest = (sub.vertices[rho[b]] for b in group.perm[node])
     rows = [[v[t] - y for v in rest] + [-y] for t, y in enumerate(first[1:], 1)]
     for t, row in enumerate(rows):
         row[t] -= s
@@ -217,7 +229,7 @@ def central_frobenius_action(config: GroupConfig, z: int) -> int:
     the twist inverse, then raise to the q-th power.  This is the element
     F(z) with ``F f_z F^-1 = f_F(z)`` modulo the affine Weyl group."""
     group = fundamental_group(config.datum)
-    return group.power(config.rho.inverse()(z), config.q)
+    return group.power(config.rho.index(z), config.q)
 
 
 class CellTable(NamedTuple):
@@ -247,12 +259,13 @@ def cell_fixed_points(config: GroupConfig) -> CellTable:
     fixed point give one tuple.
     """
     group = fundamental_group(config.datum)
+    perm = group.perm
     order = sorted(config.a_g)
     image_node = {}
     for b in order:
         fb = central_frobenius_action(config, b)
         for a in order:
-            image_node[a, b] = group.mult[group.mult[a, fb], group.inverse(b)]
+            image_node[a, b] = perm[perm[a][fb]][group.inverse(b)]
 
     actions = [group.act[b] for b in order]
     # The nodes a solved with a cell, per stabilizer of the cell.

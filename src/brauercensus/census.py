@@ -28,7 +28,6 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .affine import (
-    DiagramSymmetry,
     fold_coords,
     fundamental_group,
     standard_symmetry,
@@ -52,25 +51,27 @@ class GroupConfig(namedtuple("GroupConfig", "datum a_g q rho p")):
     cocharacter lattice, and the Frobenius F, q times the coweight
     permutation of the graph twist rho inverse; p is the characteristic.
     Every check runs on construction, so every function that takes a
-    configuration can rely on it: q is a prime power, rho is a diagram
-    symmetry fixing the affine node, A_G is a subgroup and rho stabilizes
-    it, so F(b) = rho^-1(b)^q lies in A_G for every b in A_G.  Each fact
-    about the configuration that more than one caller reads (adjoint, p
-    dividing |A_G|, the congruence) is decided here once."""
+    configuration can rely on it: q is a prime power, rho, the tuple of
+    node images, is a diagram symmetry fixing the affine node, A_G is a
+    subgroup and rho stabilizes it, so F(b) = rho^-1(b)^q lies in A_G for
+    every b in A_G.  Each fact about the configuration that more than one
+    caller reads (adjoint, p dividing |A_G|, the congruence) is decided
+    here once."""
 
     __slots__ = ()
 
     def __new__(
-        cls, datum: RootDatum, a_g: frozenset[int], q: int, rho: DiagramSymmetry
+        cls, datum: RootDatum, a_g: frozenset[int], q: int, rho: tuple[int, ...]
     ):
         pf = prime_power(q)
         if pf is None:
             raise ValueError(f"q = {q} is not a prime power >= 2")
+        rho = tuple(rho)
         validate_symmetry(datum, rho)
-        if rho(0) != 0:
+        if rho[0] != 0:
             raise ValueError("a graph twist must fix the affine node")
         a_g = frozenset(a_g)
-        if frozenset(map(rho, a_g)) != a_g:
+        if frozenset(rho[a] for a in a_g) != a_g:
             raise ValueError("the graph twist does not stabilize the isogeny subgroup")
         if not fundamental_group(datum).is_subgroup(a_g):
             raise ValueError(f"nodes {sorted(a_g)} are not a subgroup in {datum.label}")
@@ -88,15 +89,23 @@ class GroupConfig(namedtuple("GroupConfig", "datum a_g q rho p")):
         text = f"{self.datum.label} {self.isogeny_name()} q={self.q}"
         if self.is_split:
             return text
-        return text + (" triality" if self.rho.order == 3 else " twisted")
+        return text + (" triality" if self.twist_order == 3 else " twisted")
 
     @property
     def rank(self) -> int:
         return self.datum.rank
 
     @property
+    def twist_order(self) -> int:
+        """The order of rho: 1 split, 2 twisted, 3 triality."""
+        k, cur = 1, self.rho
+        while cur != tuple(range(len(cur))):
+            cur, k = tuple(self.rho[i] for i in cur), k + 1
+        return k
+
+    @property
     def is_split(self) -> bool:
-        return self.rho.is_identity
+        return self.twist_order == 1
 
     @property
     def is_adjoint(self) -> bool:

@@ -21,6 +21,7 @@ from math import gcd
 from typing import Iterator
 
 from .affine import fundamental_group, invariant_space, minuscule_nodes
+from .brauer import DEFAULT_SUBALCOVE_CAP, check_subalcove_cap
 from .census import (
     ClassRecord,
     GroupConfig,
@@ -30,15 +31,13 @@ from .census import (
     has_d_odd_comparison,
     make_group_config,
 )
-from .errors import InvariantViolation, ResourceCapExceeded
+from .errors import InvariantViolation, ResourceCapExceeded, UsageError
 from .rootdata import RootDatum, TypeLabel, build_root_system
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_RESOURCE = 3
-
-DEFAULT_SUBALCOVE_CAP = 10**6
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -100,15 +99,6 @@ def _record_json(datum: RootDatum, record: ClassRecord, profiles: dict) -> str:
     )
 
 
-def _check_subalcove_cap(label: TypeLabel, q: int, cap: int) -> None:
-    """The Brauer complex of a type and q has exactly ``q**rank``
-    sub-alcoves, so the cap is checked before any work."""
-    if q**label.rank > cap:
-        raise ResourceCapExceeded(
-            f"{label}, q={q}: {q**label.rank} sub-alcoves exceed the cap {cap}"
-        )
-
-
 def census_report(config: GroupConfig) -> dict:
     """The census payload: every key of the JSON report, with
     ``classes`` holding the ``ClassRecord``s themselves, which
@@ -125,7 +115,7 @@ def census_report(config: GroupConfig) -> dict:
         "q": config.q,
         "p": config.p,
         "twisted": not config.is_split,
-        "twist_order": config.rho.order,
+        "twist_order": config.twist_order,
         "hypotheses": {
             "congruence_holds": config.congruence_holds(),
             "p_divides_isogeny_order": config.p_divides_isogeny_order,
@@ -197,7 +187,7 @@ def info_report(label: str) -> dict:
             "order": group.order,
             "element_orders": {str(a): group.order_of(a) for a in group.elements},
             "multiplication": {
-                f"{a},{b}": group.mult[(a, b)]
+                f"{a},{b}": group.perm[a][b]
                 for a in group.elements
                 for b in group.elements
             },
@@ -237,10 +227,6 @@ SUITES = {
 
 # ---------------------------------------------------------------------------
 # argument handling
-
-
-class UsageError(Exception):
-    pass
 
 
 def _build_parser():
@@ -309,7 +295,7 @@ def main(argv=None) -> int:
             # test's usage error.
             if args.q >= 2:
                 label = TypeLabel.parse(args.type)
-                _check_subalcove_cap(label, args.q, args.max_subalcoves)
+                check_subalcove_cap(label, args.q, args.max_subalcoves)
             config = make_group_config(
                 args.type, isogeny, args.q, twisted=args.twisted, triality=args.triality
             )

@@ -12,3 +12,7 @@ class InvariantViolation(RuntimeError):
 
 class ResourceCapExceeded(RuntimeError):
     """A computation would exceed the configured desk-scale limits."""
+
+
+class UsageError(Exception):
+    """A bad flag or flag value, or ``verify`` filters that select no check."""

@@ -13,7 +13,14 @@ from __future__ import annotations
 from typing import Optional
 
 from .affine import fundamental_group, invariant_space, minuscule_nodes
-from .brauer import enumerate_subalcoves, m_alpha, stable_cell_count, theta
+from .brauer import (
+    DEFAULT_SUBALCOVE_CAP,
+    check_subalcove_cap,
+    enumerate_subalcoves,
+    m_alpha,
+    stable_cell_count,
+    theta,
+)
 from .census import (
     classical_invariant_dimension,
     counts,
@@ -22,8 +29,7 @@ from .census import (
     enumerate_classes,
     make_group_config,
 )
-from .cli import DEFAULT_SUBALCOVE_CAP, UsageError, _check_subalcove_cap
-from .errors import InvariantViolation
+from .errors import InvariantViolation, UsageError
 from .rootdata import TypeLabel, build_root_system, subdiagram_type
 
 # Case tables of the verification suites.  Every case starts with
@@ -164,7 +170,7 @@ class Suite:
         ]
         for label, q, *_ in selected:
             if q is not None:
-                _check_subalcove_cap(TypeLabel.parse(label), q, cap)
+                check_subalcove_cap(TypeLabel.parse(label), q, cap)
         checks = []
         for case in selected:
             name = _case_name(self.name, case)

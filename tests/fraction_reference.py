@@ -233,16 +233,17 @@ def hyperplane_containment(datum, subgroup, q):
 
 
 def coweight_permutation_matrix(datum, sym):
-    """Matrix sending the coweight of node a to the coweight of sym(a)."""
+    """Matrix sending the coweight of node a to the coweight of sym[a]."""
     n = datum.rank
     return tuple(
-        tuple(1 if sym(j + 1) == k + 1 else 0 for j in range(n)) for k in range(n)
+        tuple(1 if sym[j + 1] == k + 1 else 0 for j in range(n)) for k in range(n)
     )
 
 
 def frobenius_map(config):
     """F = q * (coweight permutation of rho inverse), as a linear map."""
-    mat = coweight_permutation_matrix(config.datum, config.rho.inverse())
+    rho_inverse = tuple(map(config.rho.index, range(len(config.rho))))
+    mat = coweight_permutation_matrix(config.datum, rho_inverse)
     return AffineMap(
         tuple(tuple(config.q * x for x in row) for row in mat), (0,) * config.rank
     )

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauercensus.affine import (
-    DiagramSymmetry,
     affine_point,
     fold_coords,
     fundamental_group,
@@ -17,7 +16,7 @@ from brauercensus.affine import (
     validate_symmetry,
 )
 from brauercensus import affine, verify
-from brauercensus.census import make_group_config
+from brauercensus.census import GroupConfig, make_group_config
 from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import mat_identity, mat_mul
 from brauercensus.rootdata import build_root_system, longest_element
@@ -77,20 +76,19 @@ def test_alcove_membership():
 def test_z_element_identity_node():
     a2 = build_root_system("A2")
     zmap, zperm = z_element(a2, 0)
-    assert zmap == mat_identity(2) and zperm.is_identity
+    assert zmap == mat_identity(2) and zperm == (0, 1, 2)
 
 
 def test_z_element_cycle_in_type_a():
     a4 = build_root_system("A4")
     _, perm = z_element(a4, 1)
-    assert perm(0) == 1
-    assert perm.order == 5
+    assert perm[0] == 1
+    assert fundamental_group(a4).order_of(1) == 5
 
 
 def test_z_element_e6_order():
     e6 = build_root_system("E6")
-    _, perm = z_element(e6, 1)
-    assert perm.order == 3
+    assert fundamental_group(e6).order_of(1) == 3
 
 
 def test_z_element_rejects_non_minuscule():
@@ -122,7 +120,7 @@ def test_fundamental_group_matches_its_reference(label):
         weyl = mat_mul(longest_element(datum, set(datum.nodes) - {a}), w0)
         assert group.weyl[a] == weyl
         lift = reference.coweight_lift(datum, a)
-        assert group.perm[a].perm == reference.vertex_permutation(datum, weyl, lift)
+        assert group.perm[a] == reference.vertex_permutation(datum, weyl, lift)
 
 
 def test_d4_group_is_klein_four():
@@ -144,7 +142,7 @@ def test_fundamental_group_lift_law():
         lift = {a: reference.coweight_lift(config.datum, a) for a in g.elements}
         for a in g.elements:
             for b in g.elements:
-                c = g.mult[(a, b)]
+                c = g.perm[a][b]
                 diff = tuple(x + y - z for x, y, z in zip(lift[a], lift[b], lift[c]))
                 assert reference.lattice_contains(basis, diff)
 
@@ -356,7 +354,7 @@ def test_invariant_space_dimension_check_fires(monkeypatch):
     # only the origin
     a2 = build_root_system("A2")
     group = fundamental_group(a2)
-    identity = DiagramSymmetry.identity(2)
+    identity = (0, 1, 2)
     corrupted = group._replace(perm={a: identity for a in group.perm})
     monkeypatch.setattr(affine, "fundamental_group", lambda datum: corrupted)
     with pytest.raises(InvariantViolation, match="vertex orbits"):
@@ -407,20 +405,32 @@ def test_hyperplane_containment_cases():
 
 
 def test_fundamental_group_law_check_fires(monkeypatch):
-    # a composition that ignores its second factor breaks the node law
+    # z_1 = ((-1, -1), (0, 1)) is not in W, yet it sends the A2 alcove
+    # vertices through the permutation (1, 0, 2), a diagram symmetry, so
+    # only the node law can reject it: perm[1] after perm[2] is (2, 1, 0),
+    # while perm[1][2] = 2 and perm[2] = (2, 0, 1)
     a2 = build_root_system("A2")
-    monkeypatch.setattr(DiagramSymmetry, "compose", lambda self, other: self)
+    products = []
+
+    def first_product_mutated(x, y):
+        products.append(mat_mul(x, y))
+        return ((-1, -1), (0, 1)) if len(products) == 1 else products[-1]
+
+    monkeypatch.setattr(affine, "mat_mul", first_product_mutated)
     with pytest.raises(InvariantViolation, match="^A2: fundamental group law violated"):
         fundamental_group.__wrapped__(a2)
+    assert len(products) == 2
 
 
 def test_standard_symmetries():
     e6 = build_root_system("E6")
     rho = standard_symmetry(e6, "twisted")
-    assert rho(1) == 6 and rho(3) == 5 and rho(2) == 2 and rho.order == 2
+    assert rho == (0, 6, 2, 5, 4, 3, 1)
+    assert GroupConfig(e6, {0}, 2, rho).twist_order == 2
     d4 = build_root_system("D4")
     tri = standard_symmetry(d4, "triality")
-    assert tri.order == 3
+    assert tri == (0, 3, 2, 4, 1)
+    assert GroupConfig(d4, {0}, 2, tri).twist_order == 3
     with pytest.raises(ValueError):
         standard_symmetry(build_root_system("A1"), "twisted")
     with pytest.raises(ValueError):
@@ -432,4 +442,4 @@ def test_standard_symmetries():
 def test_validate_symmetry_rejects_bad_permutation():
     a3 = build_root_system("A3")
     with pytest.raises(ValueError):
-        validate_symmetry(a3, DiagramSymmetry((0, 2, 1, 3)))
+        validate_symmetry(a3, (0, 2, 1, 3))

@@ -8,7 +8,6 @@ import pytest
 
 from brauercensus import brauer, census, cli, oracle  # noqa: F401 (oracle: cache guard)
 from brauercensus.affine import (
-    DiagramSymmetry,
     fundamental_group,
     minuscule_nodes,
     standard_symmetry,
@@ -600,7 +599,7 @@ def test_theta_rejects_non_subgroup():
         GroupConfig(datum, {0, 1, 3}, 3, standard_symmetry(datum, "split"))
     # the rotation of the extended A2 triangle preserves the diagram, but
     # a Frobenius twist must fix the affine node
-    rotation = DiagramSymmetry((1, 2, 0))
+    rotation = (1, 2, 0)
     with pytest.raises(ValueError, match="a graph twist must fix the affine node"):
         GroupConfig(build_root_system("A2"), {0, 1, 2}, 5, rotation)
 

@@ -15,6 +15,7 @@ from brauercensus.brauer import (
     frobenius_image,
 )
 from brauercensus.census import (
+    GroupConfig,
     component_F_action,
     counts,
     d_odd_comparison,
@@ -28,7 +29,7 @@ from brauercensus.census import (
 )
 from brauercensus import census, cli
 from brauercensus.errors import InvariantViolation
-from brauercensus.rootdata import TypeLabel, subdiagram_type
+from brauercensus.rootdata import TypeLabel, build_root_system, subdiagram_type
 
 import fraction_reference as reference
 
@@ -48,6 +49,36 @@ def test_make_group_config_validation():
         make_group_config("A2", "ad", 3, triality=True)
     with pytest.raises(ValueError):
         make_group_config("B3", [2], 3)  # node 2 is not minuscule
+
+
+def test_group_config_stores_rho_as_a_tuple():
+    # stored as a list, the identity twist would compare unequal to the
+    # identity tuple and would not hash
+    datum = build_root_system("A2")
+    cfg = GroupConfig(datum, [0, 1, 2], 4, [0, 1, 2])
+    assert type(cfg.rho) is tuple and cfg.rho == (0, 1, 2)
+    assert cfg.twist_order == 1 and cfg.is_split
+    assert hash(cfg) == hash(make_group_config("A2", "ad", 4))
+    assert copy.copy(cfg) == cfg
+    twisted = GroupConfig(datum, [0, 1, 2], 4, [0, 2, 1])
+    assert twisted.rho == (0, 2, 1) and twisted.twist_order == 2
+
+
+@pytest.mark.parametrize(
+    "label,twisted,triality,order,name",
+    [
+        ("D4", False, False, 1, "D4 ad q=5"),
+        ("D4", True, False, 2, "D4 ad q=5 twisted"),
+        ("D4", True, True, 3, "D4 ad q=5 triality"),
+        ("E6", True, False, 2, "E6 ad q=5 twisted"),
+    ],
+)
+def test_twist_order_is_the_order_of_rho(label, twisted, triality, order, name):
+    cfg = make_group_config(label, "ad", 5, twisted=twisted, triality=triality)
+    assert cfg.twist_order == order
+    assert cfg.is_split == (order == 1)
+    assert str(cfg) == name
+    assert cli.census_report(cfg)["twist_order"] == order
 
 
 def test_isogeny_subgroup_closure():

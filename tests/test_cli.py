@@ -446,6 +446,12 @@ def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
     assert _fresh_modules(suite_run, modules) == "['argparse', 'brauercensus.verify']"
 
 
+def test_verify_import_loads_no_cli():
+    # the suites take the cap check from brauer and UsageError from
+    # errors, so cli and verify do not import each other
+    assert _fresh_modules("import brauercensus.verify", ("brauercensus.cli",)) == "[]"
+
+
 def test_classical_dimension_table():
     assert classical_invariant_dimension(TypeLabel("A", 5), 3) == 2
     assert classical_invariant_dimension(TypeLabel("D", 5), 4) == 1
