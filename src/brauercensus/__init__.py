@@ -14,7 +14,6 @@ from .brauer import (
     SubAlcove,
     enumerate_subalcoves,
     fixed_point,
-    m_alpha,
     theta,
 )
 from .census import (
@@ -23,7 +22,6 @@ from .census import (
     component_F_action,
     counts,
     d_odd_comparison,
-    disconnected_census_check,
     enumerate_classes,
     make_group_config,
 )

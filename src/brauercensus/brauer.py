@@ -298,24 +298,6 @@ def stable_cell_count(datum: RootDatum, subgroup: frozenset[int], q: int) -> int
     return q ** invariant_space(datum, subgroup).dimension
 
 
-def m_alpha(
-    config: GroupConfig, subgroup: frozenset[int], cells: Sequence[SubAlcove]
-) -> tuple[SubAlcove, ...]:
-    """The cells, the whole walk of ``config`` from
-    ``enumerate_subalcoves``, that every stabilizer of the node subgroup
-    maps to themselves, asserted to number ``stable_cell_count``, in both
-    branches."""
-    expected = stable_cell_count(config.datum, subgroup, config.q)
-    act = fundamental_group(config.datum).act
-    stable = [sub for sub in cells if all(act[b](sub.key) == sub.key for b in subgroup)]
-    if len(stable) != expected:
-        raise InvariantViolation(
-            f"{config}: nodes {sorted(subgroup)} have {len(stable)} stable "
-            f"sub-alcoves, expected {expected}"
-        )
-    return tuple(stable)
-
-
 def theta(config: GroupConfig, records: Sequence[ClassRecord]) -> dict[int, int]:
     """Theta read from the census records of ``config``: its strata,
     ``{a: count}`` in node order, where count is the number of orbits of

@@ -16,15 +16,15 @@ their sum, from the fixed-point solve to the class records, whose keys
 only the serializer turns into rationals; only the sort of the records
 brings their keys to one common denominator.
 
-The paper's closed forms live here too: the Table 1 fixed-space
-dimensions, the Table 3 disconnected count, which is q to the Table 1
-dimension of a nontrivial node, and the odd-rank D rational total.
+The one closed form of the paper kept here is the odd-rank D rational
+total, which the report prints beside the census's own; the ``verify``
+suites hold the Table 1 and Table 3 forms.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .affine import (
@@ -390,60 +390,6 @@ def counts(
         pprime_char_total=sum(r.fixed_count**2 for r in records),
         by_component_order={str(k): v for k, v in sorted(by_order.items())},
     )
-
-
-def classical_invariant_dimension(label: TypeLabel, node: int) -> int:
-    """Closed-form fixed-space dimensions per family and minuscule node.
-
-    For odd-rank D the two spin nodes are the order-4 generators; their
-    dimension is (rank-3)/2, matching the orbit count of the induced
-    node permutation.
-    """
-    n = label.rank
-    if node == 0:
-        return n
-    fam = label.family
-    if fam == "A":
-        return gcd(node, n + 1) - 1
-    if fam == "B":
-        return n - 1
-    if fam == "C":
-        return n // 2
-    if fam == "D":
-        if node == 1:
-            return n - 2
-        return n // 2 if n % 2 == 0 else (n - 3) // 2
-    if fam == "E" and n == 6:
-        return 2
-    if fam == "E" and n == 7:
-        return 4
-    raise ValueError(f"{label} has no nontrivial minuscule node {node}")
-
-
-def expected_disconnected_count(config: GroupConfig) -> int:
-    """The closed-form disconnected-class count for a prime-order adjoint
-    isogeny group with p not dividing its order: q^dim, where dim is the
-    Table 1 fixed-space dimension of a nontrivial node, the same for each
-    of them."""
-    order = len(config.a_g)
-    if prime_power(order) != (order, 1):
-        raise ValueError("requires an isogeny group of prime order")
-    if config.p_divides_isogeny_order:
-        raise ValueError("requires p not dividing the isogeny group order")
-    if not config.is_adjoint:
-        raise ValueError("requires the adjoint isogeny type")
-    return config.q ** classical_invariant_dimension(config.datum.label, max(config.a_g))
-
-
-def disconnected_census_check(config: GroupConfig) -> int:
-    """The disconnected-class count, asserted against its closed form."""
-    expected = expected_disconnected_count(config)
-    actual = counts(config).n_disconnected
-    if actual != expected:
-        raise InvariantViolation(
-            f"{config}: {actual} disconnected classes, expected {expected}"
-        )
-    return actual
 
 
 class DOddComparison(NamedTuple):

@@ -5,7 +5,8 @@ and exact rationals as strings, TSV with a fixed column order, and no
 timestamps appear anywhere.  A census is written only after every one
 of its assertions has run.  Exit codes: 0 success, 1 usage error,
 2 invariant violation, which a ``ValueError`` raised past a valid
-configuration is too, 3 resource cap exceeded.
+configuration is too, 3 resource cap exceeded, 141 (128 + SIGPIPE) a
+stdout closed by its reader.
 
 Every process compiles this module, so it holds only what ``census``
 and ``info`` run.  The ``verify`` suites live in ``verify``, which
@@ -16,6 +17,7 @@ and ``info`` run.  The ``verify`` suites live in ``verify``, which
 from __future__ import annotations
 
 import json
+import os
 import sys
 from math import gcd
 from typing import Iterator
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -286,7 +289,7 @@ def main(argv=None) -> int:
             )
         if args.command == "info":
             report = info_report(args.type)
-            print(json.dumps(report, indent=2, sort_keys=True))
+            print(json.dumps(report, indent=2, sort_keys=True), flush=True)
             return EXIT_OK
         if args.command == "census":
             isogeny = _parse_isogeny(args.isogeny)
@@ -308,6 +311,7 @@ def main(argv=None) -> int:
                 sys.stdout.writelines(census_tsv(report))
             else:
                 sys.stdout.writelines(census_json(config.datum, report))
+            sys.stdout.flush()
             return EXIT_OK
         # The parser requires a command, so the last one is "verify".
         runner = SUITES.get(args.suite)
@@ -318,7 +322,7 @@ def main(argv=None) -> int:
         if not checks:
             raise UsageError(f"the filters select no check of suite {args.suite!r}")
         for check in checks:
-            print(f"{check.status}\t{check.name}\t{check.detail}")
+            print(f"{check.status}\t{check.name}\t{check.detail}", flush=True)
         return EXIT_INVARIANT if any(c.ok is False for c in checks) else EXIT_OK
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -329,6 +333,10 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except BrokenPipeError:
+        # devnull takes the output left unwritten (the Python docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

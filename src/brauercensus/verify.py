@@ -1,5 +1,6 @@
 """The ``verify`` suites: case tables from the paper's Tables 1-3 and
-the census identities, and the checks each case yields.
+the census identities, the Table 1 and 3 closed forms, which only the
+suites read, and the checks each case yields on the counts it computes.
 
 A suite is a case table and a generator of checks; calling it runs the
 selected cases and returns their ``Check`` lines, which ``cli.main``
@@ -10,6 +11,7 @@ it.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Optional
 
 from .affine import fundamental_group, invariant_space, minuscule_nodes
@@ -17,19 +19,18 @@ from .brauer import (
     DEFAULT_SUBALCOVE_CAP,
     check_subalcove_cap,
     enumerate_subalcoves,
-    m_alpha,
     stable_cell_count,
     theta,
 )
 from .census import (
-    classical_invariant_dimension,
+    GroupConfig,
     counts,
     d_odd_comparison,
-    disconnected_census_check,
     enumerate_classes,
     make_group_config,
 )
 from .errors import InvariantViolation, UsageError
+from .linalg import prime_power
 from .rootdata import TypeLabel, build_root_system, subdiagram_type
 
 # Case tables of the verification suites.  Every case starts with
@@ -182,6 +183,49 @@ class Suite:
         return checks
 
 
+def classical_invariant_dimension(label: TypeLabel, node: int) -> int:
+    """Closed-form fixed-space dimensions per family and minuscule node.
+
+    For odd-rank D the two spin nodes are the order-4 generators; their
+    dimension is (rank-3)/2, matching the orbit count of the induced
+    node permutation.
+    """
+    n = label.rank
+    if node == 0:
+        return n
+    fam = label.family
+    if fam == "A":
+        return gcd(node, n + 1) - 1
+    if fam == "B":
+        return n - 1
+    if fam == "C":
+        return n // 2
+    if fam == "D":
+        if node == 1:
+            return n - 2
+        return n // 2 if n % 2 == 0 else (n - 3) // 2
+    if fam == "E" and n == 6:
+        return 2
+    if fam == "E" and n == 7:
+        return 4
+    raise ValueError(f"{label} has no nontrivial minuscule node {node}")
+
+
+def expected_disconnected_count(config: GroupConfig) -> int:
+    """The closed-form disconnected-class count for a prime-order adjoint
+    isogeny group with p not dividing its order: q^dim, where dim is the
+    Table 1 fixed-space dimension of a nontrivial node, the same for each
+    of them."""
+    order = len(config.a_g)
+    if prime_power(order) != (order, 1):
+        raise ValueError("requires an isogeny group of prime order")
+    if config.p_divides_isogeny_order:
+        raise ValueError("requires p not dividing the isogeny group order")
+    if not config.is_adjoint:
+        raise ValueError("requires the adjoint isogeny type")
+    return config.q ** classical_invariant_dimension(config.datum.label, max(config.a_g))
+
+
 def _table1(name, label, q):
     datum = build_root_system(label)
     group = fundamental_group(datum)
@@ -214,8 +258,12 @@ suite_table2 = Suite("table2", TABLE2_WITNESSES, _table2)
 
 
 def _table3(name, label, q, twisted, expected):
+    # The census's count against the closed form, then the paper's figure.
     config = make_group_config(label, "ad", q, twisted=twisted)
-    actual = disconnected_census_check(config)
+    want = expected_disconnected_count(config)
+    actual = counts(config).n_disconnected
+    if actual != want:
+        raise InvariantViolation(f"{config}: {actual} disconnected classes, expected {want}")
     yield Check(name, actual == expected, f"n_disconnected={actual} expected={expected}")
 
 
@@ -230,20 +278,19 @@ def _steinberg(name, label, q, twisted):
 
 
 def _alovefixe(name, label, q):
-    # The walk asserts the q^rank cells and their stabilizer images, and
-    # m_alpha that a node's stable cells number q^dim of its fixed space,
-    # or zero when a wall of the q-refined arrangement contains that
+    # The walk asserts the q^rank cells and their stabilizer images; the
+    # cells that f_a fixes are compared with N(<a>), q^dim of its fixed
+    # space, or zero when a wall of the q-refined arrangement contains that
     # space.  The cells depend on neither the isogeny nor the twist.
     config = make_group_config(label, "ad", q)
     cells = enumerate_subalcoves(config)
     yield Check(f"subalcoves/{label}/q{q}", True, f"|E_q|={len(cells)}")
     group = fundamental_group(config.datum)
     for a in minuscule_nodes(config.datum):
-        subgroup = group.subgroup([a])
-        count = len(m_alpha(config, subgroup, cells))
-        expected = stable_cell_count(config.datum, subgroup, q)
+        count = sum(group.act[a](sub.key) == sub.key for sub in cells)
+        expected = stable_cell_count(config.datum, group.subgroup([a]), q)
         detail = f"count={count} expected={expected}"
-        yield Check(f"alcove-fixed/{label}/q{q}/node{a}", True, detail)
+        yield Check(f"alcove-fixed/{label}/q{q}/node{a}", count == expected, detail)
 
 
 def _e6e7(name, label, q, twisted, title, rational, disconnected, note):

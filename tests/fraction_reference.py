@@ -21,8 +21,9 @@ pairing an n-term sum, and the earlier vertex permutation of an alcove
 stabilizer, mapped through its matrix; plus the earlier classifier of
 extended-diagram subdiagrams, which walks each component's tree (bond
 weights, branch node, arm lengths) where the package reads its rank and
-determinant.  The integer helpers that only
-these references use live here too: the Hermite normal form of a
+determinant; plus the enumeration of the cells that a node subgroup
+fixes, which the package counts in closed form.  The integer helpers
+that only these references use live here too: the Hermite normal form of a
 generating set, ``mat_vec``, ``vec_add`` and ``mat_transpose``, and
 ``coweight_lift``, the translation part ``w_a^vee`` of the alcove
 stabilizer f_a, which the package reads off the alcove vertices instead.
@@ -367,6 +368,14 @@ def pair_images(datum, nodes, points):
     (cell, node) pair."""
     group = fundamental_group(datum)
     return tuple(sorted({group.act[b](aff) for aff in points for b in nodes}))
+
+
+def stable_cells(config, subgroup, cells):
+    """The cells, the whole walk of ``config`` from
+    ``enumerate_subalcoves``, that every f_h, h in the node subgroup,
+    maps to themselves: ``brauer.stable_cell_count`` of them."""
+    act = fundamental_group(config.datum).act
+    return tuple(sub for sub in cells if all(act[h](sub.key) == sub.key for h in subgroup))
 
 
 def all_pairs_fixed_points(config):

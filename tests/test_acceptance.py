@@ -16,7 +16,7 @@ from brauercensus.affine import (
 )
 from brauercensus.brauer import (
     enumerate_subalcoves,
-    m_alpha,
+    stable_cell_count,
     theta,
 )
 from brauercensus.census import (
@@ -38,6 +38,8 @@ from brauercensus.oracle import (
     semisimple_class_count,
 )
 from brauercensus.rootdata import build_root_system
+
+import fraction_reference as reference
 
 
 def _passline(criterion, detail):
@@ -103,13 +105,12 @@ def test_c03_stable_subalcove_counts():
             else q ** invariant_space(datum, subgroup).dimension
         )
         assert check.detail == f"count={want} expected={want}"
-    # the named zero and nonzero branches
-    datum, config = _split_config("A2", 3)
-    cells = enumerate_subalcoves(config)
-    assert m_alpha(config, frozenset({0, 1, 2}), cells) == ()
-    datum, config = _split_config("B3", 5)
-    cells = enumerate_subalcoves(config)
-    assert len(m_alpha(config, frozenset({0, 1}), cells)) == 25
+    # the named zero and nonzero branches, against the enumerated cells
+    for label, q, subgroup, want in (("A2", 3, {0, 1, 2}, 0), ("B3", 5, {0, 1}, 25)):
+        datum, config = _split_config(label, q)
+        cells = enumerate_subalcoves(config)
+        assert len(reference.stable_cells(config, subgroup, cells)) == want
+        assert stable_cell_count(datum, frozenset(subgroup), q) == want
     _passline(3, f"stable sub-alcove law on {len(checks)} (type, q, node) triples")
 
 

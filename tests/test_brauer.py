@@ -6,7 +6,7 @@ from operator import itemgetter
 
 import pytest
 
-from brauercensus import brauer, census, cli, oracle  # noqa: F401 (oracle: cache guard)
+from brauercensus import brauer, census, cli, oracle, verify  # noqa: F401 (oracle: cache guard)
 from brauercensus.affine import (
     fundamental_group,
     minuscule_nodes,
@@ -17,8 +17,8 @@ from brauercensus.brauer import (
     enumerate_subalcoves,
     fixed_point,
     frobenius_image,
-    m_alpha,
     scale,
+    stable_cell_count,
     theta,
 )
 from brauercensus.census import (
@@ -398,16 +398,20 @@ def test_census_builds_no_cells_tuple(monkeypatch, label, isogeny, q, twisted, t
 def test_m_alpha_identity_node_is_everything():
     datum, config = split("A2", 2)
     cells = enumerate_subalcoves(config)
-    assert len(m_alpha(config, frozenset({0}), cells)) == 4
+    assert reference.stable_cells(config, {0}, cells) == cells
+    assert stable_cell_count(datum, frozenset({0}), 2) == 4
 
 
 def test_m_alpha_nonzero_and_zero_branches():
+    # m_alpha, the stable cells of <alpha>, enumerated against N(<alpha>)
     datum, config = split("B3", 5)
     cells = enumerate_subalcoves(config)
-    assert len(m_alpha(config, frozenset({0, 1}), cells)) == 25
+    assert len(reference.stable_cells(config, {0, 1}, cells)) == 25
+    assert stable_cell_count(datum, frozenset({0, 1}), 5) == 25
     datum, config = split("A2", 3)
     cells = enumerate_subalcoves(config)
-    assert m_alpha(config, frozenset({0, 1, 2}), cells) == ()
+    assert reference.stable_cells(config, {0, 1, 2}, cells) == ()
+    assert stable_cell_count(datum, frozenset({0, 1, 2}), 3) == 0
 
 
 def census_theta(label, isogeny, q, twist=False):
@@ -469,9 +473,11 @@ def test_verify_computes_nothing_twice(monkeypatch, capsys):
     assert "FAIL" not in capsys.readouterr().out
     assert (len(walks), len(solves)) == (2, 51 + 27)
     walks.clear()
+    # and one closed-form count per node, beside the count on the cells
+    closed_forms = counted_calls(monkeypatch, verify, "stable_cell_count")
     argv = ["verify", "--suite", "alovefixe", "--types", "A2", "--max-q", "3"]
     assert cli.main(argv) == 0
-    assert len(walks) == 2
+    assert (len(walks), len(closed_forms)) == (2, 3 + 3)
 
 
 def test_only_per_datum_tables_are_cached():
@@ -619,10 +625,6 @@ def _onto_no_subalcove(monkeypatch, config):
     cell_fixed_points(config)
 
 
-def _m_alpha_count(monkeypatch, config):
-    m_alpha(config, frozenset({0}), enumerate_subalcoves(config)[1:])
-
-
 def _unstable_orbit(monkeypatch, config):
     monkeypatch.setattr(census, "f_stable", lambda *args: None)
     enumerate_classes(config)
@@ -656,7 +658,6 @@ def _p_in_denominator(monkeypatch, config):
     "check,label,q,kind,name,detail",
     [
         (_onto_no_subalcove, "A2", 5, "twisted", "A2 ad q=5 twisted", "an alcove"),
-        (_m_alpha_count, "D4", 2, "triality", "D4 ad q=2 triality", "nodes [0] have 15"),
         (_unstable_orbit, "E6", 2, "twisted", "E6 ad q=2 twisted", "orbit ("),
         (_walk_leaves_the_alcove, "A2", 5, "twisted", "A2 ad q=5 twisted",
          "found more than 25 sub-alcoves"),

@@ -19,17 +19,16 @@ from brauercensus.census import (
     component_F_action,
     counts,
     d_odd_comparison,
-    disconnected_census_check,
     enumerate_classes,
-    expected_disconnected_count,
     f_stable,
     make_group_config,
     orbit_equal,
     orbit_key,
 )
-from brauercensus import census, cli
+from brauercensus import census, cli, verify
 from brauercensus.errors import InvariantViolation
 from brauercensus.rootdata import TypeLabel, build_root_system, subdiagram_type
+from brauercensus.verify import expected_disconnected_count
 
 import fraction_reference as reference
 
@@ -378,7 +377,7 @@ def test_node_pair_cells_count_the_pprime_characters(case):
         for c in fixed:
             subgroup = group.subgroup([b, c])
             cells = brauer.stable_cell_count(datum, subgroup, config.q)
-            assert len(brauer.m_alpha(config, subgroup, every)) == cells
+            assert len(reference.stable_cells(config, subgroup, every)) == cells
             pairs += cells
     assert pairs == counts(config).pprime_char_total
     if case == ("D4", "ad", 3, "split"):
@@ -666,21 +665,25 @@ def test_d4_triality_census():
 
 
 def test_disconnected_check_families(monkeypatch):
-    assert disconnected_census_check(make_group_config("A2", "ad", 5)) == 1
-    assert disconnected_census_check(make_group_config("C4", "ad", 3)) == 9
-    assert disconnected_census_check(make_group_config("E6", "ad", 2)) == 4
+    table3 = verify.SUITES["table3"]
+    assert [(c.status, c.detail) for c in table3(types=("A2", "C4", "E6"))] == [
+        ("PASS", "n_disconnected=1 expected=1"),
+        ("PASS", "n_disconnected=9 expected=9"),
+        ("PASS", "n_disconnected=4 expected=4"),
+        ("PASS", "n_disconnected=4 expected=4"),
+    ]
     # a census that counts one disconnected class too many is named
-    true_counts = census.counts
+    true_counts = verify.counts
 
     def one_too_many(config, records=None):
         c = true_counts(config, records)
         return c._replace(n_disconnected=c.n_disconnected + 1)
 
-    monkeypatch.setattr(census, "counts", one_too_many)
-    with pytest.raises(
-        InvariantViolation, match=r"^A2 ad q=5: 2 disconnected classes, expected 1$"
-    ):
-        disconnected_census_check(make_group_config("A2", "ad", 5))
+    monkeypatch.setattr(verify, "counts", one_too_many)
+    (check,) = table3(types=("A2",))
+    assert (check.status, check.name, check.detail) == (
+        "FAIL", "table3/A2/q5/split", "A2 ad q=5: 2 disconnected classes, expected 1"
+    )
 
 
 def test_disconnected_check_preconditions():

@@ -31,8 +31,6 @@ LEDGER = {
         "test_brauer.py::test_stabilizer_image_check_runs_in_every_walk",
     ("brauer", "fixed_point", 1):
         "test_brauer.py::test_violations_name_the_whole_configuration",
-    ("brauer", "m_alpha", 1):
-        "test_brauer.py::test_violations_name_the_whole_configuration",
     ("census", "enumerate_classes", 1): "test_census.py::test_unstable_orbit_raises",
     ("census", "enumerate_classes", 2): "test_brauer.py::test_theta_missing_orbit_raises",
     ("census", "enumerate_classes", 3):
@@ -43,8 +41,6 @@ LEDGER = {
         "test_census.py::test_strata_mutant_dropping_a_component_node_raises",
     ("census", "enumerate_classes", 6):
         "test_census.py::test_node_pair_mutant_counting_m_b_raises",
-    ("census", "disconnected_census_check", 1):
-        "test_census.py::test_disconnected_check_families",
     ("cli", "main", 1): "test_cli.py::test_internal_value_errors_are_invariant_violations",
     ("oracle", "FiniteField.primitive_element", 1):
         "test_oracle.py::test_field_without_a_primitive_element_is_an_invariant_violation",
@@ -58,6 +54,7 @@ LEDGER = {
         "test_rootdata.py::test_root_count_check_fires",
     ("rootdata", "_component_type", 1):
         "test_rootdata.py::test_full_extended_diagram_is_not_of_finite_type",
+    ("verify", "_table3", 1): "test_census.py::test_disconnected_check_families",
 }
 
 
@@ -121,7 +118,7 @@ def test_every_construction_site_has_a_firing_test():
     sites = package_sites()
     assert set(sites) - set(LEDGER) == set(), "sites with no ledger entry"
     assert set(LEDGER) - set(sites) == set(), "ledger entries with no site"
-    assert len(sites) == len(LEDGER) == 23
+    assert len(sites) == len(LEDGER) == 22
 
 
 def test_every_ledger_test_is_defined():

@@ -14,16 +14,17 @@ from brauercensus import brauer, census, cli, verify
 from brauercensus.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_RESOURCE,
     EXIT_USAGE,
     census_report,
     main,
 )
-from brauercensus.census import classical_invariant_dimension, make_group_config
+from brauercensus.census import make_group_config
 from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import PRIME_POWER_BOUND, SingularMatrixError
 from brauercensus.rootdata import TypeLabel
-from brauercensus.verify import Check
+from brauercensus.verify import Check, classical_invariant_dimension
 
 import fraction_reference as reference
 
@@ -190,7 +191,7 @@ def test_unknown_type_fails_before_any_case_runs(monkeypatch, suite):
 @pytest.mark.parametrize(
     "suite,callee,config_of,case",
     [
-        ("alovefixe", "m_alpha", lambda config, *_: (config.datum, config.q), "alovefixe/A2/q3"),
+        ("alovefixe", "stable_cell_count", lambda datum, _, q: (datum, q), "alovefixe/A2/q3"),
         ("steinberg", "counts", lambda config, **_: (config.datum, config.q), "steinberg/A2/q3/split"),
     ],
 )
@@ -226,6 +227,70 @@ def test_d_odd_stratum_lines_can_fail(monkeypatch):
     assert code == EXIT_INVARIANT
     assert [status for status, name in lines if "stratum" in name] == ["FAIL"] * 4
     assert lines[-1] == ["INFO", "d-odd/D5-q5/closed-form"]
+
+
+def _shifted(name, shift):
+    """Patches ``verify.<name>`` to return its value through ``shift``."""
+
+    def patch(monkeypatch):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, **kw: shift(real(*args, **kw)))
+
+    return patch
+
+
+def _table3_literal_off_by_one(monkeypatch):
+    # counts and the closed form stay equal, so only the paper's figure moves
+    suite = verify.SUITES["table3"]
+    cases = tuple((*case[:3], case[3] + 1) for case in suite.cases)
+    monkeypatch.setattr(suite, "cases", cases)
+
+
+def _one_more(*fields):
+    return lambda counts: counts._replace(**{f: getattr(counts, f) + 1 for f in fields})
+
+
+# Per suite whose lines compare a value: its filters, the patch that puts
+# that value off by one, and the name prefix of the lines that compare.
+COMPARING_SUITES = {
+    "table1": (
+        ["--types", "A3,D5"],
+        _shifted("classical_invariant_dimension", lambda dim: dim + 1),
+        "table1/",
+    ),
+    "table2": (["--types", "B4"], _shifted("subdiagram_type", lambda t: t[1:]), "table2/"),
+    "table3": (["--types", "A2,C4"], _table3_literal_off_by_one, "table3/"),
+    "alovefixe": (
+        ["--types", "A2,B3", "--max-q", "3"],
+        _shifted("stable_cell_count", lambda n: n + 1),
+        "alcove-fixed/",
+    ),
+    "e6e7": (["--types", "E6"], _shifted("counts", _one_more("rational_total")), "e6e7/"),
+    "oracle": (
+        ["--max-q", "3"],
+        _shifted("counts", _one_more("rational_total", "pprime_char_total")),
+        "oracle/",
+    ),
+    "theta": (
+        ["--types", "A2"],
+        _shifted("theta", lambda strata: {a: n + 1 for a, n in strata.items()}),
+        "theta/",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", COMPARING_SUITES)
+def test_every_comparing_line_can_fail(monkeypatch, suite):
+    # With the value that a line compares off by one, the line reads FAIL;
+    # the lines that compare nothing, the alovefixe walk's, still pass.
+    filters, patch, compared = COMPARING_SUITES[suite]
+    patch(monkeypatch)
+    code, out, _ = run(["verify", "--suite", suite, *filters])
+    lines = [line.split("\t")[:2] for line in out.splitlines()]
+    assert code == EXIT_INVARIANT
+    assert any(name.startswith(compared) for _, name in lines)
+    for status, name in lines:
+        assert status == ("FAIL" if name.startswith(compared) else "PASS"), name
 
 
 def test_resource_cap_exit():
@@ -444,6 +509,38 @@ def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
     # A suite loads verify, and only the oracle suite loads the oracle.
     suite_run = "from brauercensus import cli; cli.main(['verify', '--suite', 'theta'])"
     assert _fresh_modules(suite_run, modules) == "['argparse', 'brauercensus.verify']"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--type", "A1", "--q", "3"],
+        ["census", "--type", "E7", "--q", "3", "--format", "tsv"],
+        ["verify", "--suite", "table2"],
+        ["info", "--type", "E6"],
+    ],
+    ids=["census-json", "census-tsv", "verify", "info"],
+)
+def test_a_closed_stdout_exits_as_sigpipe_would(argv):
+    # A reader that has gone is no usage error: the exit is 128 + SIGPIPE
+    # and stderr stays empty, whether a write or the final flush meets the
+    # closed pipe, with stdout buffered or not.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "brauercensus", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=dict(env, **unbuffered),
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b""), unbuffered
 
 
 def test_verify_import_loads_no_cli():

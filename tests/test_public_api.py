@@ -10,10 +10,20 @@ import brauercensus
 PACKAGE = Path(brauercensus.__file__).parent
 
 # Public names that nothing in the package uses, each with its reason.
-# Both leave the package with the tracer-only API (ROADMAP item 3).
+# Both leave the package with the tracer-only API (ROADMAP item 4).
 ALLOWED_ORPHANS = {
     "affine.affine_point": "read by finish_counters in perfbench/tracer.py",
     "rootdata.RootDatum.alcove_vertices": "read by finish_counters in perfbench/tracer.py",
+}
+
+# The census path, the modules that a census process compiles, and its
+# public names that no census-path module uses: perfbench/tracer.py reads
+# or wraps each, until the tracer-only API leaves (ROADMAP item 4).
+CENSUS_PATH = ("affine", "brauer", "census", "cli", "errors", "linalg", "rootdata")
+CENSUS_PATH_ORPHANS = {
+    "affine.affine_point",
+    "rootdata.RootDatum.alcove_vertices",
+    "brauer.enumerate_subalcoves",
 }
 
 
@@ -75,3 +85,10 @@ def test_public_names_are_used_by_the_package():
     found = orphans(sources)
     assert found - set(ALLOWED_ORPHANS) == set(), "public names that nothing uses"
     assert set(ALLOWED_ORPHANS) - found == set(), "allowed names that are now used"
+
+
+def test_census_path_modules_carry_only_what_a_census_runs():
+    # What only the verify suites or the tests call lives with them, so
+    # that a census process never compiles it.
+    found = orphans({m: (PACKAGE / f"{m}.py").read_text() for m in CENSUS_PATH})
+    assert found == CENSUS_PATH_ORPHANS
