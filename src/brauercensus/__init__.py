@@ -19,7 +19,6 @@ from .brauer import (
 from .census import (
     ClassRecord,
     GroupConfig,
-    component_F_action,
     counts,
     d_odd_comparison,
     enumerate_classes,

@@ -311,8 +311,9 @@ def theta(config: GroupConfig, records: Sequence[ClassRecord]) -> dict[int, int]
     record's component group.  The census asserts that the orbits, the
     records, number ``q**rank`` whatever the hypothesis, and that the
     stratum of each F-fixed node b is N(<b>), the number of cells that b
-    fixes.  Only the strata depend on ``config.congruence_holds()``
-    (split with q = 1 mod the subgroup order, or twisted with q = -1):
-    they are the paper's counts only when it holds.
+    fixes.  So the strata are the paper's counts where F fixes every node
+    (README), and ``config.congruence_holds()`` decides that for a prime
+    order only: twisted D4 ad q=3 reads true, yet F swaps the spin nodes,
+    whose strata are 3 against q^dim = 9.
     """
     return {a: sum(1 for r in records if a in r.comp_group) for a in sorted(config.a_g)}

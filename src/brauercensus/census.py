@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .affine import (
     fold_coords,
@@ -225,49 +225,31 @@ class ClassRecord(NamedTuple):
         return name if self.torus_rank == 0 else f"{name}xT{self.torus_rank}"
 
 
-def component_F_action(
-    config: GroupConfig, subgroup: Iterable[int]
-) -> tuple[dict[int, int], int]:
-    """Frobenius action on a subgroup of the isogeny group.
-
-    Returns the action map and the number of fixed elements.
-    """
-    nodes = frozenset(subgroup)
-    group = fundamental_group(config.datum)
-    if not nodes <= config.a_g or not group.is_subgroup(nodes):
-        raise ValueError("not a subgroup of the configured isogeny group")
-    action = {z: central_frobenius_action(config, z) for z in sorted(nodes)}
-    if set(action.values()) != set(nodes):
-        raise ValueError("subgroup is not Frobenius-stable")
-    fixed = sum(1 for z, w in action.items() if z == w)
-    return action, fixed
-
-
 def _classify(
     config: GroupConfig, key: tuple, types: dict, components: dict
 ) -> ClassRecord:
     """Classify the orbit with integer affine numerators ``key``.
 
     Apart from the key, a record depends only on the zero set, whose
-    centralizer type ``types`` holds, and on the stabilizer, whose
-    component group and Frobenius action ``components`` holds; the
-    census passes one pair of dicts, so each is computed once per census.
+    centralizer type ``types`` holds, and on the component group, the
+    nodes that fix the key, whose Frobenius action and fixed count
+    ``components`` holds; the census passes one pair of dicts, so each
+    is computed once per census.
     """
     datum = config.datum
     group = fundamental_group(datum)
     zeros = tuple(a for a, x in enumerate(key) if x == 0)
     if zeros not in types:
         types[zeros] = subdiagram_type(datum, zeros)
-    stabilizer = frozenset(z for z in config.a_g if group.act[z](key) == key)
-    if stabilizer not in components:
-        # A point stabilizer is a subgroup: fundamental_group asserts the node law.
-        action, fixed = component_F_action(config, stabilizer)
-        components[stabilizer] = (
-            tuple(sorted(stabilizer)),
-            tuple(sorted(action.items())),
-            fixed,
-        )
-    comp_group, f_action, fixed = components[stabilizer]
+    comp_group = tuple(z for z in sorted(config.a_g) if group.act[z](key) == key)
+    if comp_group not in components:
+        # A_G's nodes fixing the key form a subgroup (fundamental_group asserts
+        # the node law); only its F-stability rests on central_frobenius_action.
+        f_action = tuple((z, central_frobenius_action(config, z)) for z in comp_group)
+        if tuple(sorted(w for _, w in f_action)) != comp_group:
+            raise InvariantViolation(f"{config}: subgroup is not Frobenius-stable")
+        components[comp_group] = (f_action, sum(z == w for z, w in f_action))
+    f_action, fixed = components[comp_group]
     return ClassRecord(
         key=key,
         i_lambda=zeros,

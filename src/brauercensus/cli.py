@@ -5,8 +5,8 @@ and exact rationals as strings, TSV with a fixed column order, and no
 timestamps appear anywhere.  A census is written only after every one
 of its assertions has run.  Exit codes: 0 success, 1 usage error,
 2 invariant violation, which a ``ValueError`` raised past a valid
-configuration is too, 3 resource cap exceeded, 141 (128 + SIGPIPE) a
-stdout closed by its reader.
+type or configuration is too, 3 resource cap exceeded, 141 (128 +
+SIGPIPE) a stdout closed by its reader.
 
 Every process compiles this module, so it holds only what ``census``
 and ``info`` run.  The ``verify`` suites live in ``verify``, which
@@ -279,6 +279,15 @@ def _parse_isogeny(text: str):
     raise UsageError(f"isogeny must be sc, ad or sub:<nodes>, got {text!r}")
 
 
+def _report(subject, build, arg):
+    """``build(arg)`` for a valid ``subject``, a type or a configuration:
+    a ``ValueError`` it raises is an internal fault, named by the subject."""
+    try:
+        return build(arg)
+    except ValueError as exc:
+        raise InvariantViolation(f"{subject}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -288,7 +297,7 @@ def main(argv=None) -> int:
                 f"--max-subalcoves must be at least 1, got {args.max_subalcoves}"
             )
         if args.command == "info":
-            report = info_report(args.type)
+            report = _report(TypeLabel.parse(args.type), info_report, args.type)
             print(json.dumps(report, indent=2, sort_keys=True), flush=True)
             return EXIT_OK
         if args.command == "census":
@@ -302,11 +311,7 @@ def main(argv=None) -> int:
             config = make_group_config(
                 args.type, isogeny, args.q, twisted=args.twisted, triality=args.triality
             )
-            try:
-                report = census_report(config)
-            except ValueError as exc:
-                # The configuration is valid, so this is an internal fault.
-                raise InvariantViolation(f"{config}: {exc}") from exc
+            report = _report(config, census_report, config)
             if args.format == "tsv":
                 sys.stdout.writelines(census_tsv(report))
             else:

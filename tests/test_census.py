@@ -16,7 +16,6 @@ from brauercensus.brauer import (
 )
 from brauercensus.census import (
     GroupConfig,
-    component_F_action,
     counts,
     d_odd_comparison,
     enumerate_classes,
@@ -584,28 +583,26 @@ def test_class_records_hold_no_rationals(label, q, twisted):
     assert all(orbit_key(config, r.key) == r.key for r in records)
 
 
+def _record_of(config, comp_group):
+    """The F-action and fixed count of the records of ``config`` whose
+    component group is ``comp_group``, which must agree."""
+    found = {
+        (r.f_action, r.fixed_count) for r in enumerate_classes(config) if r.comp_group == comp_group
+    }
+    assert len(found) == 1
+    return found.pop()
+
+
 def test_component_f_action_split_and_twisted():
+    # split: q = 2 squares the order-3 nodes, so F swaps 1 and 6
     split = make_group_config("E6", "ad", 2)
-    action, fixed = component_F_action(split, split.a_g)
-    assert fixed == 1
-    assert action[1] == 6  # inversion: q = 2 squares the order-3 element
+    assert _record_of(split, (0, 1, 6)) == (((0, 0), (1, 6), (6, 1)), 1)
+    # twisted: the graph twist undoes the squaring
     tw = make_group_config("E6", "ad", 2, twisted=True)
-    action, fixed = component_F_action(tw, tw.a_g)
-    assert fixed == 3
-    assert action[1] == 1
+    assert _record_of(tw, (0, 1, 6)) == (((0, 0), (1, 1), (6, 6)), 3)
+    # q = 1 mod 3: trivial action
     q7 = make_group_config("A2", "ad", 7)
-    _, fixed = component_F_action(q7, q7.a_g)
-    assert fixed == 3  # q = 1 mod 3: trivial action
-
-
-def test_component_f_action_rejects_foreign_nodes():
-    cfg = make_group_config("A2", "sc", 2)
-    with pytest.raises(ValueError):
-        component_F_action(cfg, frozenset({0, 1, 2}))
-    # {0, 1} is a subgroup of the isogeny group, but triality moves node 1
-    triality = make_group_config("D4", "ad", 3, twisted=True, triality=True)
-    with pytest.raises(ValueError, match="subgroup is not Frobenius-stable"):
-        component_F_action(triality, frozenset({0, 1}))
+    assert _record_of(q7, (0, 1, 2))[1] == 3
 
 
 def test_counts_a1_ad():

@@ -13,8 +13,8 @@ TESTS = Path(__file__).resolve().parent
 # the function in source order), and the test, as ``file::function``,
 # that makes the package construct it.  The two Burnside sums over the
 # F-fixed nodes and node pairs fire inside exec'd edits of
-# ``enumerate_classes``; ``cli.main``'s site re-raises a ``ValueError``
-# of a valid configuration.
+# ``enumerate_classes``; ``cli._report``'s site re-raises a ``ValueError``
+# of a valid type or configuration.
 LEDGER = {
     ("affine", "fundamental_group", 1):
         "test_affine.py::test_fundamental_group_violation_names_the_type",
@@ -31,6 +31,8 @@ LEDGER = {
         "test_brauer.py::test_stabilizer_image_check_runs_in_every_walk",
     ("brauer", "fixed_point", 1):
         "test_brauer.py::test_violations_name_the_whole_configuration",
+    ("census", "_classify", 1):
+        "test_cli.py::test_component_action_fault_is_an_invariant_violation",
     ("census", "enumerate_classes", 1): "test_census.py::test_unstable_orbit_raises",
     ("census", "enumerate_classes", 2): "test_brauer.py::test_theta_missing_orbit_raises",
     ("census", "enumerate_classes", 3):
@@ -41,7 +43,7 @@ LEDGER = {
         "test_census.py::test_strata_mutant_dropping_a_component_node_raises",
     ("census", "enumerate_classes", 6):
         "test_census.py::test_node_pair_mutant_counting_m_b_raises",
-    ("cli", "main", 1): "test_cli.py::test_internal_value_errors_are_invariant_violations",
+    ("cli", "_report", 1): "test_cli.py::test_internal_value_errors_are_invariant_violations",
     ("oracle", "FiniteField.primitive_element", 1):
         "test_oracle.py::test_field_without_a_primitive_element_is_an_invariant_violation",
     ("oracle", "_build_group", 1):
@@ -118,7 +120,7 @@ def test_every_construction_site_has_a_firing_test():
     sites = package_sites()
     assert set(sites) - set(LEDGER) == set(), "sites with no ledger entry"
     assert set(LEDGER) - set(sites) == set(), "ledger entries with no site"
-    assert len(sites) == len(LEDGER) == 22
+    assert len(sites) == len(LEDGER) == 23
 
 
 def test_every_ledger_test_is_defined():

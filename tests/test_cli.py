@@ -118,7 +118,12 @@ def test_census_sub_isogeny():
 
 
 def test_usage_errors():
-    assert run(["info", "--type", "Z9"])[0] == EXIT_USAGE
+    code, out, err = run(["info", "--type", "Z9"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "usage error: cannot parse type label 'Z9'\n"
+    code, out, err = run(["info", "--type", "A0"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "usage error: invalid rank 0 for family A\n"
     code, out, err = run(["census", "--type", "A1", "--isogeny", "ad", "--q", "6"])
     assert code == EXIT_USAGE and out == ""
     assert err == "usage error: q = 6 is not a prime power >= 2\n"
@@ -352,6 +357,10 @@ def _singular(rows):
     raise SingularMatrixError("singular coefficient matrix")
 
 
+def _injected(*args):
+    raise ValueError("injected")
+
+
 @pytest.mark.parametrize(
     "module,attr,fault,argv,message",
     [
@@ -370,14 +379,16 @@ def _singular(rows):
             ["census", "--type", "A2", "--q", "4"],
             "A2 ad q=4: singular coefficient matrix",
         ),
+        # info's type parses, so its report's faults are internal too
+        (cli, "invariant_space", _injected, ["info", "--type", "E6"], "E6: injected"),
     ],
-    ids=["fold_coords", "bareiss"],
+    ids=["fold_coords", "bareiss", "invariant_space"],
 )
 def test_internal_value_errors_are_invariant_violations(
     monkeypatch, module, attr, fault, argv, message
 ):
-    # A ValueError raised past a valid configuration is an internal
-    # fault, named by the configuration, not a usage error.
+    # A ValueError raised past a valid type or configuration is an
+    # internal fault, named by it, not a usage error.
     monkeypatch.setattr(module, attr, fault)
     code, out, err = run(argv)
     assert code == EXIT_INVARIANT and out == ""

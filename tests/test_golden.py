@@ -16,7 +16,9 @@ vertices; and the full
 runs of the ``verify`` suites table2, table3, steinberg, alovefixe,
 e6e7 and d-odd.  The benchmark's tracer, which
 wraps the package's layer functions by name, must still run and
-reproduce a digest, for a census and for a ``verify`` suite.
+reproduce a digest, for a census and for a ``verify`` suite, and its
+probes must still run: ``setup`` on each workload's configurations and
+``oracle``, whose two counts agree.
 """
 
 import hashlib
@@ -46,10 +48,11 @@ def _benchmark_module():
 
 
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
+WORKLOADS = _benchmark_module().WORKLOADS
 INVOCATIONS = sorted(
     {
         inv.name: inv.argv
-        for workload in _benchmark_module().WORKLOADS.values()
+        for workload in WORKLOADS.values()
         for inv in workload.invocations
         if inv.argv[0] in ("census", "info", "verify")
     }.items()
@@ -77,19 +80,37 @@ def test_census_matches_ladder_digest(name):
     assert _stdout_digest(LADDER[name]["argv"]) == LADDER[name]["sha256"]
 
 
-def _traced(argv):
-    """The tracer's record of one ``cli`` invocation."""
+def _child(script, *args):
+    """A benchmark script run as the benchmark runs it, in a fresh
+    process on this checkout's package."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(BENCH / "tracer.py"), "cli", *argv],
+    return subprocess.run(
+        [sys.executable, str(BENCH / script), *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def _traced(argv):
+    """The tracer's record of one ``cli`` invocation."""
+    proc = _child("tracer.py", "cli", *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_setup_probe_sets_up_each_workload(name):
+    proc = _child("probe.py", "setup", json.dumps(WORKLOADS[name].configs))
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+
+
+def test_oracle_probe_agrees_with_the_census():
+    proc = _child("probe.py", "oracle")
+    assert proc.returncode == 0, proc.stderr
+    assert list(json.loads(proc.stdout).values()) == [9, 9]
 
 
 def test_tracer_runs_and_reproduces_a_digest():
