@@ -17,10 +17,10 @@ Frobenius-inverse after alcove stabilizer", solved from the images of
 the alcove vertices for one (translate, stabilizer) pair per orbit of
 the stabilizers' action on those pairs, and kept as integer affine
 numerators over the point's own least denominator, their sum.  A
-census solves each cell as the one walk of the cells yields it, and the
-walk keeps only their keys; neither the cells nor the point table is
-cached.  Theta's strata, the orbits meeting each node's fixed space, are
-read off the records.
+census solves each cell as the one walk of the cells yields it and
+takes each point as it is solved; the walk keeps only the cells' keys,
+and nothing here caches a cell or a point.  Theta's strata, the orbits
+meeting each node's fixed space, are read off the records.
 """
 
 from __future__ import annotations
@@ -232,20 +232,10 @@ def central_frobenius_action(config: GroupConfig, z: int) -> int:
     return group.power(config.rho.index(z), config.q)
 
 
-class CellTable(NamedTuple):
-    """The distinct fixed points of one (cell, node) pair per orbit of
-    the node subgroup, each exactly as ``fixed_point`` gives it (integer
-    affine numerators over its own least denominator), and the number of
-    pairs solved, which is the number of pair orbits."""
-
-    points: tuple[tuple[int, ...], ...]
-    solves: int
-
-
-def cell_fixed_points(config: GroupConfig) -> CellTable:
+def cell_fixed_points(config: GroupConfig) -> Iterator[tuple[int, ...]]:
     """The fixed points of the (cell, node) pairs of ``config``, over the
-    nodes of its isogeny subgroup, one pair per orbit, solved once per
-    census; the census's records, which ``theta`` reads, are their orbits.
+    nodes of its isogeny subgroup, one pair per orbit, each yielded as it
+    is solved; the census's records, which ``theta`` reads, are their orbits.
 
     The isogeny subgroup acts on the pairs by ``b.(w, a) = (f_b(w),
     a F(b) b^-1)``: since ``F f_b F^-1 = f_F(b)`` modulo the affine Weyl
@@ -255,8 +245,8 @@ def cell_fixed_points(config: GroupConfig) -> CellTable:
     way into that of ``f_b(w)``, and a pair is solved only when it is the
     least of its images, ordered by (key, node).  The image node lies in
     the subgroup because ``GroupConfig`` checks that rho stabilizes it.
-    Each point keeps its own least denominator, so two pairs with one
-    fixed point give one tuple.
+    Each point is yielded as ``fixed_point`` gives it, over its own least
+    denominator, once per pair solved, so they number the pair orbits.
     """
     group = fundamental_group(config.datum)
     perm = group.perm
@@ -270,8 +260,6 @@ def cell_fixed_points(config: GroupConfig) -> CellTable:
     actions = [group.act[b] for b in order]
     # The nodes a solved with a cell, per stabilizer of the cell.
     least: dict[tuple, list] = {}
-    points: dict[tuple, None] = {}
-    solves = 0
     for sub in walk_subalcoves(config):
         key = sub.key
         images = [act(key) for act in actions]
@@ -283,9 +271,7 @@ def cell_fixed_points(config: GroupConfig) -> CellTable:
                 a for a in order if all(a <= image_node[a, b] for b in stabilizer)
             ]
         for a in least[stabilizer]:
-            solves += 1
-            points[fixed_point(config, sub, a).affine] = None
-    return CellTable(tuple(points), solves)
+            yield fixed_point(config, sub, a).affine
 
 
 def stable_cell_count(datum: RootDatum, subgroup: frozenset[int], q: int) -> int:

@@ -13,8 +13,8 @@ from which the rational class and semisimple character counts follow.
 
 Each point is integer affine numerators over its own least denominator,
 their sum, from the fixed-point solve to the class records, whose keys
-only the serializer turns into rationals; only the sort of the records
-brings their keys to one common denominator.
+only the serializer turns into rationals; only the merge of the keys'
+runs, one per denominator, brings each run's head to a common one.
 
 The one closed form of the paper kept here is the odd-rank D rational
 total, which the report prints beside the census's own; the ``verify``
@@ -24,6 +24,7 @@ suites hold the Table 1 and Table 3 forms.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from heapq import merge
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -265,25 +266,29 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
     """All F-stable semisimple classes, exactly ``q**rank`` of them.
 
     Candidates are the stabilizer fixed points of one (cell, node) pair
-    per orbit of the isogeny subgroup, each over its own least
-    denominator; the other pairs' points are their subgroup images, with
-    the same orbit keys.  The candidates are grouped by canonical orbit
-    key, and every orbit, in the order of its key's rational affine
-    coordinates, is asserted to be Frobenius-stable and classified.
+    per orbit of the isogeny subgroup, taken as each is solved; the
+    other pairs' points are their subgroup images, with the same orbit
+    keys.  The keys are filed by denominator, and every orbit, in the
+    order of its key's rational affine coordinates (a merge of the
+    sorted runs), is asserted to be Frobenius-stable and classified.
     The Burnside identities are then asserted on ``counts`` and
     ``theta`` of the records, the numbers that the report shows.
     """
     datum = config.datum
     q = config.q
     expected = q**datum.rank
-    table = cell_fixed_points(config)
-    orbits = dict.fromkeys(orbit_key(config, aff) for aff in table.points)
-    common = lcm(*map(sum, orbits))  # over it, keys sort as rational coordinates
-
+    runs: dict[int, dict] = {}  # per denominator, tuple order is rational order
+    solves = 0
+    for affine in cell_fixed_points(config):
+        solves += 1
+        key = orbit_key(config, affine)
+        runs.setdefault(sum(key), {})[key] = None
+    common = lcm(*runs)  # over it, keys order as rational coordinates across runs
     records = []
     types: dict = {}
     components: dict = {}
-    for key in sorted(orbits, key=lambda k: tuple(map((common // sum(k)).__mul__, k))):
+    sorted_runs = map(sorted, runs.values())
+    for key in merge(*sorted_runs, key=lambda k: tuple(map((common // sum(k)).__mul__, k))):
         # Stable by construction.  A candidate solves x = w(F^-1(f_a(x)))
         # with w in the q-refined affine Weyl group and a in the isogeny
         # subgroup, so F(x) = (F w F^-1)(f_a(x)) with F w F^-1 in W_aff:
@@ -303,9 +308,9 @@ def enumerate_classes(config: GroupConfig) -> tuple[ClassRecord, ...]:
     # and the pair orbits count the rational classes.
     c = counts(config, records)
     strata = theta(config, records)
-    if table.solves != c.rational_total:
+    if solves != c.rational_total:
         raise InvariantViolation(
-            f"{config}: {table.solves} (cell, node) pair orbits, but the fixed counts "
+            f"{config}: {solves} (cell, node) pair orbits, but the fixed counts "
             f"sum to {c.rational_total}"
         )
     # Per b, an F-fixed b fixes its m_b = N(<b>) cells with every node; per

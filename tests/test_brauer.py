@@ -295,7 +295,7 @@ def test_fixed_points_have_pprime_denominators_and_stay_inside(label, q):
 
 
 # Split, twisted, adjoint and simply connected; the common denominator of
-# the table points has 26 bits on D5 ad q=3 and 48 on E7 sc q=2.
+# the solved points has 26 bits on D5 ad q=3 and 48 on E7 sc q=2.
 OWN_DENOMINATOR_GRID = [
     ("B2", "ad", 5, False),
     ("D5", "ad", 3, False),
@@ -312,19 +312,19 @@ OWN_DENOMINATOR_GRID = [
 def test_cell_fixed_points_keep_their_own_denominators(label, iso, q, twisted):
     config = make_group_config(label, iso, q, twisted=twisted)
     datum, nodes = config.datum, config.a_g
-    table = cell_fixed_points(config)
+    solved = list(cell_fixed_points(config))
     points = {
         fixed_point(config, sub, a).affine
         for sub in enumerate_subalcoves(config)
         for a in nodes
     }
-    # the table points are solved points, as the solve gives them; one
+    # the yielded points are solved points, as the solve gives them; one
     # solve per pair orbit, and every other pair's point is an image
-    assert set(table.points) <= points
+    assert set(solved) <= points
     pairs = len(nodes) * q**datum.rank
-    assert table.solves == pairs if len(nodes) == 1 else table.solves < pairs
+    assert len(solved) == pairs if len(nodes) == 1 else len(solved) < pairs
     group = fundamental_group(datum)
-    assert {group.act[b](aff) for aff in table.points for b in nodes} == points
+    assert {group.act[b](aff) for aff in solved for b in nodes} == points
     # each record key is over the least denominator of its coweight
     # coordinates, and the records are in the order of their rational
     # affine coordinates
@@ -345,7 +345,7 @@ def test_pair_image_outside_the_cells_raises(monkeypatch):
     datum, config = split("A2", 7)
     corrupt_stabilizer(monkeypatch, datum)
     with pytest.raises(InvariantViolation, match="onto no sub-alcove"):
-        cell_fixed_points(config)
+        list(cell_fixed_points(config))
 
 
 def test_stabilizer_image_check_runs_in_every_walk(monkeypatch, capsys):
@@ -426,8 +426,8 @@ def test_theta_trivial_subgroup():
     assert len(records) == 9
     assert strata == {0: 9}
     # the identity alone: each of the 9 points is its own orbit
-    table = cell_fixed_points(config)
-    assert len(reference.pair_images(config.datum, config.a_g, table.points)) == 9
+    solved = cell_fixed_points(config)
+    assert len(reference.pair_images(config.datum, config.a_g, solved)) == 9
 
 
 def test_theta_orbits_full_group():
@@ -463,7 +463,7 @@ def counted_calls(monkeypatch, module, name, *holders):
 
 
 def test_verify_computes_nothing_twice(monkeypatch, capsys):
-    # One walk of the cells and one point table per case: the two A2
+    # One walk of the cells per case: the two A2
     # theta cases solve one pair per orbit of (cell, node) pairs, which
     # count the rational classes, 51 for PGL3(7) and 27 for PGU3(5),
     # against 3 * (49 + 25) pairs.
@@ -559,10 +559,9 @@ def union_find_orbits(datum, subgroup, points):
 )
 def test_theta_matches_union_find(label, isogeny, q, twist):
     # theta reads the census records; union-find runs on the subgroup
-    # images of the census's integer point table
+    # images of the census's integer solved points
     config, records, strata = census_theta(label, isogeny, q, twist)
-    table = cell_fixed_points(config)
-    points = reference.pair_images(config.datum, config.a_g, table.points)
+    points = reference.pair_images(config.datum, config.a_g, cell_fixed_points(config))
     assert all(type(x) is int for aff in points for x in aff)
     orbits, want = union_find_orbits(config.datum, config.a_g, points)
     assert len(records) == len(orbits)
@@ -571,16 +570,14 @@ def test_theta_matches_union_find(label, isogeny, q, twist):
 
 def test_theta_missing_orbit_raises(monkeypatch):
     # theta's orbits are the census records, whose q^rank count the census
-    # asserts.  D5 ad q=3 fails the congruence hypothesis; a table that
-    # lacks the points of one orbit still raises.
+    # asserts.  D5 ad q=3 fails the congruence hypothesis; a solve stream
+    # that lacks the points of one orbit still raises.
     config = make_group_config("D5", "ad", 3)
     assert not config.congruence_holds()
-    table = cell_fixed_points(config)
-    dropped = orbit_key(config, table.points[0])
-    kept = tuple(aff for aff in table.points if orbit_key(config, aff) != dropped)
-    monkeypatch.setattr(
-        census, "cell_fixed_points", lambda *args: table._replace(points=kept)
-    )
+    solved = list(cell_fixed_points(config))
+    dropped = orbit_key(config, solved[0])
+    kept = tuple(aff for aff in solved if orbit_key(config, aff) != dropped)
+    monkeypatch.setattr(census, "cell_fixed_points", lambda *args: iter(kept))
     with pytest.raises(
         InvariantViolation, match="D5 ad q=3: 242 stable classes, expected 243"
     ):
@@ -622,7 +619,7 @@ def test_frobenius_map_twisted_action():
 
 def _onto_no_subalcove(monkeypatch, config):
     corrupt_stabilizer(monkeypatch, config.datum)
-    cell_fixed_points(config)
+    list(cell_fixed_points(config))
 
 
 def _unstable_orbit(monkeypatch, config):
@@ -651,7 +648,7 @@ def _p_in_denominator(monkeypatch, config):
         return nums, pivot * config.p
 
     monkeypatch.setattr(brauer, "bareiss", bareiss)
-    cell_fixed_points(config)
+    list(cell_fixed_points(config))
 
 
 @pytest.mark.parametrize(
