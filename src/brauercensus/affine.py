@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantViolation
-from .linalg import Vec, mat_identity, mat_mul, rank_det, unit_vec
+from .linalg import Vec, mat_mul, unit_vec
 from .rootdata import RootDatum, longest_element
 
 FOLD_ITERATION_CAP = 100_000
@@ -115,14 +115,12 @@ class FundamentalGroup(NamedTuple):
     ``elements`` lists the minuscule nodes with node 0 as the identity.
     ``perm[a]`` is the node permutation of ``z_a``, the tuple of node
     images, and the group law in node terms is ``a b = perm[a][b]``.
-    ``weyl[a]`` is the integer matrix of ``z_a`` on coweight coordinates.
     ``act[a]`` applies ``f_a`` to affine coordinates: an ``itemgetter``
     of the inverse node permutation.
     """
 
     elements: tuple[int, ...]
     perm: dict
-    weyl: dict
     act: dict
 
     @property
@@ -175,7 +173,6 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
         tuple(step * x for x in unit_vec(n, b)) for b, step in enumerate(steps)
     ]
     vertex_of = {v: b for b, v in enumerate(vertices)}
-    weyl = {0: mat_identity(n)}
     perm = {0: tuple(range(n + 1))}
     # E8, F4 and G2 have no minuscule node but node 0, and need no w0.
     w0 = longest_element(datum, datum.nodes) if len(mins) > 1 else None
@@ -194,7 +191,6 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
                 f"{datum.label}: f_{a} does not permute the alcove vertices"
             )
         validate_symmetry(datum, images)
-        weyl[a] = z
         perm[a] = images
     # The node law must agree with composition.  Each f_c maps the alcove
     # vertices by perm[c] (checked above), and an affine map is fixed by its
@@ -209,7 +205,6 @@ def fundamental_group(datum: RootDatum) -> FundamentalGroup:
     return FundamentalGroup(
         elements=mins,
         perm=perm,
-        weyl=weyl,
         act={a: itemgetter(*map(perm[a].index, datum.extended_nodes)) for a in mins},
     )
 
@@ -298,14 +293,11 @@ class InvariantSpace(NamedTuple):
 @lru_cache(maxsize=None)
 def invariant_space(datum: RootDatum, subgroup: frozenset[int]) -> InvariantSpace:
     """Fixed space of a node subgroup H (a single node a is its cyclic
-    subgroup ``group.subgroup([a])``), with its dimension checked two ways.
+    subgroup ``group.subgroup([a])``).
 
     Each ``f_h`` permutes the alcove vertices by ``perm[h]``, so a point
     is fixed by H exactly when its affine coordinates are constant on each
-    H-orbit of nodes, and the dimension is the orbit count minus one.  It
-    must equal the kernel dimension of the integer rows of ``z_h - I``
-    stacked over h in H, which is the rank of the datum minus the rank
-    of those rows; a mismatch would mean corrupted group data.
+    H-orbit of nodes, and the dimension is the orbit count minus one.
     """
     group = fundamental_group(datum)
     nodes = sorted(subgroup)
@@ -314,16 +306,6 @@ def invariant_space(datum: RootDatum, subgroup: frozenset[int]) -> InvariantSpac
     orbits = sorted(
         {tuple(sorted({group.perm[h][a] for h in nodes})) for a in datum.extended_nodes}
     )
-    kernel = datum.rank - rank_det(
-        [x - (i == j) for j, x in enumerate(row)]
-        for h in nodes
-        for i, row in enumerate(group.weyl[h])
-    )[0]
-    if len(orbits) - 1 != kernel:
-        raise InvariantViolation(
-            f"{datum.label}: the nodes {nodes} have {len(orbits)} vertex orbits but "
-            f"the kernel of the rows z_h - I has dimension {kernel}"
-        )
     return InvariantSpace(len(orbits) - 1, tuple(orbits))
 
 

@@ -26,7 +26,9 @@ fixes, which the package counts in closed form.  The integer helpers
 that only these references use live here too: the Hermite normal form of a
 generating set, ``mat_vec``, ``vec_add`` and ``mat_transpose``, and
 ``coweight_lift``, the translation part ``w_a^vee`` of the alcove
-stabilizer f_a, which the package reads off the alcove vertices instead.
+stabilizer f_a, which the package reads off the alcove vertices instead,
+and ``z_matrix``, its linear part ``z_a = w_a w_0``, which the package
+keeps only as the node permutation it induces.
 """
 
 from fractions import Fraction
@@ -42,7 +44,7 @@ from brauercensus.affine import (
 from brauercensus.brauer import enumerate_subalcoves, fixed_point
 from brauercensus.errors import InvariantViolation
 from brauercensus.linalg import bareiss, mat_identity, mat_mul, unit_vec, vec_dot
-from brauercensus.rootdata import TypeLabel
+from brauercensus.rootdata import TypeLabel, longest_element
 
 
 def vec_add(u, v):
@@ -213,10 +215,19 @@ def fixed_space(maps):
     return solve_affine(rows, rhs)
 
 
+def z_matrix(datum, node):
+    """The linear part ``z_a = w_a w_0`` of the alcove stabilizer of a
+    minuscule node a, from the longest elements of the whole diagram and
+    of the diagram without a (the identity for node 0)."""
+    if node == 0:
+        return mat_identity(datum.rank)
+    nodes = set(datum.nodes)
+    return mat_mul(longest_element(datum, nodes - {node}), longest_element(datum, nodes))
+
+
 def f_map(datum, node):
     """The alcove-stabilizing affine map ``z_node + coweight(node)``."""
-    group = fundamental_group(datum)
-    return AffineMap(group.weyl[node], coweight_lift(datum, node))
+    return AffineMap(z_matrix(datum, node), coweight_lift(datum, node))
 
 
 def hyperplane_containment(datum, subgroup, q):

@@ -21,8 +21,6 @@ LEDGER = {
     ("affine", "fundamental_group", 2):
         "test_affine.py::test_fundamental_group_law_check_fires",
     ("affine", "fold_coords", 1): "test_affine.py::test_fold_cap_counts_reflections",
-    ("affine", "invariant_space", 1):
-        "test_affine.py::test_invariant_space_dimension_check_fires",
     ("brauer", "walk_subalcoves", 1):
         "test_brauer.py::test_violations_name_the_whole_configuration",
     ("brauer", "walk_subalcoves", 2):
@@ -120,7 +118,7 @@ def test_every_construction_site_has_a_firing_test():
     sites = package_sites()
     assert set(sites) - set(LEDGER) == set(), "sites with no ledger entry"
     assert set(LEDGER) - set(sites) == set(), "ledger entries with no site"
-    assert len(sites) == len(LEDGER) == 23
+    assert len(sites) == len(LEDGER) == 22
 
 
 def test_every_ledger_test_is_defined():

@@ -23,6 +23,7 @@ from fraction_reference import (
     nullspace,
     solve_affine,
     solve_linear,
+    z_matrix,
 )
 
 
@@ -213,11 +214,13 @@ def test_cartan_determinant_is_the_fundamental_group_order(label):
 
 
 def test_rank_matches_the_reference_hnf():
-    # the stacked rows z_h - I of every subgroup of every fundamental
-    # group, which is what invariant_space ranks
+    # realistic integer matrices: the stacked rows z_h - I of every
+    # subgroup of every fundamental group, whose kernel is the direction
+    # of the subgroup's fixed space
     cases = 0
     for label in RANK_TYPES:
-        group = fundamental_group(build_root_system(label))
+        datum = build_root_system(label)
+        group = fundamental_group(datum)
         subgroups = {
             group.subgroup([a, b]) for a in group.elements for b in group.elements
         }
@@ -225,7 +228,7 @@ def test_rank_matches_the_reference_hnf():
             rows = [
                 [x - (i == j) for j, x in enumerate(row)]
                 for h in sorted(subgroup)
-                for i, row in enumerate(group.weyl[h])
+                for i, row in enumerate(z_matrix(datum, h))
             ]
             assert rank_det(rows)[0] == len(hermite_normal_form(rows)), (label, subgroup)
             cases += 1
